@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.lloyd import weighted_lloyd_step
+from repro.serve.kernel import nearest_centroids
+
 __all__ = ["KMeans", "KMeansResult"]
 
 
@@ -76,29 +79,23 @@ class KMeans:
         k = min(self.n_clusters, n)
 
         centroids = self._plusplus_init(points, k)
-        labels = np.zeros(n, dtype=np.int64)
         converged = False
         iterations = 0
         for iterations in range(1, self.max_iter + 1):
-            dist2 = self._dist2(points, centroids)
-            labels = np.argmin(dist2, axis=1)
-            new_centroids = centroids.copy()
-            for c in range(k):
-                mask = labels == c
-                if mask.any():
-                    new_centroids[c] = points[mask].mean(axis=0)
-                else:
-                    far = int(np.argmax(dist2[np.arange(n), labels]))
-                    new_centroids[c] = points[far]
+            step = weighted_lloyd_step(points, centroids, return_sq_dists=True)
+            new_centroids = step.centers
+            empty = step.mass <= 0
+            if empty.any():
+                new_centroids[empty] = points[int(np.argmax(step.sq_dists))]
             shift = float(np.linalg.norm(new_centroids - centroids))
             centroids = new_centroids
             if shift <= self.tol:
                 converged = True
                 break
 
-        dist2 = self._dist2(points, centroids)
-        labels = np.argmin(dist2, axis=1)
-        inertia = float(dist2[np.arange(n), labels].sum())
+        labels = nearest_centroids(points, centroids)
+        diffs = points - centroids[labels]
+        inertia = float(np.einsum("ij,ij->", diffs, diffs))
         return KMeansResult(
             centroids=centroids,
             labels=labels,
@@ -106,11 +103,6 @@ class KMeans:
             iterations=iterations,
             converged=converged,
         )
-
-    @staticmethod
-    def _dist2(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        diffs = points[:, None, :] - centroids[None, :, :]
-        return np.einsum("ijk,ijk->ij", diffs, diffs)
 
     def _plusplus_init(self, points: np.ndarray, k: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)

@@ -37,7 +37,7 @@ from repro.core.global_clustering import (
 )
 from repro.core.outliers import OutlierHandler
 from repro.core.rebuild import rebuild_tree
-from repro.core.refinement import RefinementResult, refine
+from repro.core.refinement import PHASE4_LAYERS, RefinementResult, refine
 from repro.core.threshold import ThresholdPolicy
 from repro.core.tree import CFTree
 from repro.errors import NotFittedError, PhaseError
@@ -1438,6 +1438,23 @@ class Birch:
             self._apply_bad_point_policy(result)
         return result.points, result.weights
 
+    def _screen_rescan(self, points: object) -> np.ndarray:
+        """Screen a re-scan of already-fed rows (``improve``).
+
+        The validator rules and ``bad_point_policy`` are those of
+        ``fit``, but a re-scan feeds nothing new, so it leaves the ledger
+        alone: ``"raise"`` raises :class:`InvalidPointError` naming the
+        row, while ``"skip"`` and ``"quarantine"`` leave the bad rows out
+        of the scan without counting or storing them a second time.
+        """
+        if not self.config.validate_points:
+            return self._validate(points)
+        validator = PointValidator(self._dimensions)
+        result = validator.screen(points)
+        if self.config.bad_point_policy == "raise":
+            validator.raise_first(result)
+        return result.points
+
     def _apply_bad_point_policy(self, result: ScreenResult) -> None:
         policy = self.config.bad_point_policy
         if policy == "raise":
@@ -1613,7 +1630,16 @@ class Birch:
         )
         timings.phase4 = time.perf_counter() - start
         if rec.enabled:
-            rec.event("phase", name="phase4", seconds=timings.phase4)
+            rec.event(
+                "phase",
+                name="phase4",
+                seconds=timings.phase4,
+                **(
+                    refinement.layer_seconds
+                    if refinement is not None
+                    else dict.fromkeys(PHASE4_LAYERS, 0.0)
+                ),
+            )
             rec.event("run.end", mode="fit", total_seconds=timings.total)
 
         self._result = self._package_result(
@@ -1776,16 +1802,19 @@ class Birch:
         is that trade: run ``passes`` more refinement passes over
         ``points`` starting from the current centroids, and replace the
         stored result.  Each call adds data scans and never increases
-        the assignment cost.
+        the assignment cost.  ``points`` are screened like ``fit``'s
+        input (see :meth:`_screen_rescan`).
 
         Raises
         ------
         NotFittedError
             If called before ``fit``/``finalize``.
+        InvalidPointError
+            If a row is bad and ``bad_point_policy`` is ``"raise"``.
         """
         if self._result is None:
             raise NotFittedError(_NOT_FITTED_MESSAGE)
-        points = np.asarray(points, dtype=np.float64)
+        points = self._screen_rescan(points)
         start = time.perf_counter()
         refinement = refine(
             points,

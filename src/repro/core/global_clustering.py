@@ -28,7 +28,9 @@ import numpy as np
 
 from repro.core.distances import Metric, distances_to_set, stable_distances_to_set
 from repro.core.features import CF, AnyCF, StableCF
+from repro.core.lloyd import weighted_lloyd_step
 from repro.errors import PhaseTimeoutError
+from repro.serve.kernel import nearest_centroids
 
 __all__ = ["CFKMeans", "CFMedoids", "GlobalClustering", "MergeStep", "agglomerative_cf"]
 
@@ -341,31 +343,21 @@ class CFKMeans:
         weights = np.array([cf.n for cf in entries], dtype=np.float64)
 
         centers = self._init_centers(centroids_in, weights, k)
-        labels = np.zeros(m, dtype=np.int64)
         for _ in range(self.max_iter):
-            dist2 = ((centroids_in[:, None, :] - centers[None, :, :]) ** 2).sum(
-                axis=2
+            step = weighted_lloyd_step(
+                centroids_in, centers, weights, return_sq_dists=True
             )
-            labels = np.argmin(dist2, axis=1)
-            new_centers = centers.copy()
-            for c in range(k):
-                mask = labels == c
-                total = weights[mask].sum()
-                if total > 0:
-                    new_centers[c] = (
-                        weights[mask, None] * centroids_in[mask]
-                    ).sum(axis=0) / total
-                else:
-                    # Re-seed an empty cluster at the farthest entry.
-                    far = int(np.argmax(dist2[np.arange(m), labels]))
-                    new_centers[c] = centroids_in[far]
+            new_centers = step.centers
+            # Re-seed empty clusters at the entry farthest from its centre.
+            empty = step.mass <= 0
+            if empty.any():
+                new_centers[empty] = centroids_in[int(np.argmax(step.sq_dists))]
             shift = float(np.linalg.norm(new_centers - centers))
             centers = new_centers
             if shift <= self.tol * (1.0 + float(np.linalg.norm(centers))):
                 break
 
-        dist2 = ((centroids_in[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(dist2, axis=1)
+        labels = nearest_centroids(centroids_in, centers)
         clusters: list[AnyCF] = []
         final_labels = np.full(m, -1, dtype=np.int64)
         next_id = 0

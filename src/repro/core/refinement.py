@@ -19,17 +19,19 @@ Options implemented, as in the paper:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.core.features import CF, AnyCF, CF_BACKENDS
+from repro.core.features import CF, CF_BACKENDS
+from repro.core.lloyd import LloydStep, group_cfs, weighted_lloyd_step
 from repro.pagestore.iostats import IOStats
 
-__all__ = ["RefinementResult", "refine"]
+__all__ = ["PHASE4_LAYERS", "RefinementResult", "refine"]
 
-_CHUNK = 8192
+#: Per-layer timings of a refinement, as reported on the ``phase4`` event.
+PHASE4_LAYERS = ("assign_seconds", "recompute_seconds", "cf_seconds")
 
 
 @dataclass
@@ -55,6 +57,11 @@ class RefinementResult:
         True when a ``deadline`` stopped the passes early; the result is
         still fully consistent (labels/clusters from the last completed
         pass) — non-convergence is *reported*, never raised.
+    layer_seconds:
+        Wall time per layer, keyed by :data:`PHASE4_LAYERS`, summed over
+        the passes: nearest-centroid assignment, centroid recomputation,
+        and the final cluster CFs (outlier rule included).  Observation
+        only: no result depends on it.
     """
 
     centroids: np.ndarray
@@ -64,6 +71,9 @@ class RefinementResult:
     discarded: int
     converged: bool
     deadline_hit: bool = False
+    layer_seconds: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASE4_LAYERS, 0.0)
+    )
 
 
 def refine(
@@ -123,10 +133,19 @@ def refine(
     if passes < 0:
         raise ValueError(f"passes must be >= 0, got {passes}")
 
-    n = points.shape[0]
-    labels = _assign(points, centroids)
-    if stats is not None:
-        stats.record_scan(n)
+    layer_seconds = dict.fromkeys(PHASE4_LAYERS, 0.0)
+
+    def scan(centers: np.ndarray) -> LloydStep:
+        """One data scan: label by ``centers``, recompute the means."""
+        step = weighted_lloyd_step(points, centers)
+        layer_seconds["assign_seconds"] += step.assign_seconds
+        layer_seconds["recompute_seconds"] += step.update_seconds
+        if stats is not None:
+            stats.record_scan(points.shape[0])
+        return step
+
+    step = scan(centroids)
+    labels = step.labels
     converged = False
     passes_run = 0
     deadline_hit = False
@@ -135,25 +154,26 @@ def refine(
         if deadline is not None and time.monotonic() > deadline:
             deadline_hit = True
             break
-        new_centroids = _recompute(points, labels, centroids)
-        new_labels = _assign(points, new_centroids)
-        if stats is not None:
-            stats.record_scan(n)
+        # One pass moves the seeds to the means of the current labels
+        # and relabels; the step's own update of the new labels is what
+        # the next pass starts from.
+        centroids = step.centers
+        step = scan(centroids)
         passes_run += 1
-        centroids = new_centroids
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            converged = True
+        converged = np.array_equal(step.labels, labels)
+        labels = step.labels
+        if converged:
             break
-        labels = new_labels
 
-    clusters = _cluster_cfs(points, labels, centroids.shape[0], cf_backend)
+    start = time.perf_counter()
+    clusters = group_cfs(points, labels, centroids.shape[0], cf_backend)
     discarded = 0
     if discard_outliers:
         labels, discarded = _discard(
             points, labels, clusters, centroids, outlier_factor
         )
-        clusters = _cluster_cfs(points, labels, centroids.shape[0], cf_backend)
+        clusters = group_cfs(points, labels, centroids.shape[0], cf_backend)
+    layer_seconds["cf_seconds"] = time.perf_counter() - start
 
     return RefinementResult(
         centroids=centroids,
@@ -163,47 +183,8 @@ def refine(
         discarded=discarded,
         converged=converged,
         deadline_hit=deadline_hit,
+        layer_seconds=layer_seconds,
     )
-
-
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Chunked nearest-centroid assignment (Euclidean)."""
-    n = points.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        dist2 = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels[start : start + _CHUNK] = np.argmin(dist2, axis=1)
-    return labels
-
-
-def _recompute(
-    points: np.ndarray, labels: np.ndarray, fallback: np.ndarray
-) -> np.ndarray:
-    """Means of the assigned points; empty clusters keep their seed."""
-    k = fallback.shape[0]
-    centroids = fallback.copy()
-    for c in range(k):
-        mask = labels == c
-        if mask.any():
-            centroids[c] = points[mask].mean(axis=0)
-    return centroids
-
-
-def _cluster_cfs(
-    points: np.ndarray, labels: np.ndarray, k: int, cf_backend: str = "classic"
-) -> list[AnyCF]:
-    """Exact CF of each cluster (labels of -1 are excluded)."""
-    cf_class = CF_BACKENDS[cf_backend]
-    clusters = []
-    d = points.shape[1]
-    for c in range(k):
-        mask = labels == c
-        if mask.any():
-            clusters.append(cf_class.from_points(points[mask]))
-        else:
-            clusters.append(cf_class.empty(d))
-    return clusters
 
 
 def _discard(
@@ -217,15 +198,8 @@ def _discard(
     radii = np.array(
         [cf.radius if cf.n > 0 else 0.0 for cf in clusters], dtype=np.float64
     )
-    new_labels = labels.copy()
-    discarded = 0
-    for start in range(0, points.shape[0], _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        chunk_labels = labels[start : start + _CHUNK]
-        assigned = centroids[chunk_labels]
-        dist = np.sqrt(((chunk - assigned) ** 2).sum(axis=1))
-        cutoff = factor * radii[chunk_labels]
-        too_far = (dist > cutoff) & (cutoff > 0)
-        new_labels[start : start + _CHUNK][too_far] = -1
-        discarded += int(too_far.sum())
-    return new_labels, discarded
+    diff = points - np.take(centroids, labels, axis=0)
+    dist = np.sqrt((diff**2).sum(axis=1))
+    cutoff = factor * radii[labels]
+    too_far = (dist > cutoff) & (cutoff > 0)
+    return np.where(too_far, -1, labels), int(too_far.sum())

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.lloyd import weighted_lloyd_step
+
 __all__ = ["average_linkage_consensus", "kmeans_consensus"]
 
 
@@ -142,27 +144,17 @@ def kmeans_consensus(
 
     labels = np.zeros(a, dtype=np.int64)
     for _ in range(max_iter):
-        dists = (
-            np.sum(points**2, axis=1)[:, None]
-            - 2.0 * points @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
-        labels = np.argmin(dists, axis=1)
-        new_centers = np.zeros_like(centers)
-        shift = 0.0
-        for c in range(k):
-            mask = labels == c
-            if not mask.any():
-                # Deterministic reseed: the anchor farthest from its
-                # center claims the empty slot.
-                far = int(np.argmax(np.min(dists, axis=1)))
-                new_centers[c] = points[far]
-                labels[far] = c
-            else:
-                w = weights[mask]
-                new_centers[c] = (points[mask] * w[:, None]).sum(0) / w.sum()
-            shift = max(shift, float(np.sum((new_centers[c] - centers[c]) ** 2)))
+        step = weighted_lloyd_step(points, centers, weights, return_sq_dists=True)
+        labels, new_centers = step.labels, step.centers
+        empty = np.flatnonzero(step.mass <= 0)
+        if empty.size:
+            # Deterministic reseed: the anchor farthest from its center
+            # claims the empty slots.
+            far = int(np.argmax(step.sq_dists))
+            new_centers[empty] = points[far]
+            labels[far] = empty[-1]
+        shift = float(np.max(np.sum((new_centers - centers) ** 2, axis=1)))
         centers = new_centers
         if shift <= tol:
             break
-    return _canonical(labels.astype(np.int64))
+    return _canonical(labels)

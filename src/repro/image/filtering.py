@@ -25,6 +25,7 @@ from repro.core.birch import Birch, BirchResult
 from repro.core.config import BirchConfig
 from repro.evaluation.labels import purity
 from repro.image.scene import BACKGROUND_CATEGORIES, Scene, SceneCategory
+from repro.serve.kernel import nearest_centroids
 
 __all__ = ["FilterReport", "TwoPassFilter"]
 
@@ -123,7 +124,7 @@ class TwoPassFilter:
         pass1_labels = (
             pass1.labels
             if pass1.labels is not None
-            else self._nearest(tuples, pass1.centroids)
+            else nearest_centroids(tuples, pass1.centroids)
         )
 
         background_clusters = self._background_clusters(pass1)
@@ -139,7 +140,7 @@ class TwoPassFilter:
         fg_labels = (
             pass2.labels
             if pass2.labels is not None
-            else self._nearest(foreground, pass2.centroids)
+            else nearest_centroids(foreground, pass2.centroids)
         )
         pass2_labels = np.full(tuples.shape[0], -1, dtype=np.int64)
         pass2_labels[~background_mask] = fg_labels
@@ -182,11 +183,6 @@ class TwoPassFilter:
             # always removes *something* labelled sky-like.
             background = [int(np.argmax(result.centroids[:, 1]))]
         return background
-
-    @staticmethod
-    def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(dist2, axis=1)
 
     def _score(self, report: FilterReport, truth: np.ndarray) -> None:
         """Fill purity/recall fields against the ground-truth labels."""

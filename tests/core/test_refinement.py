@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.birch import Birch
+from repro.core.config import BirchConfig
+from repro.core.features import CF_BACKENDS
 from repro.core.refinement import refine
+from repro.datagen.presets import ds1, ds2, ds3
+from repro.evaluation.labels import adjusted_rand_index
 from repro.pagestore.iostats import IOStats
 
 
@@ -131,3 +136,85 @@ class TestValidation:
         result = refine(points, seeds, passes=2)
         # The far seed attracts nothing and must stay put.
         assert np.allclose(result.centroids[1], [100.0, 100.0])
+
+
+class TestTieRule:
+    def test_equidistant_points_go_to_the_lowest_seed(self):
+        # Every point sits exactly midway between seeds 0 and 1 (and
+        # seed 2 is farther), so both passes must keep label 0.
+        points = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])
+        seeds = np.array([[-2.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
+        result = refine(points, seeds, passes=0)
+        np.testing.assert_array_equal(result.labels, [0, 0, 0])
+
+    def test_tied_seeds_keep_the_lowest_index_across_passes(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+        seeds = np.array([[0.5, 0.0], [0.5, 0.0], [5.0, 5.0]])
+        result = refine(points, seeds, passes=3)
+        np.testing.assert_array_equal(result.labels, [0, 0, 2])
+        assert result.clusters[1].n == 0
+        np.testing.assert_array_equal(result.centroids[1], [0.5, 0.0])
+
+
+def _oracle_refine(points, seeds, passes, backend, factor=2.0):
+    """The pre-kernel Phase 4: (B, K, d) broadcast argmin and one boolean
+    mask per cluster, with the outlier rule on the final labels."""
+    cf_class = CF_BACKENDS[backend]
+
+    def assign(centroids):
+        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        return np.argmin(dist2, axis=1)
+
+    def cluster_cfs(labels, k):
+        return [
+            cf_class.from_points(points[labels == c])
+            if (labels == c).any()
+            else cf_class.empty(points.shape[1])
+            for c in range(k)
+        ]
+
+    centroids = seeds.copy()
+    labels = assign(centroids)
+    for _ in range(passes):
+        new = centroids.copy()
+        for c in range(centroids.shape[0]):
+            if (labels == c).any():
+                new[c] = points[labels == c].mean(axis=0)
+        new_labels = assign(new)
+        centroids = new
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    clusters = cluster_cfs(labels, centroids.shape[0])
+    radii = np.array([cf.radius if cf.n > 0 else 0.0 for cf in clusters])
+    dist = np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1))
+    cutoff = factor * radii[labels]
+    return np.where((dist > cutoff) & (cutoff > 0), -1, labels)
+
+
+class TestKernelParityWithBroadcastOracle:
+    """Phase 4 on the shared kernel and grouped reducer labels the paper
+    datasets as the old broadcast/masked formulation did."""
+
+    @pytest.mark.parametrize("backend", sorted(CF_BACKENDS))
+    @pytest.mark.parametrize("make", [ds1, ds2, ds3], ids=["DS1", "DS2", "DS3"])
+    def test_labels_match_oracle(self, make, backend):
+        data = make(scale=0.03)
+        config = BirchConfig(
+            n_clusters=100,
+            cf_backend=backend,
+            initial_threshold=1.0,
+            phase4_passes=0,
+        )
+        seeds = Birch(config).fit(data.points).centroids
+        for passes in (1, 3):
+            got = refine(
+                data.points,
+                seeds,
+                passes=passes,
+                discard_outliers=True,
+                cf_backend=backend,
+            ).labels
+            want = _oracle_refine(data.points, seeds, passes, backend)
+            if not np.array_equal(got, want):
+                assert adjusted_rand_index(got, want) >= 0.999

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
+from repro.errors import InvalidPointError
 from repro.pagestore.faults import FaultInjector
 
 pytestmark = pytest.mark.guardrails
@@ -105,6 +106,32 @@ class TestPolicies:
         result = est.finalize()
         _assert_conserved(result, int(weights.sum()))
         assert result.invalid_dropped_points == int(weights[7])
+
+
+class TestImproveScreening:
+    """``improve`` screens its re-scan like ``fit``; one NaN row used to
+    turn a refined centroid into NaN."""
+
+    def test_raise_policy_rejects_a_bad_rescan(self):
+        clean = np.random.default_rng(5).normal(0.0, 4.0, (400, 3))
+        estimator = Birch(_config(phase4_passes=1))
+        before = estimator.fit(clean)
+        poisoned = clean.copy()
+        poisoned[3, 0] = np.nan
+        with pytest.raises(InvalidPointError) as info:
+            estimator.improve(poisoned)
+        assert (info.value.row, info.value.reason) == (3, "nan")
+        assert estimator.result is before
+
+    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
+    def test_bad_rows_left_out_and_ledger_unchanged(self, policy):
+        estimator = Birch(_config(bad_point_policy=policy, phase4_passes=1))
+        before = estimator.fit(_dirty_rows())
+        after = estimator.improve(_dirty_rows(), passes=2)
+        assert np.isfinite(after.centroids).all()
+        assert after.labels.shape == (_N - 5,)
+        assert after.accounting() == before.accounting()
+        _assert_conserved(after, _N)
 
 
 class TestQuarantineFaults:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
+from repro.core.refinement import PHASE4_LAYERS
 from repro.guardrails.supervisor import run_supervised
 from repro.observe import ObserveConfig, Recorder, read_jsonl
 from repro.pagestore.iostats import IOStats
@@ -84,6 +85,19 @@ class TestResultTelemetry:
             e["name"] for e in result.telemetry.events_named("phase")
         ]
         assert phase_names == ["phase1", "phase2", "phase3", "phase4"]
+
+    def test_phase4_event_splits_assign_recompute_cf(self, points):
+        result = Birch(_config(observe=ObserveConfig())).fit(points)
+        (phase4,) = [
+            e for e in result.telemetry.events_named("phase")
+            if e["name"] == "phase4"
+        ]
+        layers = [phase4[k] for k in PHASE4_LAYERS]
+        assert all(s >= 0.0 for s in layers)
+        assert sum(layers) <= phase4["seconds"]
+        assert result.refinement.layer_seconds == {
+            k: phase4[k] for k in PHASE4_LAYERS
+        }
 
     def test_sharded_fit_merges_worker_counters(self, points):
         serial = Birch(_config(observe=ObserveConfig())).fit(points)
