@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -37,15 +38,46 @@ from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.tree import CFTree
 from repro.datagen.presets import ds1
+from repro.observe.recorder import Recorder
 from repro.pagestore.iostats import IOStats
 from repro.pagestore.page import PageLayout
 
 
-def _make_tree(backend: str, threshold: float, page_size: int, d: int) -> CFTree:
+def _make_tree(
+    backend: str,
+    threshold: float,
+    page_size: int,
+    d: int,
+    recorder: Recorder | None = None,
+) -> CFTree:
     layout = PageLayout(page_size=page_size, dimensions=d)
     return CFTree(
-        layout, threshold=threshold, cf_backend=backend, stats=IOStats()
+        layout,
+        threshold=threshold,
+        cf_backend=backend,
+        stats=IOStats(),
+        recorder=recorder,
     )
+
+
+def _bulk_traffic(
+    points: np.ndarray, backend: str, threshold: float, page_size: int
+) -> dict[str, float]:
+    """Window counters of one untimed, recorded bulk ingest."""
+    rec = Recorder()
+    tree = _make_tree(backend, threshold, page_size, points.shape[1], rec)
+    consumed = 0
+    while consumed < points.shape[0]:
+        consumed += tree.bulk_insert(points[consumed:])
+    c = rec.counters
+    traffic = {
+        key: int(c.get(f"bulk.{key}", 0))
+        for key in ("windows", "full_windows", "flips", "absorbed_rows",
+                    "fallback_rows")
+    }
+    traffic["splits"] = tree.stats.splits
+    traffic["rows_per_window"] = points.shape[0] / max(traffic["windows"], 1)
+    return traffic
 
 
 def _time_tree_ingest(
@@ -128,6 +160,11 @@ def main(argv: list[str] | None = None) -> int:
         "sharded_fit": {},
         "threshold": args.threshold,
         "page_size": args.page_size,
+        "timed": {
+            "tree_ingest": "one layer: CFTree.insert_points / bulk_insert",
+            "sharded_fit": "Phase 1 of a whole Birch.fit (timings.phase1)",
+        },
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
@@ -151,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
             "scalar_points_per_second": n / scalar_s,
             "bulk_points_per_second": n / bulk_s,
             "speedup": speedup,
+            "bulk_traffic": _bulk_traffic(
+                points, backend, args.threshold, args.page_size
+            ),
         }
         print(
             f"{backend:>7}: scalar {n / scalar_s:9.0f} pts/s | "

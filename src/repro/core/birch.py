@@ -318,6 +318,9 @@ class Birch:
         self._tree: Optional[CFTree] = None
         self._budget: Optional[MemoryBudget] = None
         self._outlier_handler: Optional[OutlierHandler] = None
+        # True outliers drained from the disk by the last end-of-scan
+        # resolution, held until more data reopens the scan.
+        self._resolved_outliers: Optional[list[CF]] = None
         self._policy: Optional[ThresholdPolicy] = None
         self._points_seen = 0
         self._delay_mode = False
@@ -539,6 +542,7 @@ class Birch:
         if self._tree is None:
             self._initialise(points.shape[1])
         assert self._tree is not None and self._budget is not None
+        self._reopen_scan()
         start = time.perf_counter()
         rebuilds_before = self._rebuild_seconds
         try:
@@ -564,10 +568,13 @@ class Birch:
         Equivalence with the per-point loop rests on two invariants:
         absorption-only bulk runs never allocate or free a node, so the
         memory budget can only flip state on a scalar-fallback
-        insertion — and ``stop_after_fallback=True`` returns control
-        here right after each one, exactly where :meth:`_insert_one`
-        would have checked the budget.  Checkpoint cadence is preserved
-        by capping each call at the next checkpoint boundary.
+        insertion (a row whose confirmed routing fails its threshold
+        test; a row whose routing flipped inside a window just starts
+        the next one) — and ``stop_after_fallback=True`` returns control
+        here right after each scalar insertion, exactly where
+        :meth:`_insert_one` would have checked the budget.  Checkpoint
+        cadence is preserved by capping each call at the next
+        checkpoint boundary.
         """
         assert self._tree is not None and self._budget is not None
         n = points.shape[0]
@@ -1245,6 +1252,7 @@ class Birch:
                 "forget_before requires sliding-window tagging; set "
                 "config.epoch_buckets"
             )
+        self._reopen_scan()
         retired = self._epoch_buckets.retire_before(epoch)
         return self._retire_buckets(retired, trigger="forget_before")
 
@@ -1935,12 +1943,36 @@ class Birch:
         return fields
 
     def _finish_phase1(self) -> list[CF]:
-        """End-of-scan outlier resolution; returns the true outliers."""
+        """End-of-scan outlier resolution; returns the true outliers.
+
+        Idempotent: resolution drains the outlier disk, so its result is
+        kept until more data arrives (see :meth:`_reopen_scan`).  A
+        ``finalize`` after ``fit``, or a second ``finalize``, reports
+        the same outliers instead of an empty disk.
+        """
         assert self._tree is not None
         self._delay_mode = False
         if self._outlier_handler is None:
             return []
-        return self._outlier_handler.final_outliers(self._tree)
+        if self._resolved_outliers is None:
+            self._resolved_outliers = self._outlier_handler.final_outliers(
+                self._tree
+            )
+        return list(self._resolved_outliers)
+
+    def _reopen_scan(self) -> None:
+        """Put outliers resolved by an earlier end of scan back on disk.
+
+        Called before anything that changes the tree again (more data,
+        forgetting): the change may let them be re-absorbed, so they are
+        potential outliers again.  They came off this disk and nothing
+        has been written to it since, so they fit; no I/O is charged, as
+        none happened.
+        """
+        resolved, self._resolved_outliers = self._resolved_outliers, None
+        if resolved and self._outlier_handler is not None:
+            disk = self._outlier_handler.disk
+            disk.adopt(list(disk.peek()) + resolved)
 
     def _phase2_condense(self) -> None:
         """Shrink the tree until Phase 3's input budget is met."""
@@ -2015,6 +2047,7 @@ class Birch:
         self._tree = None
         self._budget = None
         self._outlier_handler = None
+        self._resolved_outliers = None
         self._policy = None
         self._points_seen = 0
         self._delay_mode = False

@@ -213,7 +213,13 @@ def _snapshot_payload(birch: "Birch") -> bytes:
     if buckets is not None:
         for key, value in buckets.to_arrays(birch._dimensions).items():
             arrays[f"evolve_{key}"] = value
-    records = list(handler.disk.peek()) if handler is not None else []
+    # Outliers a finished scan drained off the disk are still owed to
+    # the ledger; a resumed stream holds them as pending again.
+    records = (
+        list(handler.disk.peek()) + list(birch._resolved_outliers or [])
+        if handler is not None
+        else []
+    )
     for key, value in _cfs_to_arrays(
         records, birch.config.cf_backend, birch._dimensions
     ).items():

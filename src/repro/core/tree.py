@@ -380,11 +380,14 @@ class CFTree:
         classic backend, the Chan recurrence for the stable one, both
         bitwise equal to :meth:`CFNode.add_to_entry`).  The longest
         prefix of rows whose speculative choices match the sequential
-        semantics commits with one batched write per touched entry; the
-        first deviating row — an argmin flipped by in-window evolution,
-        or a failed threshold test needing a new entry — falls back to
-        the scalar :meth:`insert_cf`, which handles appends, splits and
-        merging refinement verbatim.
+        semantics commits with one batched write per touched entry.  A
+        first deviating row whose argmin flipped by in-window evolution
+        starts the next window, where it sees the committed state and
+        its routing is confirmed by construction.  Only a row whose
+        confirmed routing fails its threshold test (it needs a new
+        entry, maybe a split) falls back to the scalar
+        :meth:`insert_cf`, which handles appends, splits and merging
+        refinement verbatim.
 
         Parameters
         ----------
@@ -419,7 +422,6 @@ class CFTree:
         )
         if limit <= 0:
             return 0
-        norms = np.einsum("ij,ij->i", points, points)
         scratch = self._scratch_cf()
         stat_kind = (
             "diameter"
@@ -431,17 +433,20 @@ class CFTree:
         rec = self.recorder
         while i < limit:
             w = min(window, limit - i)
-            absorbed = self._bulk_run(points, norms, i, w, stat_kind)
+            absorbed, flipped = self._bulk_run(points, i, w, stat_kind)
             i += absorbed
             if rec.enabled:
                 # Per-window accounting (never per point): window count,
-                # absorbed prefix length, and whether the whole window
-                # committed — enough to derive the fallback rate and the
-                # speculative-commit prefix distribution offline.
+                # absorbed prefix length, whether the whole window
+                # committed and whether a routing flip cut it — enough
+                # to derive the fallback rate and the speculative-commit
+                # prefix distribution offline.
                 rec.count("bulk.windows")
                 rec.count("bulk.absorbed_rows", absorbed)
                 if absorbed == w:
                     rec.count("bulk.full_windows")
+                elif flipped:
+                    rec.count("bulk.flips")
             if absorbed == w:
                 window = min(_BULK_MAX_WINDOW, 2 * w)
                 continue  # the whole window absorbed; widen and go on
@@ -452,14 +457,17 @@ class CFTree:
                 _BULK_MAX_WINDOW,
                 max(_BULK_MIN_WINDOW, absorbed + absorbed // 2 + 1),
             )
-            # points[i] cannot take the fast path from the current
-            # state: insert it exactly as the per-point loop would.
+            if flipped:
+                continue  # points[i] routes against committed state next
+            # points[i]'s confirmed routing fails its threshold test:
+            # insert it exactly as the per-point loop would.
             if self.cf_backend == "stable":
                 scratch.mean = points[i]
                 scratch.ssd = 0.0
             else:
+                row = points[i : i + 1]
                 scratch.ls = points[i]
-                scratch.ss = float(norms[i])
+                scratch.ss = float(np.einsum("ij,ij->i", row, row)[0])
             self.insert_cf(scratch)
             i += 1
             if rec.enabled:
@@ -471,11 +479,10 @@ class CFTree:
     def _bulk_run(
         self,
         points: np.ndarray,
-        norms: np.ndarray,
         start: int,
         w: int,
         stat_kind: str,
-    ) -> int:
+    ) -> tuple[int, bool]:
         """Absorb the longest confirmable prefix of a window of rows.
 
         Speculate-validate-commit over ``points[start:start+w]``:
@@ -488,29 +495,37 @@ class CFTree:
            ``add_to_entry`` fold, and re-evaluate every routing argmin
            and leaf threshold test against the state each row would
            actually have seen (the entry's state after the rows ordered
-           before it).  Row ``start`` always sees static state, so its
-           routing is confirmed by construction and progress is
-           guaranteed.
+           before it).  Nodes are validated top-down, so the first row
+           to fail a check is known early; rows at or past it can never
+           commit and are left out of every later replay.  Row
+           ``start`` always sees static state, so its routing is
+           confirmed by construction and progress is guaranteed.
         3. **Commit** the longest prefix of rows whose decisions all
            match the sequential semantics, with one batched write per
            touched entry.
 
-        Returns the number of rows absorbed (0 when row ``start`` fails
-        its own threshold test and needs the scalar path).
+        Returns ``(absorbed, flipped)``: the number of rows absorbed,
+        and whether the first unconfirmed row failed a routing argmin
+        (it may then start the next window) rather than the threshold
+        test of its confirmed leaf entry (it needs the scalar path).
+        ``absorbed`` is 0 only when row ``start`` fails its own
+        threshold test, and then ``flipped`` is False.
         """
         if self.root.size == 0:
-            return 0
+            return 0, False
         stable = self.cf_backend == "stable"
         rows = points[start : start + w]
-        row_norms = norms[start : start + w]
+        # Squared row norms feed only the classic kernels; a window-local
+        # einsum is bitwise equal to insert_points' whole-chunk one.
+        row_norms = None if stable else np.einsum("ij,ij->i", rows, rows)
         d = self.layout.dimensions
         eps = float(np.finfo(np.float64).eps)
         threshold_sq = self.threshold**2
 
         # -- 1. speculative routing --------------------------------------
         # visits: (node, row indices routed here (ascending), their
-        # argmin columns, the static distance matrix).
-        visits: list[tuple[CFNode, np.ndarray, np.ndarray, np.ndarray]] = []
+        # argmin columns), every node after its ancestors.
+        visits: list[tuple[CFNode, np.ndarray, np.ndarray]] = []
         pending: list[tuple[CFNode, np.ndarray]] = [(self.root, np.arange(w))]
         while pending:
             node, idx = pending.pop()
@@ -533,7 +548,7 @@ class CFTree:
                     self.metric,
                 )
             cols = np.argmin(mat, axis=1)
-            visits.append((node, idx, cols, mat))
+            visits.append((node, idx, cols))
             if not node.is_leaf:
                 assert node.children is not None
                 for c in np.unique(cols):
@@ -541,14 +556,23 @@ class CFTree:
                     pending.append((node.children[int(c)], child_idx))
 
         # -- 2. exact sequential validation ------------------------------
-        # ok[r] stays True while row r's every argmin and its leaf
-        # threshold test, re-evaluated against exactly evolved states,
-        # match the speculative choice.  Prefix counts are exact for any
-        # row all of whose predecessors are confirmed, which is all that
-        # matters: commit stops at the first unconfirmed row.
-        ok = np.ones(w, dtype=bool)
+        # Every row's argmins and leaf threshold test are re-evaluated
+        # against exactly evolved states.  Prefix counts are exact for
+        # any row all of whose predecessors are confirmed, which is all
+        # that matters: commit stops at the first unconfirmed row, so
+        # ``cut`` (the first row known to fail) only moves down, and a
+        # row's checks run top-down along its path, so the first check
+        # it fails is the deciding one.
+        cut = w
+        flipped = False
         writes: list[tuple[CFNode, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for node, idx, cols, mat in visits:
+        for node, idx, cols in visits:
+            if idx[-1] >= cut:
+                live = int(np.searchsorted(idx, cut))
+                if live == 0:
+                    continue
+                idx = idx[:live]
+                cols = cols[:live]
             wn = idx.shape[0]
             k = node.size
             # Per-row entry snapshots, seeded with the static states and
@@ -634,7 +658,8 @@ class CFTree:
                 dists = gathered_point_distances(
                     rows[idx], row_norms[idx], g_ns, g_vec, g_sq, self.metric
                 )
-            ok[idx] &= np.argmin(dists, axis=1) == cols
+            route_bad = np.argmin(dists, axis=1) != cols
+            bad = route_bad
             if node.is_leaf:
                 # Threshold fit for every row against its own target
                 # entry's pre-absorb state; the slack terms mirror
@@ -658,21 +683,23 @@ class CFTree:
                     )
                     merged_ss = own_sq + row_norms[idx]
                     slack_sq = 64.0 * eps * np.maximum(merged_ss, 1.0)
-                ok[idx] &= value * value <= threshold_sq + slack_sq
+                bad = route_bad | ~(value * value <= threshold_sq + slack_sq)
+            if bad.any():
+                j = int(np.argmax(bad))
+                cut = int(idx[j])
+                flipped = bool(route_bad[j])
 
-        bad = np.flatnonzero(~ok)
-        p = int(bad[0]) if bad.size else w
-        if p == 0:
-            return 0
+        if cut == 0:
+            return 0, False
 
         # -- 3. commit the confirmed prefix ------------------------------
         for node, c, assigned, h_ns, h_vec, h_sq in writes:
-            t = int(np.searchsorted(assigned, p))
+            t = int(np.searchsorted(assigned, cut))
             node._ns[c] = h_ns[t]
             node._vec[c] = h_vec[t]
             node._sq[c] = h_sq[t]
-        self._points += p
-        return p
+        self._points += cut
+        return cut, flipped
 
     def insert_cf(self, cf: AnyCF) -> None:
         """Insert a subcluster CF (a point, an old leaf entry, an outlier).

@@ -97,6 +97,7 @@ class TelemetrySnapshot:
             lines.append(
                 f"  bulk: {int(windows)} window(s), "
                 f"{int(absorbed)} row(s) absorbed, "
+                f"{int(c.get('bulk.flips', 0))} routing flip(s), "
                 f"fallback rate {rate:.2%}"
             )
         if "io.page_reads" in c or "io.page_writes" in c:

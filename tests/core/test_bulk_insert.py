@@ -25,6 +25,7 @@ from repro.core.distances import (
 from repro.core.features import CF, StableCF
 from repro.core.tree import CFTree, ThresholdKind
 from repro.datagen.presets import ds1
+from repro.observe.recorder import Recorder
 from repro.pagestore.iostats import IOStats
 from repro.pagestore.page import PageLayout
 
@@ -40,6 +41,7 @@ def make_tree(
     page_size: int = 128,
     cf_backend: str = "classic",
     threshold_kind: ThresholdKind = ThresholdKind.DIAMETER,
+    recorder: Recorder | None = None,
 ) -> CFTree:
     layout = PageLayout(page_size=page_size, dimensions=dimensions)
     return CFTree(
@@ -48,6 +50,7 @@ def make_tree(
         cf_backend=cf_backend,
         threshold_kind=threshold_kind,
         stats=IOStats(),
+        recorder=recorder,
     )
 
 
@@ -115,6 +118,57 @@ class TestBulkByteIdentity:
         while consumed < points.shape[0]:
             consumed += bulk.bulk_insert(points[consumed:])
         assert_identical_trees(scalar, bulk)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", (3, 8))
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_bulk_equals_scalar_pinned_dimension(self, backend, kind, d, chunk):
+        """d >= 3 leaves the pure-float replay loop, and classic norms
+        come from window-local einsums that must match the chunk norms
+        of ``insert_points`` bit for bit."""
+        rng = np.random.default_rng(7919 * d + 31 * chunk + (backend == "stable"))
+        points = clustered_points(rng, 500, d)
+        scalar = make_tree(
+            dimensions=d, threshold=0.8, page_size=256,
+            cf_backend=backend, threshold_kind=kind,
+        )
+        bulk = make_tree(
+            dimensions=d, threshold=0.8, page_size=256,
+            cf_backend=backend, threshold_kind=kind,
+        )
+        for start in range(0, points.shape[0], chunk):
+            block = points[start : start + chunk]
+            scalar.insert_points(block)
+            took = 0
+            while took < block.shape[0]:
+                took += bulk.bulk_insert(block[took:])
+        assert_identical_trees(scalar, bulk)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_routing_flip_resumes_on_bulk_path(self, backend):
+        """Two leaf entries at x = 0 and x = 2; rows first pile into the
+        left one just short of the bisector, then land just past it.
+        Against static states the later rows route right, but the left
+        entry has drifted toward them, so their argmin flips inside the
+        window.  The flipped row must start the next window, not fall
+        back to the scalar path."""
+        seeds = np.array([[0.0, 0.0], [2.0, 0.0]])
+        stream = np.array([[0.9, 0.0]] * 5 + [[1.05, 0.0]] * 10)
+        scalar = make_tree(cf_backend=backend, threshold=1.9)
+        rec = Recorder()
+        bulk = make_tree(cf_backend=backend, threshold=1.9, recorder=rec)
+        for tree in (scalar, bulk):
+            tree.insert_points(seeds)
+        assert bulk.root.size == 2
+        scalar.insert_points(stream)
+        assert bulk.bulk_insert(stream) == stream.shape[0]
+        assert_identical_trees(scalar, bulk)
+        assert rec.counters.get("bulk.flips", 0) == 1
+        assert rec.counters.get("bulk.fallback_rows", 0) == 0
+        assert rec.counters["bulk.absorbed_rows"] == stream.shape[0]
+        # Every row landed in the left entry, the flipped ones included.
+        assert [cf.n for cf in bulk.leaf_entries()] == [16, 1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stop_after_fallback_consumes_prefix_only(self, backend):

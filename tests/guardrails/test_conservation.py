@@ -108,6 +108,51 @@ class TestPolicies:
         assert result.invalid_dropped_points == int(weights[7])
 
 
+class TestRepeatedResolution:
+    """End-of-scan outlier resolution is idempotent: it drains the outlier
+    disk, so a second ``_finish_phase1`` used to find it empty and report
+    no outliers, unbalancing the ledger."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fit_then_finalize(self, backend):
+        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        fitted = estimator.fit(_dirty_rows())
+        assert fitted.accounting()["outliers"] > 0
+        finalized = estimator.finalize()
+        _assert_conserved(finalized, _N)
+        assert finalized.accounting() == fitted.accounting()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_finalize_then_finalize(self, backend):
+        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        estimator.partial_fit(_dirty_rows())
+        first = estimator.finalize()
+        assert first.accounting()["outliers"] > 0
+        second = estimator.finalize()
+        _assert_conserved(second, _N)
+        assert second.accounting() == first.accounting()
+        assert np.array_equal(second.centroids, first.centroids)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_more_data_after_finalize(self, backend):
+        """Resolved outliers return to the disk when the scan reopens."""
+        rows = _dirty_rows()
+        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        estimator.partial_fit(rows[:1000])
+        assert estimator.finalize().accounting()["outliers"] > 0
+        estimator.partial_fit(rows[1000:])
+        _assert_conserved(estimator.finalize(), _N)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_checkpoint_after_finalize(self, tmp_path: Path, backend):
+        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        estimator.partial_fit(_dirty_rows())
+        assert estimator.finalize().accounting()["outliers"] > 0
+        ckpt = tmp_path / "finished.ckpt"
+        estimator.checkpoint(ckpt)
+        _assert_conserved(Birch.resume(ckpt).finalize(), _N)
+
+
 class TestImproveScreening:
     """``improve`` screens its re-scan like ``fit``; one NaN row used to
     turn a refined centroid into NaN."""
