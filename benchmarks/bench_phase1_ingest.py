@@ -4,11 +4,17 @@ Measures points/second on the Figure 4 base workload (the DS1 grid,
 K = 100) at three levels:
 
 * **scalar** — the per-point ``CFTree.insert_points`` loop;
-* **bulk** — the vectorised ``CFTree.bulk_insert`` fast path, which is
-  byte-identical to scalar by construction (the grouped descent commits
-  only speculation verified against exactly evolved entry states);
+* **bulk** — ``CFTree.bulk_insert``, which is byte-identical to scalar
+  by construction (the grouped descent commits only speculation
+  verified against exactly evolved entry states) and falls back to
+  scalar runs where windows stop paying;
 * **sharded** — ``Birch.fit(..., n_jobs=N)``, building per-shard trees
   in worker processes and merging them by CF additivity.
+
+The scalar/bulk comparison runs twice: on DS1 in its generated
+(ordered) input order, and on the same points shuffled with a fixed
+seed (DS1O), where windows commit fewer rows and ``bulk_insert``
+moves part of the stream to scalar runs.
 
 Results land in ``BENCH_phase1_ingest.json`` so the perf-smoke CI job
 and the performance docs have a machine-readable record.  Run
@@ -18,8 +24,8 @@ standalone (this is not a pytest module):
         --scale 1.0 --out BENCH_phase1_ingest.json
 
 ``--assert-speedup X`` exits non-zero unless bulk >= X * scalar on both
-backends (CI uses 1.0 on a small preset; the acceptance run uses 3.0 at
-scale 1.0, i.e. N = 100,000).
+backends in the ordered case (CI uses 1.0 on a small preset; the
+acceptance run uses 3.0 at scale 1.0, i.e. N = 100,000).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.tree import CFTree
-from repro.datagen.presets import ds1
+from repro.datagen.presets import ds1, ds1o
 from repro.observe.recorder import Recorder
 from repro.pagestore.iostats import IOStats
 from repro.pagestore.page import PageLayout
@@ -73,7 +79,7 @@ def _bulk_traffic(
     traffic = {
         key: int(c.get(f"bulk.{key}", 0))
         for key in ("windows", "full_windows", "flips", "absorbed_rows",
-                    "fallback_rows")
+                    "fallback_rows", "scalar_runs")
     }
     traffic["splits"] = tree.stats.splits
     traffic["rows_per_window"] = points.shape[0] / max(traffic["windows"], 1)
@@ -145,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
 
     dataset = ds1(scale=args.scale, seed=args.seed)
     points = dataset.points
+    shuffled = ds1o(scale=args.scale, seed=args.seed).points
     n, d = points.shape
     print(f"DS1 grid: N={n} d={d} (scale={args.scale}, seed={args.seed})")
 
@@ -157,11 +164,16 @@ def main(argv: list[str] | None = None) -> int:
             "d": d,
         },
         "tree_ingest": {},
+        "tree_ingest_shuffled": {},
         "sharded_fit": {},
         "threshold": args.threshold,
         "page_size": args.page_size,
         "timed": {
             "tree_ingest": "one layer: CFTree.insert_points / bulk_insert",
+            "tree_ingest_shuffled": (
+                "one layer, as tree_ingest, on the DS1O order of the same "
+                "points"
+            ),
             "sharded_fit": "Phase 1 of a whole Birch.fit (timings.phase1)",
         },
         "cpu_count": os.cpu_count(),
@@ -170,39 +182,44 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     ok = True
-    for backend in ("classic", "stable"):
-        scalar_s, scalar_tree = _time_tree_ingest(
-            points, backend, args.threshold, args.page_size, "scalar"
-        )
-        bulk_s, bulk_tree = _time_tree_ingest(
-            points, backend, args.threshold, args.page_size, "bulk"
-        )
-        assert scalar_tree.points == bulk_tree.points == n
-        assert scalar_tree.stats.summary() == bulk_tree.stats.summary(), (
-            "bulk path diverged from scalar (I/O ledger mismatch)"
-        )
-        speedup = scalar_s / bulk_s
-        report["tree_ingest"][backend] = {
-            "scalar_seconds": scalar_s,
-            "bulk_seconds": bulk_s,
-            "scalar_points_per_second": n / scalar_s,
-            "bulk_points_per_second": n / bulk_s,
-            "speedup": speedup,
-            "bulk_traffic": _bulk_traffic(
-                points, backend, args.threshold, args.page_size
-            ),
-        }
-        print(
-            f"{backend:>7}: scalar {n / scalar_s:9.0f} pts/s | "
-            f"bulk {n / bulk_s:9.0f} pts/s | {speedup:.2f}x"
-        )
-        if args.assert_speedup is not None and speedup < args.assert_speedup:
-            print(
-                f"FAIL: {backend} bulk speedup {speedup:.2f}x "
-                f"< required {args.assert_speedup:.2f}x",
-                file=sys.stderr,
+    for block, rows in (("tree_ingest", points), ("tree_ingest_shuffled", shuffled)):
+        for backend in ("classic", "stable"):
+            scalar_s, scalar_tree = _time_tree_ingest(
+                rows, backend, args.threshold, args.page_size, "scalar"
             )
-            ok = False
+            bulk_s, bulk_tree = _time_tree_ingest(
+                rows, backend, args.threshold, args.page_size, "bulk"
+            )
+            assert scalar_tree.points == bulk_tree.points == n
+            assert scalar_tree.stats.summary() == bulk_tree.stats.summary(), (
+                "bulk path diverged from scalar (I/O ledger mismatch)"
+            )
+            speedup = scalar_s / bulk_s
+            report[block][backend] = {
+                "scalar_seconds": scalar_s,
+                "bulk_seconds": bulk_s,
+                "scalar_points_per_second": n / scalar_s,
+                "bulk_points_per_second": n / bulk_s,
+                "speedup": speedup,
+                "bulk_traffic": _bulk_traffic(
+                    rows, backend, args.threshold, args.page_size
+                ),
+            }
+            print(
+                f"{block} {backend:>7}: scalar {n / scalar_s:9.0f} pts/s | "
+                f"bulk {n / bulk_s:9.0f} pts/s | {speedup:.2f}x"
+            )
+            if (
+                block == "tree_ingest"
+                and args.assert_speedup is not None
+                and speedup < args.assert_speedup
+            ):
+                print(
+                    f"FAIL: {backend} bulk speedup {speedup:.2f}x "
+                    f"< required {args.assert_speedup:.2f}x",
+                    file=sys.stderr,
+                )
+                ok = False
 
     base_seconds = None
     for jobs in args.jobs:

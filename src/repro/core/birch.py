@@ -531,11 +531,12 @@ class Birch:
     ) -> "Birch":
         """Phase 1 insertion of an already-screened float64 batch.
 
-        Unit-weight batches on a healthy tree take the vectorised
-        :meth:`CFTree.bulk_insert` fast path (byte-identical to the
-        per-point loop); weighted, delayed or degraded streams fall
-        back to the guarded per-point path, whose extra per-insert
-        checks are the point.
+        Unit-weight batches on a healthy tree go through
+        :meth:`CFTree.bulk_insert`, which picks speculative windows or
+        scalar runs per window and is byte-identical to the per-point
+        loop either way; weighted, delayed, decayed or degraded streams
+        take the guarded per-point path, whose extra per-insert checks
+        are the point.
         """
         if points.shape[0] == 0:
             return self  # the whole batch was rejected (with accounting)
@@ -563,18 +564,18 @@ class Birch:
             )
 
     def _bulk_ingest(self, points: np.ndarray) -> None:
-        """Unit-weight Phase 1 scan through the bulk fast path.
+        """Unit-weight Phase 1 scan through :meth:`CFTree.bulk_insert`.
 
-        Equivalence with the per-point loop rests on two invariants:
-        absorption-only bulk runs never allocate or free a node, so the
-        memory budget can only flip state on a scalar-fallback
-        insertion (a row whose confirmed routing fails its threshold
-        test; a row whose routing flipped inside a window just starts
-        the next one) — and ``stop_after_fallback=True`` returns control
-        here right after each scalar insertion, exactly where
-        :meth:`_insert_one` would have checked the budget.  Checkpoint
-        cadence is preserved by capping each call at the next
-        checkpoint boundary.
+        The tree chooses per window between speculative windows and
+        scalar runs; both build the per-point loop's tree.  Equivalence
+        with :meth:`_insert_one`'s budget checks rests on one invariant:
+        only an insertion that allocates or frees a node can flip the
+        memory budget's over/under state, and ``stop_on_alloc=True``
+        returns control here right after such an insertion, so a scalar
+        run may span many calls.  If a rebuild leaves the tree over
+        budget, the next call returns after the first row that needs a
+        new entry, and this loop rebuilds again.  Checkpoint cadence is
+        preserved by capping each call at the next checkpoint boundary.
         """
         assert self._tree is not None and self._budget is not None
         n = points.shape[0]
@@ -592,7 +593,7 @@ class Birch:
             if every is not None:
                 cap = min(cap, max(1, self._next_checkpoint_at - self._points_seen))
             took = self._tree.bulk_insert(
-                points[i : i + cap], max_rows=cap, stop_after_fallback=True
+                points[i : i + cap], max_rows=cap, stop_on_alloc=True
             )
             i += took
             self._points_seen += took

@@ -64,6 +64,22 @@ __all__ = ["CFTree", "ThresholdKind", "TreeStats"]
 _BULK_MIN_WINDOW = 16
 _BULK_MAX_WINDOW = 4096
 
+#: Per-window path chooser for :meth:`CFTree.bulk_insert`.  The tree
+#: keeps an exponential moving average (weight ``_CHOOSER_EMA_WEIGHT``,
+#: seeded at ``_CHOOSER_INITIAL_ESTIMATE``) of the rows each speculative
+#: window commits.  Below ``_CHOOSER_BREAK_EVEN`` rows a window costs
+#: more than inserting its rows one by one, so the next rows go through
+#: :meth:`CFTree.insert_cf` as one scalar run, followed by one probe
+#: window.  The run length doubles from ``_SCALAR_MIN_RUN`` up to
+#: ``_SCALAR_MAX_RUN`` while probes keep committing fewer rows than the
+#: break-even, and resets once one commits at least that many.  Both
+#: paths build the same tree, so these constants change cost only.
+_CHOOSER_EMA_WEIGHT = 0.25
+_CHOOSER_INITIAL_ESTIMATE = 16.0
+_CHOOSER_BREAK_EVEN = 6
+_SCALAR_MIN_RUN = 16
+_SCALAR_MAX_RUN = 1024
+
 #: Routing chunk for :meth:`CFTree.bulk_insert_cfs` (the batched CF
 #: merge).  One batched descent routes this many donor CFs before the
 #: sequential apply step re-validates each against the evolved tree.
@@ -169,6 +185,14 @@ class CFTree:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._node_count = 0
         self._points = 0
+        # bulk_insert's path chooser (cost only, never results): the
+        # rows-committed-per-window estimate, the next scalar run's
+        # length, rows left in the current run, and whether the next
+        # window probes the bulk path after a run.
+        self._committed_ema = _CHOOSER_INITIAL_ESTIMATE
+        self._scalar_run_len = _SCALAR_MIN_RUN
+        self._scalar_left = 0
+        self._probe_due = False
         # Exponential decay state (evolving-stream support).  ``None``
         # half-life disables decay entirely; the clock counts logical
         # epochs and nodes record the epoch they were last decayed to,
@@ -346,48 +370,72 @@ class CFTree:
         points = self._coerce_points(points)
         if self.recorder.enabled:
             self.recorder.count("scalar.rows", points.shape[0])
-        norms = np.einsum("ij,ij->i", points, points)
+        self._insert_rows(points, 0, points.shape[0], stop_on_alloc=False)
+
+    def _insert_rows(
+        self, points: np.ndarray, start: int, count: int, stop_on_alloc: bool
+    ) -> int:
+        """Insert ``points[start:start+count]`` one row at a time.
+
+        The scalar path shared by :meth:`insert_points`, the chooser's
+        scalar runs and :meth:`bulk_insert`'s threshold-miss fallback.
+        Classic probes take their ``SS`` from one einsum over the run,
+        bitwise equal to a whole-chunk einsum over the same rows; a
+        stable singleton carries ``SSD = 0``.  With ``stop_on_alloc``
+        the run ends right after an insertion that allocated or freed a
+        node.  Returns the number of rows inserted.
+        """
+        rows = points[start : start + count]
+        stable = self.cf_backend == "stable"
+        norms = None if stable else np.einsum("ij,ij->i", rows, rows)
         scratch = self._scratch_cf()
-        if self.cf_backend == "stable":
-            for row in points:
+        nodes = self._node_count
+        for t, row in enumerate(rows):
+            if stable:
                 scratch.mean = row
                 scratch.ssd = 0.0
-                self.insert_cf(scratch)
-            return
-        for row, norm in zip(points, norms):
-            scratch.ls = row
-            scratch.ss = float(norm)
+            else:
+                scratch.ls = row
+                scratch.ss = float(norms[t])
             self.insert_cf(scratch)
+            if stop_on_alloc and self._node_count != nodes:
+                return t + 1
+        return rows.shape[0]
 
     def bulk_insert(
         self,
         points: np.ndarray,
         *,
         max_rows: Optional[int] = None,
-        stop_after_fallback: bool = False,
+        stop_on_alloc: bool = False,
     ) -> int:
-        """Insert a batch via the vectorised Phase-1 fast path.
+        """Insert a batch via the Phase-1 fast path, choosing per window.
 
         Produces a tree **byte-identical** to :meth:`insert_points` on
         the same rows (structure, entry floats, leaf chain and I/O
-        ledger), but descends once per *node group* instead of once per
-        point: a window of rows is routed down the tree speculatively —
-        at each node the probe-to-entry distance matrix for the whole
-        group is one kernel call, rows partition by argmin child and
-        recurse per group — and every row's decisions are then verified
-        against the *exactly evolved* entry states (each touched entry
-        replays the rows assigned to it: a ``cumsum`` left fold for the
-        classic backend, the Chan recurrence for the stable one, both
-        bitwise equal to :meth:`CFNode.add_to_entry`).  The longest
-        prefix of rows whose speculative choices match the sequential
-        semantics commits with one batched write per touched entry.  A
-        first deviating row whose argmin flipped by in-window evolution
-        starts the next window, where it sees the committed state and
-        its routing is confirmed by construction.  Only a row whose
-        confirmed routing fails its threshold test (it needs a new
-        entry, maybe a split) falls back to the scalar
-        :meth:`insert_cf`, which handles appends, splits and merging
-        refinement verbatim.
+        ledger).  Rows go in through one of two paths that build the
+        same tree, so the choice between them changes cost only:
+
+        * **Speculative windows** (:meth:`_bulk_run`) descend once per
+          *node group* instead of once per point and commit the longest
+          prefix of rows whose speculative routing and threshold tests
+          survive exact replay.  A first deviating row whose argmin
+          flipped by in-window evolution starts the next window; a row
+          whose confirmed routing fails its threshold test (it needs a
+          new entry, maybe a split) is inserted as a scalar run of
+          length 1.
+        * **Scalar runs** (:meth:`_insert_rows`) insert rows one by one
+          through :meth:`insert_cf`, which handles appends, splits and
+          merging refinement verbatim.
+
+        The tree keeps a moving average of the rows each window commits.
+        While it stays below ``_CHOOSER_BREAK_EVEN`` (shuffled input at
+        a small threshold, where a window commits a few rows and wastes
+        the rest), the next rows go in as one scalar run, then one
+        window probes the bulk path again; the run length doubles while
+        probes keep failing.  The chooser reads counts only, so a
+        traced run repeats its counters exactly, and its state lives on
+        this tree (a rebuild or a resume starts afresh).
 
         Parameters
         ----------
@@ -395,18 +443,22 @@ class CFTree:
             ``(n, d)`` batch (or one ``(d,)`` point).
         max_rows:
             Consume at most this many rows (``None`` = all).  Lets the
-            caller align consumption with checkpoint boundaries.
-        stop_after_fallback:
-            Return right after the first scalar-fallback insertion, so
-            the caller can re-check memory budgets: absorption-only runs
-            never allocate or free a node, hence never change the
-            budget's over/under state — only fallback rows can.
+            caller align consumption with checkpoint boundaries; a
+            scalar run cut there carries on in the next call.
+        stop_on_alloc:
+            Return right after an insertion that allocated or freed a
+            node, so the caller can re-check its memory budget.  Window
+            commits never change the node count, and neither does a
+            scalar insertion that absorbs or appends, so no other
+            insertion can flip the budget's over/under state.  If the
+            budget is over on entry, insert through windows only and
+            return after the first row that needs a new entry.
 
         Returns
         -------
         int
             Number of rows consumed (all of them unless ``max_rows`` or
-            ``stop_after_fallback`` cut the batch short).
+            ``stop_on_alloc`` cut the batch short).
         """
         if self.decay_half_life is not None:
             # The speculative window replays entry histories against
@@ -422,7 +474,6 @@ class CFTree:
         )
         if limit <= 0:
             return 0
-        scratch = self._scratch_cf()
         stat_kind = (
             "diameter"
             if self.threshold_kind is ThresholdKind.DIAMETER
@@ -431,10 +482,50 @@ class CFTree:
         i = 0
         window = _BULK_MIN_WINDOW
         rec = self.recorder
+        # A caller already over budget (a rebuild did not get under it)
+        # re-checks after every row that needs a new entry.  Windows
+        # alone find those rows, so the chooser stands down meanwhile.
+        over = (
+            stop_on_alloc and self.budget is not None and self.budget.over_budget
+        )
         while i < limit:
+            if (
+                not over
+                and self._scalar_left == 0
+                and not self._probe_due
+                and self._committed_ema < _CHOOSER_BREAK_EVEN
+            ):
+                # Windows have stopped paying: start a scalar run, to be
+                # followed by one probe window.
+                self._scalar_left = self._scalar_run_len
+                self._probe_due = True
+                if rec.enabled:
+                    rec.count("bulk.scalar_runs")
+            nodes = self._node_count
+            if self._scalar_left and not over:
+                took = self._insert_rows(
+                    points, i, min(self._scalar_left, limit - i), stop_on_alloc
+                )
+                i += took
+                self._scalar_left -= took
+                if rec.enabled:
+                    rec.count("bulk.fallback_rows", took)
+                if stop_on_alloc and self._node_count != nodes:
+                    break
+                continue
             w = min(window, limit - i)
             absorbed, flipped = self._bulk_run(points, i, w, stat_kind)
             i += absorbed
+            self._committed_ema += _CHOOSER_EMA_WEIGHT * (
+                absorbed - self._committed_ema
+            )
+            if absorbed >= _CHOOSER_BREAK_EVEN:
+                self._scalar_run_len = _SCALAR_MIN_RUN
+            elif self._probe_due:
+                self._scalar_run_len = min(
+                    _SCALAR_MAX_RUN, 2 * self._scalar_run_len
+                )
+            self._probe_due = False
             if rec.enabled:
                 # Per-window accounting (never per point): window count,
                 # absorbed prefix length, whether the whole window
@@ -461,18 +552,10 @@ class CFTree:
                 continue  # points[i] routes against committed state next
             # points[i]'s confirmed routing fails its threshold test:
             # insert it exactly as the per-point loop would.
-            if self.cf_backend == "stable":
-                scratch.mean = points[i]
-                scratch.ssd = 0.0
-            else:
-                row = points[i : i + 1]
-                scratch.ls = points[i]
-                scratch.ss = float(np.einsum("ij,ij->i", row, row)[0])
-            self.insert_cf(scratch)
-            i += 1
+            i += self._insert_rows(points, i, 1, stop_on_alloc)
             if rec.enabled:
                 rec.count("bulk.fallback_rows")
-            if stop_after_fallback:
+            if stop_on_alloc and (over or self._node_count != nodes):
                 break
         return i
 
@@ -485,7 +568,11 @@ class CFTree:
     ) -> tuple[int, bool]:
         """Absorb the longest confirmable prefix of a window of rows.
 
-        Speculate-validate-commit over ``points[start:start+w]``:
+        :meth:`bulk_insert` calls this only when its chooser picks the
+        bulk path (the window is worth speculating on, or it probes
+        after a scalar run); the rows a window commits feed the
+        chooser's estimate.  Speculate-validate-commit over
+        ``points[start:start+w]``:
 
         1. **Route** the window down the tree using the entries' current
            (static) states — one distance-matrix kernel per visited

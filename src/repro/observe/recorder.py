@@ -24,8 +24,9 @@ Telemetry must not tax the clustering it watches:
   ``if rec.enabled:`` so the disabled cost is one attribute load;
 * instrumentation is *per window / per rebuild / per phase*, never per
   point: the bulk ingest path counts once per speculative window (16-
-  4096 rows), so the enabled overhead on the DS1 N=100k ingest stays
-  under 3% (measured by ``benchmarks/bench_observe_overhead.py``);
+  4096 rows) or scalar run, so the enabled overhead on the DS1 N=100k
+  ingest stays under 3% (measured by
+  ``benchmarks/bench_observe_overhead.py``);
 * a recorder only ever *reads* pipeline state.  Nothing downstream of
   a ``count``/``gauge``/``event`` call feeds back into clustering
   decisions, which is what makes telemetry-on and telemetry-off runs
@@ -98,6 +99,7 @@ class TelemetrySnapshot:
                 f"  bulk: {int(windows)} window(s), "
                 f"{int(absorbed)} row(s) absorbed, "
                 f"{int(c.get('bulk.flips', 0))} routing flip(s), "
+                f"{int(c.get('bulk.scalar_runs', 0))} scalar run(s), "
                 f"fallback rate {rate:.2%}"
             )
         if "io.page_reads" in c or "io.page_writes" in c:

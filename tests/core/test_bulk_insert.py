@@ -24,9 +24,11 @@ from repro.core.distances import (
 )
 from repro.core.features import CF, StableCF
 from repro.core.tree import CFTree, ThresholdKind
-from repro.datagen.presets import ds1
+from repro.datagen.presets import ds1, ds1o
+from repro.observe import ObserveConfig
 from repro.observe.recorder import Recorder
 from repro.pagestore.iostats import IOStats
+from repro.pagestore.memory import MemoryBudget
 from repro.pagestore.page import PageLayout
 
 BACKENDS = ("classic", "stable")
@@ -171,13 +173,19 @@ class TestBulkByteIdentity:
         assert [cf.n for cf in bulk.leaf_entries()] == [16, 1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stop_after_fallback_consumes_prefix_only(self, backend):
+    def test_stop_on_alloc_consumes_prefix_only(self, backend):
         rng = np.random.default_rng(7)
         points = clustered_points(rng, 300, 2)
         tree = make_tree(cf_backend=backend, threshold=0.2)
-        took = tree.bulk_insert(points, stop_after_fallback=True)
-        assert 0 < took <= points.shape[0]
+        took = tree.bulk_insert(points, stop_on_alloc=True)
+        assert 0 < took < points.shape[0]
         assert tree.points == took
+        # It stopped right after the first insertion that allocated a
+        # node (the root leaf split).
+        reference = make_tree(cf_backend=backend, threshold=0.2)
+        reference.insert_points(points[: took - 1])
+        assert reference.node_count == 1
+        assert tree.node_count > 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_max_rows_cap(self, backend):
@@ -187,6 +195,86 @@ class TestBulkByteIdentity:
         took = tree.bulk_insert(points, max_rows=57)
         assert took == 57
         assert tree.points == 57
+
+
+def shuffled_repeat_stream(rng: np.random.Generator, d: int = 2) -> np.ndarray:
+    """At T = 0 only exact repeats absorb.  The first 400 rows are half
+    fresh points and half repeats, shuffled, so windows commit a row or
+    two and the path chooser moves to ever longer scalar runs; the last
+    1,200 rows repeat earlier ones only, so a probe window commits
+    whole again and the bulk path takes over."""
+    fresh = rng.uniform(-10.0, 10.0, size=(200, d))
+    mixed = np.concatenate([fresh, fresh[rng.integers(0, 200, size=200)]])
+    mixed = mixed[rng.permutation(400)]
+    repeats = mixed[rng.integers(0, 400, size=1200)]
+    return np.concatenate([mixed, repeats])
+
+
+class TestPathChooser:
+    """``bulk_insert`` picks speculative windows or scalar runs per
+    window; both must build the per-point loop's tree."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_scalar_runs_match_insert_points(self, backend, kind, chunk):
+        rng = np.random.default_rng(4099 * chunk + (backend == "stable"))
+        points = shuffled_repeat_stream(rng)
+        scalar = make_tree(cf_backend=backend, threshold=0.0, threshold_kind=kind)
+        rec = Recorder()
+        bulk = make_tree(
+            cf_backend=backend, threshold=0.0, threshold_kind=kind, recorder=rec
+        )
+        for start in range(0, points.shape[0], chunk):
+            block = points[start : start + chunk]
+            scalar.insert_points(block)
+            took = 0
+            while took < block.shape[0]:
+                took += bulk.bulk_insert(block[took:], stop_on_alloc=True)
+        assert_identical_trees(scalar, bulk)
+        c = rec.counters
+        assert c.get("bulk.scalar_runs", 0) > 0
+        assert c.get("bulk.full_windows", 0) > 0  # probes paid off again
+        assert c["bulk.absorbed_rows"] + c["bulk.fallback_rows"] == points.shape[0]
+        assert bulk.stats.splits > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_over_budget_caller_rechecks_at_each_new_entry(self, backend):
+        """A rebuild that leaves the tree over budget: the caller must
+        get control back after the first row that needs a new entry,
+        even where the chooser would run scalar and nothing allocates."""
+        layout = PageLayout(page_size=256, dimensions=2)
+        rng = np.random.default_rng(3)
+        base = clustered_points(rng, 120, 2)
+
+        def build(budget=None):
+            tree = CFTree(layout, threshold=0.5, cf_backend=backend,
+                          budget=budget, stats=IOStats())
+            tree.insert_points(base)
+            return tree
+
+        # A row that lands next to an entry of a leaf with room: it
+        # needs a new entry but no new node.
+        probe = build()
+        for leaf in probe.leaves():
+            if not leaf.is_full:
+                new_entry = leaf.entry_cf(0).centroid + 0.6
+                break
+        nodes, entries = probe.node_count, len(probe.leaf_entries())
+        probe.insert_points(new_entry)
+        assert probe.node_count == nodes
+        assert len(probe.leaf_entries()) == entries + 1
+
+        budget = MemoryBudget(64 * 256, layout)
+        tree = build(budget)
+        budget.limit_bytes = (tree.node_count - 1) * 256
+        assert budget.over_budget
+        tree._committed_ema = 0.0  # windows have stopped paying
+        stream = np.concatenate([base[:20], new_entry[None, :], base[20:40]])
+        reference = build()
+        reference.insert_points(stream[:21])
+        assert tree.bulk_insert(stream, stop_on_alloc=True) == 21
+        assert_identical_trees(reference, tree)
 
 
 class TestGatheredKernels:
@@ -336,3 +424,90 @@ class TestCheckpointOnBulkPath:
         for key in a:
             assert np.array_equal(a[key], b[key]), key
         assert straight.finalize().n_clusters == resumed.finalize().n_clusters
+
+
+class TestChooserOnMemoryBoundedStream:
+    """The paper's regime: T0 = 0, a small memory budget, rebuilds and
+    periodic checkpoints.  Scalar runs span ``bulk_insert`` calls, so
+    they cross checkpoint boundaries and return to ``Birch`` only when
+    an insertion allocates or frees a node.  Everything the per-point
+    path decides must come out the same."""
+
+    @staticmethod
+    def config(path, **kwargs) -> BirchConfig:
+        return BirchConfig(
+            n_clusters=100,
+            memory_bytes=24 * 1024,
+            page_size=1024,
+            initial_threshold=0.0,
+            outlier_handling=True,
+            checkpoint_every_points=250,
+            checkpoint_path=str(path),
+            phase4_passes=1,
+            **kwargs,
+        )
+
+    @staticmethod
+    def stream(estimator: Birch, points: np.ndarray) -> None:
+        for lo in range(0, points.shape[0], 500):
+            estimator.partial_fit(points[lo : lo + 500])
+
+    @staticmethod
+    def spy(estimator: Birch) -> dict[str, list]:
+        """Log checkpoint and rebuild points, and whether the tree was
+        inside a scalar run at the time."""
+        log: dict[str, list] = {"checkpoints": [], "in_run": [], "rebuild_in_run": []}
+        checkpoint, rebuild = estimator.checkpoint, estimator._rebuild
+
+        def logged_checkpoint(path, **kwargs):
+            log["checkpoints"].append(estimator.points_seen)
+            log["in_run"].append(estimator.tree._scalar_left > 0)
+            checkpoint(path, **kwargs)
+
+        def logged_rebuild():
+            log["rebuild_in_run"].append(estimator.tree._scalar_left > 0)
+            rebuild()
+
+        estimator.checkpoint = logged_checkpoint
+        estimator._rebuild = logged_rebuild
+        return log
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_per_point_path(self, tmp_path, backend):
+        points = ds1o(scale=0.03, seed=5).points
+        chosen = Birch(
+            self.config(
+                tmp_path / "a.ckpt", cf_backend=backend, observe=ObserveConfig()
+            )
+        )
+        oracle = Birch(self.config(tmp_path / "b.ckpt", cf_backend=backend))
+        oracle._bulk_ingest = oracle._scalar_ingest  # the per-point loop
+        chosen_log, oracle_log = self.spy(chosen), self.spy(oracle)
+        self.stream(chosen, points)
+        self.stream(oracle, points)
+        assert chosen.rebuild_history == oracle.rebuild_history
+        assert len(chosen.rebuild_history) >= 2
+        assert chosen_log["checkpoints"] == oracle_log["checkpoints"]
+        # A scalar run was cut by a checkpoint boundary and carried on,
+        # and a split inside a run pushed the tree over budget.
+        assert any(chosen_log["in_run"])
+        assert any(chosen_log["rebuild_in_run"])
+        a, b = chosen.finalize(), oracle.finalize()
+        assert np.array_equal(a.centroids, b.centroids)
+        assert a.telemetry.counter("bulk.scalar_runs") > 0
+
+    def test_resume_mid_run_continues_bit_for_bit(self, tmp_path):
+        points = ds1o(scale=0.03, seed=5).points
+        path = tmp_path / "ck.ckpt"
+        straight = Birch(self.config(tmp_path / "straight.ckpt"))
+        self.stream(straight, points)
+        interrupted = Birch(self.config(path))
+        self.stream(interrupted, points[:1_500])
+        resumed = Birch.resume(path)
+        fed = resumed.points_seen
+        assert fed % 250 == 0 and 0 < fed <= 1_500
+        self.stream(resumed, points[fed:])
+        assert resumed.rebuild_history == straight.rebuild_history
+        assert np.array_equal(
+            straight.finalize().centroids, resumed.finalize().centroids
+        )
