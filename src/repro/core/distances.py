@@ -17,7 +17,9 @@ closed-form functions of the clusters' CF vectors.  Given clusters 1 and
   ``||LS1||^2/N1 + ||LS2||^2/N2 - ||LS1+LS2||^2/(N1+N2)``.
 
 Both scalar (CF-vs-CF) and vectorised (CF-vs-array-of-CFs) forms are
-provided; the vectorised forms are what the CF-tree's descent loop uses.
+provided.  Each vectorised per-probe kernel is a checked wrapper around
+an unchecked ``*_core`` function holding its arithmetic; the CF-tree's
+insertion path calls the cores directly.
 All squared quantities are clamped at zero before the square root to
 guard against floating-point cancellation.
 
@@ -51,6 +53,8 @@ from repro.core.features import CF, AnyCF, StableCF
 __all__ = [
     "Metric",
     "cf_batch_distances",
+    "classic_distances_core",
+    "classic_merged_radius_core",
     "distance",
     "distances_to_set",
     "gathered_point_distances",
@@ -59,10 +63,12 @@ __all__ = [
     "paired_point_distances",
     "paired_point_merged_stat",
     "point_distances_to_set",
+    "stable_distances_core",
     "stable_distances_to_set",
     "stable_gathered_point_distances",
     "stable_merged_diameter",
     "stable_merged_radius",
+    "stable_merged_radius_core",
     "stable_cf_batch_distances",
     "stable_paired_point_distances",
     "stable_paired_point_merged_stat",
@@ -217,24 +223,42 @@ def distances_to_set(
         return np.empty(0, dtype=np.float64)
     if probe.n == 0 or (ns <= 0).any():
         raise ValueError("distances are undefined for empty CFs")
+    return classic_distances_core(probe.n, probe.ls, probe.ss, ns, ls, ss, metric)
 
+
+def classic_distances_core(
+    p_n: float,
+    p_ls: np.ndarray,
+    p_ss: float,
+    ns: np.ndarray,
+    ls: np.ndarray,
+    ss: np.ndarray,
+    metric: Metric,
+) -> np.ndarray:
+    """The arithmetic of :func:`distances_to_set`, unchecked.
+
+    The probe arrives as its raw ``(N, LS, SS)`` row and the set as
+    float64 arrays of matching, non-empty shape with positive counts;
+    nothing is coerced or validated.  The CF-tree's insertion path
+    calls this directly, the public kernel after its checks.
+    """
     if metric is Metric.D0_EUCLIDEAN:
-        diff = ls / ns[:, None] - probe.centroid
+        diff = ls / ns[:, None] - p_ls / p_n
         return np.sqrt(np.maximum(np.einsum("ij,ij->i", diff, diff), 0.0))
     if metric is Metric.D1_MANHATTAN:
-        diff = ls / ns[:, None] - probe.centroid
+        diff = ls / ns[:, None] - p_ls / p_n
         return np.abs(diff).sum(axis=1)
     if metric is Metric.D2_AVG_INTERCLUSTER:
         # einsum rather than BLAS ``@``: BLAS gemv/gemm results are not
         # bitwise consistent across operand shapes, and the bulk-ingest
         # matrix kernels must reproduce these values exactly.
-        cross = np.einsum("ij,j->i", ls, probe.ls)
-        d2 = (ns * probe.ss + probe.n * ss - 2.0 * cross) / (ns * probe.n)
+        cross = np.einsum("ij,j->i", ls, p_ls)
+        d2 = (ns * p_ss + p_n * ss - 2.0 * cross) / (ns * p_n)
         return np.sqrt(np.maximum(d2, 0.0))
     if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + probe.n
-        ls_merged = ls + probe.ls
-        ss_merged = ss + probe.ss
+        n_merged = ns + p_n
+        ls_merged = ls + p_ls
+        ss_merged = ss + p_ss
         norm = np.einsum("ij,ij->i", ls_merged, ls_merged)
         denom = n_merged * (n_merged - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,10 +267,10 @@ def distances_to_set(
             )
         return np.sqrt(np.maximum(d2, 0.0))
     if metric is Metric.D4_VARIANCE_INCREASE:
-        ls_merged = ls + probe.ls
+        ls_merged = ls + p_ls
         own = np.einsum("ij,ij->i", ls, ls) / ns
-        probe_own = float(np.einsum("j,j->", probe.ls, probe.ls)) / probe.n
-        merged = np.einsum("ij,ij->i", ls_merged, ls_merged) / (ns + probe.n)
+        probe_own = float(np.einsum("j,j->", p_ls, p_ls)) / p_n
+        merged = np.einsum("ij,ij->i", ls_merged, ls_merged) / (ns + p_n)
         return np.sqrt(np.maximum(own + probe_own - merged, 0.0))
     raise ValueError(f"unhandled metric {metric!r}")
 
@@ -274,9 +298,21 @@ def merged_radius(
     ns, ls, ss = _validate_set(probe, ns, ls, ss, "ls", "ss")
     if ns.size == 0:
         return np.empty(0, dtype=np.float64)
-    n_merged = ns + probe.n
-    ls_merged = ls + probe.ls
-    ss_merged = ss + probe.ss
+    return classic_merged_radius_core(probe.n, probe.ls, probe.ss, ns, ls, ss)
+
+
+def classic_merged_radius_core(
+    p_n: float,
+    p_ls: np.ndarray,
+    p_ss: float,
+    ns: np.ndarray,
+    ls: np.ndarray,
+    ss: np.ndarray,
+) -> np.ndarray:
+    """The arithmetic of :func:`merged_radius`, unchecked."""
+    n_merged = ns + p_n
+    ls_merged = ls + p_ls
+    ss_merged = ss + p_ss
     norm = np.einsum("ij,ij->i", ls_merged, ls_merged)
     r2 = ss_merged / n_merged - norm / (n_merged * n_merged)
     return np.sqrt(np.maximum(r2, 0.0))
@@ -303,24 +339,42 @@ def stable_distances_to_set(
         return np.empty(0, dtype=np.float64)
     if probe.n == 0 or (ns <= 0).any():
         raise ValueError("distances are undefined for empty CFs")
+    return stable_distances_core(
+        probe.n, probe.mean, probe.ssd, ns, means, ssds, metric
+    )
 
-    diff = means - probe.mean
+
+def stable_distances_core(
+    p_n: float,
+    p_mean: np.ndarray,
+    p_ssd: float,
+    ns: np.ndarray,
+    means: np.ndarray,
+    ssds: np.ndarray,
+    metric: Metric,
+) -> np.ndarray:
+    """The arithmetic of :func:`stable_distances_to_set`, unchecked.
+
+    The probe arrives as its raw ``(n, mean, SSD)`` row; see
+    :func:`classic_distances_core` for what the caller guarantees.
+    """
+    diff = means - p_mean
     if metric is Metric.D1_MANHATTAN:
         return np.abs(diff).sum(axis=1)
     delta2 = np.einsum("ij,ij->i", diff, diff)
     if metric is Metric.D0_EUCLIDEAN:
         return np.sqrt(delta2)
     if metric is Metric.D2_AVG_INTERCLUSTER:
-        return np.sqrt(ssds / ns + probe.ssd / probe.n + delta2)
+        return np.sqrt(ssds / ns + p_ssd / p_n + delta2)
     if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + probe.n
-        ssd_merged = ssds + probe.ssd + (ns * probe.n / n_merged) * delta2
+        n_merged = ns + p_n
+        ssd_merged = ssds + p_ssd + (ns * p_n / n_merged) * delta2
         denom = n_merged - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = np.where(denom > 0, 2.0 * ssd_merged / denom, 0.0)
         return np.sqrt(np.maximum(d2, 0.0))
     if metric is Metric.D4_VARIANCE_INCREASE:
-        return np.sqrt((ns * probe.n / (ns + probe.n)) * delta2)
+        return np.sqrt((ns * p_n / (ns + p_n)) * delta2)
     raise ValueError(f"unhandled metric {metric!r}")
 
 
@@ -331,6 +385,35 @@ def stable_merged_diameter(
     return stable_distances_to_set(
         probe, ns, means, ssds, Metric.D3_AVG_INTRACLUSTER
     )
+
+
+def stable_merged_radius(
+    probe: StableCF, ns: np.ndarray, means: np.ndarray, ssds: np.ndarray
+) -> np.ndarray:
+    """Radius of ``probe`` merged with each StableCF in the set.
+
+    ``R^2 = SSD_merged / n_merged`` of each hypothetical merge.
+    """
+    ns, means, ssds = _validate_set(probe, ns, means, ssds, "means", "ssds")
+    if ns.size == 0:
+        return np.empty(0, dtype=np.float64)
+    return stable_merged_radius_core(probe.n, probe.mean, probe.ssd, ns, means, ssds)
+
+
+def stable_merged_radius_core(
+    p_n: float,
+    p_mean: np.ndarray,
+    p_ssd: float,
+    ns: np.ndarray,
+    means: np.ndarray,
+    ssds: np.ndarray,
+) -> np.ndarray:
+    """The arithmetic of :func:`stable_merged_radius`, unchecked."""
+    diff = means - p_mean
+    delta2 = np.einsum("ij,ij->i", diff, diff)
+    n_merged = ns + p_n
+    ssd_merged = ssds + p_ssd + (ns * p_n / n_merged) * delta2
+    return np.sqrt(np.maximum(ssd_merged, 0.0) / n_merged)
 
 
 # -- bulk-ingest kernels ------------------------------------------------------
@@ -640,14 +723,16 @@ def stable_paired_point_merged_stat(
 
 # -- bulk CF-merge kernels -----------------------------------------------------
 #
-# The batched CF descent (CFTree.bulk_insert_cfs, used by the pairwise
-# tree merge) routes m subcluster CFs through a node in one call.  These
-# kernels evaluate the m x k distance matrix between CF *probes* (not
-# singleton points) and a node's entries.  They mirror the formulas of
-# distances_to_set/stable_distances_to_set but are used for routing
-# only — the leaf absorption decision always re-runs the scalar
-# _fits_threshold against the evolved entry state — so unlike the
-# point kernels above they carry no bitwise-equality contract.
+# These kernels evaluate the m x k distance matrix between CF *probes*
+# (not singleton points) and a node's entries.  The batched CF descent
+# (CFTree.bulk_insert_cfs, used by the pairwise tree merge) routes m
+# subcluster CFs through a node with one call, and
+# CFNode.pairwise_entry_distances evaluates a node against itself.  Row
+# ``r`` equals the per-probe kernel on probe ``r`` bitwise — the same
+# elementwise operations in the same order, the same einsum
+# contractions — for D0-D4 on both backends, so the merging
+# refinement's closest pair and the threshold heuristics' pairwise
+# statistics are those of a per-entry loop.
 
 
 def cf_batch_distances(
@@ -672,7 +757,9 @@ def cf_batch_distances(
     Returns
     -------
     numpy.ndarray
-        Shape ``(m, k)`` distance matrix.
+        Shape ``(m, k)`` distance matrix whose row ``r`` equals
+        ``distances_to_set(CF(p_ns[r], p_ls[r], p_ss[r]), ns, ls, ss,
+        metric)`` bitwise.
     """
     m, k = p_ns.shape[0], ns.shape[0]
     if m == 0 or k == 0:
@@ -729,7 +816,8 @@ def stable_cf_batch_distances(
     """Distances between ``m`` StableCF probes and ``k`` StableCFs.
 
     The stable counterpart of :func:`cf_batch_distances`; same shapes,
-    cancellation-free arithmetic throughout.
+    cancellation-free arithmetic throughout.  Row ``r`` equals
+    :func:`stable_distances_to_set` on probe ``r`` bitwise.
     """
     m, k = p_ns.shape[0], ns.shape[0]
     if m == 0 or k == 0:
@@ -760,20 +848,3 @@ def stable_cf_batch_distances(
     if metric is Metric.D4_VARIANCE_INCREASE:
         return np.sqrt((ns[None, :] * p_ns[:, None] / n_merged) * delta2)
     raise ValueError(f"unhandled metric {metric!r}")
-
-
-def stable_merged_radius(
-    probe: StableCF, ns: np.ndarray, means: np.ndarray, ssds: np.ndarray
-) -> np.ndarray:
-    """Radius of ``probe`` merged with each StableCF in the set.
-
-    ``R^2 = SSD_merged / n_merged`` of each hypothetical merge.
-    """
-    ns, means, ssds = _validate_set(probe, ns, means, ssds, "means", "ssds")
-    if ns.size == 0:
-        return np.empty(0, dtype=np.float64)
-    diff = means - probe.mean
-    delta2 = np.einsum("ij,ij->i", diff, diff)
-    n_merged = ns + probe.n
-    ssd_merged = ssds + probe.ssd + (ns * probe.n / n_merged) * delta2
-    return np.sqrt(np.maximum(ssd_merged, 0.0) / n_merged)

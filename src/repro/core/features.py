@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-__all__ = ["CF", "StableCF", "AnyCF", "CF_BACKENDS", "coerce_backend"]
+__all__ = ["CF", "StableCF", "AnyCF", "CF_BACKENDS", "cf_row", "coerce_backend"]
 
 #: Relative scale below which a negative square-sum / SSD residue is
 #: treated as round-off (clamped to zero) rather than a logic error.
@@ -576,6 +576,17 @@ def coerce_backend(cf: AnyCF, backend: str) -> AnyCF:
     if isinstance(cf, cls):
         return cf
     return cf.to_stable() if backend == "stable" else cf.to_classic()
+
+
+def cf_row(cf: AnyCF) -> tuple[float, np.ndarray, float]:
+    """``cf`` as the raw ``(n, vector, scalar)`` row a tree node stores.
+
+    ``(N, LS, SS)`` for a classic CF, ``(n, mean, SSD)`` for a stable
+    one; the arrays are the CF's own, not copies.
+    """
+    if isinstance(cf, StableCF):
+        return cf.n, cf.mean, cf.ssd
+    return cf.n, cf.ls, cf.ss
 
 
 def _validate_point(point: np.ndarray, dimensions: int | None = None) -> np.ndarray:

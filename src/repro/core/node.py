@@ -29,8 +29,21 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.core.distances import Metric, distances_to_set, stable_distances_to_set
-from repro.core.features import CF, AnyCF, CF_BACKENDS, StableCF, coerce_backend
+from repro.core.distances import (
+    Metric,
+    cf_batch_distances,
+    distances_to_set,
+    stable_cf_batch_distances,
+    stable_distances_to_set,
+)
+from repro.core.features import (
+    CF,
+    AnyCF,
+    CF_BACKENDS,
+    StableCF,
+    cf_row,
+    coerce_backend,
+)
 from repro.pagestore.page import PageLayout
 
 __all__ = ["CFNode"]
@@ -154,9 +167,16 @@ class CFNode:
 
     def summary_cf(self) -> AnyCF:
         """CF of everything stored under this node (sum of entries)."""
+        n, vec, sq = self.summary_row()
+        if self.cf_backend == "stable":
+            return StableCF(n, vec, sq)
+        return CF(int(n), vec, sq)
+
+    def summary_row(self) -> tuple[float, np.ndarray, float]:
+        """:meth:`summary_cf` as a raw ``(n, vector, scalar)`` row."""
         if self.cf_backend == "stable":
             if self.size == 0:
-                return StableCF.empty(self.layout.dimensions)
+                return 0.0, np.zeros(self.layout.dimensions, dtype=np.float64), 0.0
             ns = self.ns
             n_total = float(ns.sum())
             mean = (ns[:, None] * self.means).sum(axis=0) / n_total
@@ -164,9 +184,9 @@ class CFNode:
             # are sums of non-negative same-scale terms (no cancellation).
             diff = self.means - mean
             between = float(ns @ np.einsum("ij,ij->i", diff, diff))
-            return StableCF(n_total, mean, float(self.ssds.sum()) + between)
-        return CF(
-            int(self.ns.sum()),
+            return n_total, mean, float(self.ssds.sum()) + between
+        return (
+            float(self.ns.sum()),
             self._vec[: self.size].sum(axis=0)
             if self.size
             else np.zeros(self.layout.dimensions, dtype=np.float64),
@@ -189,50 +209,86 @@ class CFNode:
         if self.is_leaf != (child is None):
             kind = "leaf" if self.is_leaf else "nonleaf"
             raise ValueError(f"{kind} node entry child mismatch")
-        cf = coerce_backend(cf, self.cf_backend)
-        index = self.size
-        self._store(index, cf)
-        if child is not None:
-            assert self.children is not None
-            self.children.append(child)
-        self.size += 1
-        return index
+        return self.append_row(*cf_row(coerce_backend(cf, self.cf_backend)), child)
 
     def set_entry(self, index: int, cf: AnyCF) -> None:
         """Overwrite the summary of entry ``index``."""
         self._check_index(index)
-        self._store(index, coerce_backend(cf, self.cf_backend))
-
-    def _store(self, index: int, cf: AnyCF) -> None:
-        self._ns[index] = cf.n
-        if self.cf_backend == "stable":
-            self._vec[index] = cf.mean
-            self._sq[index] = cf.ssd
-        else:
-            self._vec[index] = cf.ls
-            self._sq[index] = cf.ss
+        self.set_row(index, *cf_row(coerce_backend(cf, self.cf_backend)))
 
     def add_to_entry(self, index: int, cf: AnyCF) -> None:
         """Absorb ``cf`` into entry ``index`` (CF additivity)."""
         self._check_index(index)
-        cf = coerce_backend(cf, self.cf_backend)
+        self.add_row(index, *cf_row(coerce_backend(cf, self.cf_backend)))
+
+    # Unchecked row primitives.  The CF-tree's insertion path calls them
+    # with a CF already in this node's backend, split into its raw
+    # ``(n, vector, scalar)`` row; the CF-object methods above check
+    # their arguments and delegate here, so each update exists once.
+
+    def append_row(
+        self, n: float, vec: np.ndarray, sq: float, child: Optional["CFNode"] = None
+    ) -> int:
+        """Append a raw entry row (unchecked); returns its index."""
+        index = self.size
+        self._ns[index] = n
+        self._vec[index] = vec
+        self._sq[index] = sq
+        if child is not None:
+            self.children.append(child)
+        self.size = index + 1
+        return index
+
+    def set_row(self, index: int, n: float, vec: np.ndarray, sq: float) -> None:
+        """Overwrite entry ``index`` with a raw row (unchecked)."""
+        self._ns[index] = n
+        self._vec[index] = vec
+        self._sq[index] = sq
+
+    def add_row(self, index: int, n: float, vec: np.ndarray, sq: float) -> None:
+        """Absorb a raw row into entry ``index`` (unchecked)."""
         if self.cf_backend == "stable":
             # Pairwise Chan update on the stored (n, mean, SSD) row.
             n_old = self._ns[index]
-            n_new = n_old + cf.n
-            delta = cf.mean - self._vec[index]
-            self._vec[index] += (cf.n / n_new) * delta
+            n_new = n_old + n
+            delta = vec - self._vec[index]
+            self._vec[index] += (n / n_new) * delta
             # einsum, not ``delta @ delta``: the fused bulk-ingest update
             # must reproduce this value bitwise and BLAS dot products are
             # not shape-consistent.
-            self._sq[index] += cf.ssd + (n_old * cf.n / n_new) * float(
+            self._sq[index] += sq + (n_old * n / n_new) * float(
                 np.einsum("j,j->", delta, delta)
             )
             self._ns[index] = n_new
         else:
-            self._ns[index] += cf.n
-            self._vec[index] += cf.ls
-            self._sq[index] += cf.ss
+            self._ns[index] += n
+            self._vec[index] += vec
+            self._sq[index] += sq
+
+    def fill_rows(
+        self,
+        ns: np.ndarray,
+        vecs: np.ndarray,
+        sqs: np.ndarray,
+        children: Optional[list["CFNode"]],
+    ) -> None:
+        """Replace every entry with the given rows, in order (unchecked).
+
+        What :meth:`clear` followed by one :meth:`append_entry` per row
+        leaves behind, without a CF object per entry.
+        """
+        m = ns.shape[0]
+        self._ns[:m] = ns
+        self._vec[:m] = vecs
+        self._sq[:m] = sqs
+        if self.size > m:
+            self._ns[m : self.size] = 0.0
+            self._vec[m : self.size] = 0.0
+            self._sq[m : self.size] = 0.0
+        if self.children is not None:
+            assert children is not None
+            self.children[:] = children
+        self.size = m
 
     def remove_entry(self, index: int) -> None:
         """Delete entry ``index``, compacting the arrays."""
@@ -294,11 +350,15 @@ class CFNode:
         merging refinement (closest pair).  The diagonal is zero.
         """
         k = self.size
-        out = np.zeros((k, k), dtype=np.float64)
-        for i in range(k):
-            probe = self.entry_cf(i)
-            out[i] = self.entry_distances(probe, metric)
-            out[i, i] = 0.0
+        ns, vec, sq = self._ns[:k], self._vec[:k], self._sq[:k]
+        kernel = (
+            stable_cf_batch_distances
+            if self.cf_backend == "stable"
+            else cf_batch_distances
+        )
+        # Row i equals entry_distances(entry_cf(i), metric) bitwise.
+        out = kernel(ns, vec, sq, ns, vec, sq, metric)
+        np.fill_diagonal(out, 0.0)
         return out
 
     # -- invariants -------------------------------------------------------------

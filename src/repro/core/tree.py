@@ -34,20 +34,26 @@ import numpy as np
 from repro.core.distances import (
     Metric,
     cf_batch_distances,
-    distance,
+    classic_distances_core,
+    classic_merged_radius_core,
     gathered_point_distances,
-    merged_diameter,
-    merged_radius,
     paired_point_merged_stat,
     point_distances_to_set,
     stable_cf_batch_distances,
+    stable_distances_core,
     stable_gathered_point_distances,
-    stable_merged_diameter,
-    stable_merged_radius,
+    stable_merged_radius_core,
     stable_paired_point_merged_stat,
     stable_point_distances_to_set,
 )
-from repro.core.features import CF, AnyCF, CF_BACKENDS, StableCF, coerce_backend
+from repro.core.features import (
+    CF,
+    AnyCF,
+    CF_BACKENDS,
+    StableCF,
+    cf_row,
+    coerce_backend,
+)
 from repro.core.node import CFNode
 from repro.errors import UnsupportedBackendError
 from repro.observe.recorder import NULL_RECORDER, Recorder
@@ -79,6 +85,8 @@ _CHOOSER_INITIAL_ESTIMATE = 16.0
 _CHOOSER_BREAK_EVEN = 6
 _SCALAR_MIN_RUN = 16
 _SCALAR_MAX_RUN = 1024
+
+_EPS = float(np.finfo(np.float64).eps)
 
 #: Routing chunk for :meth:`CFTree.bulk_insert_cfs` (the batched CF
 #: merge).  One batched descent routes this many donor CFs before the
@@ -114,13 +122,6 @@ class TreeStats:
         if self.leaf_count == 0:
             return 0.0
         return self.leaf_entry_count / self.leaf_count
-
-
-@dataclass
-class _SplitResult:
-    """Outcome of an insertion into a subtree."""
-
-    new_node: Optional[CFNode]  # sibling created by a split, else None
 
 
 class CFTree:
@@ -180,6 +181,14 @@ class CFTree:
         self.merging_refinement = merging_refinement
         self.cf_backend = cf_backend
         self._cf_class = CF_BACKENDS[cf_backend]
+        self._stable = cf_backend == "stable"
+        # The unchecked per-probe kernels of the insertion path.
+        if self._stable:
+            self._distances_core = stable_distances_core
+            self._radius_core = stable_merged_radius_core
+        else:
+            self._distances_core = classic_distances_core
+            self._radius_core = classic_merged_radius_core
         self.budget = budget
         self.stats = stats
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -791,15 +800,49 @@ class CFTree:
     def insert_cf(self, cf: AnyCF) -> None:
         """Insert a subcluster CF (a point, an old leaf entry, an outlier).
 
-        A CF of the other backend is converted on the way in.
+        A CF of the other backend is converted on the way in.  One
+        iterative pass (Section 4.3): descend to the closest leaf,
+        recording ``(node, entry)`` along the path; absorb, append or
+        split at the leaf; then walk the path back up.  Above a level
+        where nothing split, updating the path is a plain add of the
+        CF; a split is pushed into its parent, which appends the new
+        sibling (running merging refinement there) or splits in turn,
+        and a root split grows the tree.
         """
         if cf.n <= 0:
             raise ValueError("cannot insert an empty CF")
         cf = coerce_backend(cf, self.cf_backend)
-        result = self._insert(self.root, cf)
+        n, vec, sq = cf_row(cf)
+        leaf, path = self._descend_to_leaf(n, vec, sq)
+        sibling: Optional[CFNode] = None
+        if leaf.size > 0:
+            index, _ = self._closest(leaf, n, vec, sq)
+            if self._fits_threshold(leaf, index, n, vec, sq):
+                self._absorb(leaf, index, n, vec, sq)
+                for node, child_index in path:
+                    self._absorb(node, child_index, n, vec, sq)
+                self._points += cf.n
+                return
+        if leaf.size < leaf.capacity:
+            leaf.append_row(n, vec, sq)
+        else:
+            sibling = self._split_node(leaf, (n, vec, sq), None)
+        for node, child_index in reversed(path):
+            if sibling is None:
+                self._absorb(node, child_index, n, vec, sq)
+                continue
+            # The child split: refresh its summary and add the sibling.
+            node.set_row(child_index, *node.children[child_index].summary_row())
+            row = sibling.summary_row()
+            if node.size < node.capacity:
+                new_index = node.append_row(*row, sibling)
+                sibling = None
+                self._merging_refinement(node, child_index, new_index)
+            else:
+                sibling = self._split_node(node, row, sibling)
         self._points += cf.n
-        if result.new_node is not None:
-            self._grow_root(result.new_node)
+        if sibling is not None:
+            self._grow_root(sibling)
 
     def try_absorb_cf(self, cf: AnyCF) -> bool:
         """Absorb ``cf`` only if it fits an existing leaf entry.
@@ -812,15 +855,16 @@ class CFTree:
         if cf.n <= 0:
             raise ValueError("cannot absorb an empty CF")
         cf = coerce_backend(cf, self.cf_backend)
-        leaf, path = self._descend_to_leaf(cf)
+        n, vec, sq = cf_row(cf)
+        leaf, path = self._descend_to_leaf(n, vec, sq)
         if leaf.size == 0:
             return False
-        index, _ = leaf.closest_entry(cf, self.metric)
-        if not self._fits_threshold(leaf, index, cf):
+        index, _ = self._closest(leaf, n, vec, sq)
+        if not self._fits_threshold(leaf, index, n, vec, sq):
             return False
-        leaf.add_to_entry(index, cf)
+        self._absorb(leaf, index, n, vec, sq)
         for node, child_idx in path:
-            node.add_to_entry(child_idx, cf)
+            self._absorb(node, child_idx, n, vec, sq)
         self._points += cf.n
         return True
 
@@ -909,10 +953,11 @@ class CFTree:
             and self.root.size > 0
         ):
             stats["probes"] += 1
-            leaf, path = self._descend_to_leaf(remaining)
+            row = cf_row(remaining)
+            leaf, path = self._descend_to_leaf(*row)
             if leaf.size == 0:  # pragma: no cover - empty root leaf only
                 break
-            index, _ = leaf.closest_entry(remaining, self.metric)
+            index, _ = self._closest(leaf, *row)
             entry = leaf.entry_cf(index)
             if remaining.n >= entry.n - 1e-9:
                 # The delta covers this entry: drop it whole and carry
@@ -1068,18 +1113,19 @@ class CFTree:
                     and self._path_intact(path, leaf)
                     and col < leaf.size
                 )
-                if intact and self._fits_threshold(leaf, col, cf):
-                    leaf.add_to_entry(col, cf)
+                row = cf_row(cf)
+                if intact and self._fits_threshold(leaf, col, *row):
+                    self._absorb(leaf, col, *row)
                     for node, idx in path:
-                        node.add_to_entry(idx, cf)
+                        self._absorb(node, idx, *row)
                     self._points += cf.n
                     absorbed += 1
                     i += 1
                     continue
                 if intact and not leaf.is_full:
-                    leaf.append_entry(cf)
+                    leaf.append_row(*row)
                     for node, idx in path:
-                        node.add_to_entry(idx, cf)
+                        self._absorb(node, idx, *row)
                     self._points += cf.n
                     appended += 1
                     i += 1
@@ -1216,8 +1262,9 @@ class CFTree:
         if self.root.size == 0:
             raise ValueError("nearest_entry on an empty tree")
         probe = self._cf_class.from_point(np.asarray(point, dtype=np.float64))
-        leaf, _ = self._descend_to_leaf(probe)
-        index, dist = leaf.closest_entry(probe, self.metric)
+        row = cf_row(probe)
+        leaf, _ = self._descend_to_leaf(*row)
+        index, dist = self._closest(leaf, *row)
         return leaf.entry_cf(index), dist
 
     def leaves(self) -> Iterator[CFNode]:
@@ -1273,7 +1320,30 @@ class CFTree:
 
     # -- insertion machinery ---------------------------------------------------------
 
-    def _descend_to_leaf(self, cf: AnyCF) -> tuple[CFNode, list[tuple[CFNode, int]]]:
+    def _closest(
+        self, node: CFNode, n: float, vec: np.ndarray, sq: float
+    ) -> tuple[int, float]:
+        """Index and distance of ``node``'s entry closest to a raw row.
+
+        The unchecked twin of :meth:`CFNode.closest_entry`: the node is
+        non-empty and the row is in this tree's backend.
+        """
+        k = node.size
+        dists = self._distances_core(
+            n, vec, sq, node._ns[:k], node._vec[:k], node._sq[:k], self.metric
+        )
+        index = int(dists.argmin())
+        return index, float(dists[index])
+
+    def _absorb(
+        self, node: CFNode, index: int, n: float, vec: np.ndarray, sq: float
+    ) -> None:
+        """Fold a raw row into entry ``index`` (unchecked ``add_to_entry``)."""
+        node.add_row(index, n, vec, sq)
+
+    def _descend_to_leaf(
+        self, n: float, vec: np.ndarray, sq: float
+    ) -> tuple[CFNode, list[tuple[CFNode, int]]]:
         """Walk to the closest leaf; returns (leaf, [(node, child_idx), ...])."""
         decaying = self.decay_half_life is not None
         path: list[tuple[CFNode, int]] = []
@@ -1281,7 +1351,7 @@ class CFTree:
         while not node.is_leaf:
             if decaying:
                 self._touch(node)
-            index, _ = node.closest_entry(cf, self.metric)
+            index, _ = self._closest(node, n, vec, sq)
             path.append((node, index))
             assert node.children is not None
             node = node.children[index]
@@ -1289,8 +1359,10 @@ class CFTree:
             self._touch(node)
         return node, path
 
-    def _fits_threshold(self, leaf: CFNode, index: int, cf: AnyCF) -> bool:
-        """Would merging ``cf`` into ``leaf`` entry ``index`` satisfy T?
+    def _fits_threshold(
+        self, leaf: CFNode, index: int, n: float, vec: np.ndarray, sq: float
+    ) -> bool:
+        """Would merging a raw row into ``leaf`` entry ``index`` satisfy T?
 
         Classic backend: the squared statistic is a cancellation against
         SS, so it carries an absolute float error of order ``eps * SS``;
@@ -1302,148 +1374,109 @@ class CFTree:
         error inherited from rounding the means themselves
         (``~(eps * ||mean||)^2`` per point).
         """
-        ns = leaf.ns[index : index + 1]
-        eps = float(np.finfo(np.float64).eps)
-        if self.cf_backend == "stable":
-            means = leaf.means[index : index + 1]
-            ssds = leaf.ssds[index : index + 1]
-            if self.threshold_kind is ThresholdKind.DIAMETER:
-                value = stable_merged_diameter(cf, ns, means, ssds)[0]
-            else:
-                value = stable_merged_radius(cf, ns, means, ssds)[0]
-            n_merged = float(ns[0]) + cf.n
-            mean_sq = float(np.einsum("j,j->", means[0], means[0]))
-            slack_sq = 64.0 * eps * (value * value + eps * n_merged * mean_sq)
+        end = index + 1
+        ns = leaf._ns[index:end]
+        vecs = leaf._vec[index:end]
+        sqs = leaf._sq[index:end]
+        if self.threshold_kind is ThresholdKind.DIAMETER:
+            value = self._distances_core(
+                n, vec, sq, ns, vecs, sqs, Metric.D3_AVG_INTRACLUSTER
+            )[0]
         else:
-            ls = leaf.ls[index : index + 1]
-            ss = leaf.ss[index : index + 1]
-            if self.threshold_kind is ThresholdKind.DIAMETER:
-                value = merged_diameter(cf, ns, ls, ss)[0]
-            else:
-                value = merged_radius(cf, ns, ls, ss)[0]
-            merged_ss = float(ss[0]) + cf.ss
+            value = self._radius_core(n, vec, sq, ns, vecs, sqs)[0]
+        if self._stable:
+            n_merged = float(ns[0]) + n
+            mean_sq = float(np.einsum("j,j->", vecs[0], vecs[0]))
+            slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
+        else:
+            merged_ss = float(sqs[0]) + sq
             # Error accumulates linearly over the N additions that built
             # SS, so the squared-statistic uncertainty is O(eps * SS),
             # not O(eps * SS / N).
-            slack_sq = 64.0 * eps * max(merged_ss, 1.0)
+            slack_sq = 64.0 * _EPS * max(merged_ss, 1.0)
         return bool(value * value <= self.threshold**2 + slack_sq)
 
-    def _insert(self, node: CFNode, cf: AnyCF) -> _SplitResult:
-        if self.decay_half_life is not None:
-            self._touch(node)
-        if node.is_leaf:
-            return self._insert_into_leaf(node, cf)
-
-        assert node.children is not None
-        child_index, _ = node.closest_entry(cf, self.metric)
-        child = node.children[child_index]
-        result = self._insert(child, cf)
-
-        if result.new_node is None:
-            node.add_to_entry(child_index, cf)
-            return _SplitResult(new_node=None)
-
-        # The child split: refresh its summary and add the new sibling.
-        node.set_entry(child_index, child.summary_cf())
-        new_child = result.new_node
-        if not node.is_full:
-            new_index = node.append_entry(new_child.summary_cf(), new_child)
-            self._merging_refinement(node, child_index, new_index)
-            return _SplitResult(new_node=None)
-        sibling = self._split_node(node, new_child.summary_cf(), new_child)
-        return _SplitResult(new_node=sibling)
-
-    def _insert_into_leaf(self, leaf: CFNode, cf: AnyCF) -> _SplitResult:
-        if leaf.size > 0:
-            index, _ = leaf.closest_entry(cf, self.metric)
-            if self._fits_threshold(leaf, index, cf):
-                leaf.add_to_entry(index, cf)
-                return _SplitResult(new_node=None)
-        if not leaf.is_full:
-            leaf.append_entry(cf)
-            return _SplitResult(new_node=None)
-        sibling = self._split_node(leaf, cf, None)
-        return _SplitResult(new_node=sibling)
-
     def _split_node(
-        self, node: CFNode, extra_cf: AnyCF, extra_child: Optional[CFNode]
+        self,
+        node: CFNode,
+        extra: tuple[float, np.ndarray, float],
+        extra_child: Optional[CFNode],
     ) -> CFNode:
-        """Split ``node`` to make room for one more entry.
+        """Split full ``node`` to make room for one more entry row.
 
         Seeds are the *farthest pair* of entries; the rest are
-        redistributed to the closer seed (Section 4.3).  Returns the new
+        redistributed to the closer seed (Section 4.3).  Entries move as
+        array rows, keeping their order on each side.  Returns the new
         sibling node.
         """
-        entries: list[tuple[AnyCF, Optional[CFNode]]] = []
-        for i in range(node.size):
-            child = node.children[i] if node.children is not None else None
-            entries.append((node.entry_cf(i), child))
-        entries.append((extra_cf, extra_child))
-
-        seed_a, seed_b = self._farthest_pair([cf for cf, _ in entries])
-        assignment = self._assign_to_seeds(
-            [cf for cf, _ in entries], seed_a, seed_b, node.capacity
-        )
-
+        k = node.size
+        ns = np.append(node._ns[:k], extra[0])
+        vecs = np.concatenate((node._vec[:k], extra[1][None, :]))
+        sqs = np.append(node._sq[:k], extra[2])
+        children = None if node.is_leaf else node.children + [extra_child]
         sibling = self._new_node(is_leaf=node.is_leaf)
         if node.is_leaf:
             self._link_leaf_after(node, sibling)
-
-        node.clear()
-        for (cf, child), side in zip(entries, assignment):
-            target = node if side == 0 else sibling
-            target.append_entry(cf, child)
+        self._distribute(ns, vecs, sqs, children, node, sibling)
         if self.stats is not None:
             self.stats.record_split()
         return sibling
 
-    @staticmethod
-    def _farthest_pair(cfs: list[AnyCF]) -> tuple[int, int]:
-        """Indices of the two entries farthest apart (D0 on centroids).
+    def _distribute(
+        self,
+        ns: np.ndarray,
+        vecs: np.ndarray,
+        sqs: np.ndarray,
+        children: Optional[list[CFNode]],
+        left: CFNode,
+        right: CFNode,
+    ) -> None:
+        """Seed a split of the given rows and fill ``left`` and ``right``.
 
-        The paper does not fix the seeding metric; centroid Euclidean
-        distance is the conventional choice and is well-defined for all
-        entry sizes.
+        Seeds are the rows whose centroids lie farthest apart (D0); the
+        paper does not fix the seeding metric, and centroid Euclidean
+        distance is the conventional choice, well-defined for every
+        entry size.  Every other row goes to the closer seed, closest
+        margin first, so that when one side fills up the rows forced to
+        the other side are the ones with the least preference.
         """
-        k = len(cfs)
-        centroids = np.stack([cf.centroid for cf in cfs])
+        centroids = vecs if self._stable else vecs / ns[:, None]
+        k = centroids.shape[0]
         # k is at most B+1 (a page worth of entries), so O(k^2) is cheap.
         diffs = centroids[:, None, :] - centroids[None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
         flat = int(np.argmax(dist2))
-        return flat // k, flat % k
+        seed_a, seed_b = flat // k, flat % k
 
-    @staticmethod
-    def _assign_to_seeds(
-        cfs: list[AnyCF], seed_a: int, seed_b: int, capacity: int
-    ) -> list[int]:
-        """Assign each entry to the closer seed, respecting capacity.
-
-        Entries are processed closest-margin first so that when one side
-        fills up, the entries forced to the other side are the ones with
-        the least preference.
-        """
-        centroids = np.stack([cf.centroid for cf in cfs])
         da = np.linalg.norm(centroids - centroids[seed_a], axis=1)
         db = np.linalg.norm(centroids - centroids[seed_b], axis=1)
         preference = np.where(da <= db, 0, 1)
         margin = np.abs(da - db)
-
-        assignment = [-1] * len(cfs)
-        assignment[seed_a] = 0
-        assignment[seed_b] = 1
+        capacity = left.capacity
+        side = np.empty(k, dtype=np.int64)
+        side[seed_a] = 0
+        side[seed_b] = 1
         counts = [1, 1]
         order = sorted(
-            (i for i in range(len(cfs)) if i not in (seed_a, seed_b)),
+            (i for i in range(k) if i not in (seed_a, seed_b)),
             key=lambda i: -margin[i],
         )
         for i in order:
-            side = int(preference[i])
-            if counts[side] >= capacity:
-                side = 1 - side
-            assignment[i] = side
-            counts[side] += 1
-        return assignment
+            s = int(preference[i])
+            if counts[s] >= capacity:
+                s = 1 - s
+            side[i] = s
+            counts[s] += 1
+
+        for target, mask in ((left, side == 0), (right, side == 1)):
+            target.fill_rows(
+                ns[mask],
+                vecs[mask],
+                sqs[mask],
+                None
+                if children is None
+                else [c for c, keep in zip(children, mask) if keep],
+            )
 
     def _grow_root(self, sibling: CFNode) -> None:
         """Create a new root after the old root split."""
@@ -1452,8 +1485,8 @@ class CFTree:
             self._touch(old_root)
             self._touch(sibling)
         new_root = self._new_node(is_leaf=False)
-        new_root.append_entry(old_root.summary_cf(), old_root)
-        new_root.append_entry(sibling.summary_cf(), sibling)
+        new_root.append_row(*old_root.summary_row(), old_root)
+        new_root.append_row(*sibling.summary_row(), sibling)
         self.root = new_root
 
     # -- merging refinement ----------------------------------------------------------
@@ -1499,10 +1532,14 @@ class CFTree:
         """Combine child ``j`` into child ``i`` and drop entry ``j``."""
         assert node.children is not None
         left, right = node.children[i], node.children[j]
-        for k in range(right.size):
-            child = right.children[k] if right.children is not None else None
-            left.append_entry(right.entry_cf(k), child)
-        node.set_entry(i, left.summary_cf())
+        a, b = left.size, right.size
+        left.fill_rows(
+            np.concatenate((left._ns[:a], right._ns[:b])),
+            np.concatenate((left._vec[:a], right._vec[:b])),
+            np.concatenate((left._sq[:a], right._sq[:b])),
+            None if left.is_leaf else left.children + right.children,
+        )
+        node.set_row(i, *left.summary_row())
         node.remove_entry(j)
         self._free_node(right)
         if self.stats is not None:
@@ -1516,22 +1553,17 @@ class CFTree:
         """
         assert node.children is not None
         left, right = node.children[i], node.children[j]
-        entries: list[tuple[AnyCF, Optional[CFNode]]] = []
-        for source in (left, right):
-            for k in range(source.size):
-                child = source.children[k] if source.children is not None else None
-                entries.append((source.entry_cf(k), child))
-        cfs = [cf for cf, _ in entries]
-        seed_a, seed_b = self._farthest_pair(cfs)
-        assignment = self._assign_to_seeds(cfs, seed_a, seed_b, left.capacity)
-
-        left.clear()
-        right.clear()
-        for (cf, child), side in zip(entries, assignment):
-            target = left if side == 0 else right
-            target.append_entry(cf, child)
-        node.set_entry(i, left.summary_cf())
-        node.set_entry(j, right.summary_cf())
+        a, b = left.size, right.size
+        self._distribute(
+            np.concatenate((left._ns[:a], right._ns[:b])),
+            np.concatenate((left._vec[:a], right._vec[:b])),
+            np.concatenate((left._sq[:a], right._sq[:b])),
+            None if left.is_leaf else left.children + right.children,
+            left,
+            right,
+        )
+        node.set_row(i, *left.summary_row())
+        node.set_row(j, *right.summary_row())
         if self.stats is not None:
             self.stats.record_merge()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.distances import Metric
-from repro.core.features import CF
+from repro.core.features import CF, StableCF
 from repro.core.node import CFNode
 from repro.pagestore.page import PageLayout
 
@@ -137,6 +137,50 @@ class TestSearch:
         assert mat.shape == (4, 4)
         assert np.allclose(mat, mat.T, atol=1e-9)
         assert np.allclose(np.diag(mat), 0.0)
+
+
+class TestPairwiseMatchesPerEntryLoop:
+    """``pairwise_entry_distances`` is one CF-batch kernel call over the
+    node; row ``i`` must equal ``entry_distances(entry_cf(i))`` bit for
+    bit, or the merging refinement's closest pair and the threshold
+    heuristics' merge sizes would drift from a per-entry evaluation."""
+
+    @staticmethod
+    def _node(backend: str, dimensions: int, fractional: bool) -> CFNode:
+        rng = np.random.default_rng(100 + dimensions)
+        layout = PageLayout(page_size=4096, dimensions=dimensions)
+        node = CFNode(layout, is_leaf=True, cf_backend=backend)
+        cls = StableCF if backend == "stable" else CF
+        for _ in range(min(node.capacity, 12)):
+            size = int(rng.integers(1, 6))
+            offset = rng.normal(size=dimensions) * 50.0
+            cf = cls.from_points(rng.normal(size=(size, dimensions)) * 3.0 + offset)
+            if fractional:
+                # Decayed entries carry fractional mass (stable only).
+                cf = cf.scaled(float(rng.uniform(0.2, 0.9)))
+            node.append_entry(cf)
+        # Two identical entries exercise exact ties and zero distances.
+        node.append_entry(node.entry_cf(0))
+        return node
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("dimensions", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "backend, fractional",
+        [("classic", False), ("stable", False), ("stable", True)],
+    )
+    def test_rows_equal_entry_distances_bitwise(
+        self, backend, fractional, dimensions, metric
+    ):
+        node = self._node(backend, dimensions, fractional)
+        k = node.size
+        loop = np.zeros((k, k))
+        for i in range(k):
+            loop[i] = node.entry_distances(node.entry_cf(i), metric)
+            loop[i, i] = 0.0
+        got = node.pairwise_entry_distances(metric)
+        assert got.shape == (k, k)
+        assert got.tobytes() == loop.tobytes()
 
 
 class TestConsistency:
