@@ -3,7 +3,7 @@
 Fits BIRCH on the paper's DS1 grid (100 clusters, d=2), compiles a
 :class:`repro.serve.FrozenModel`, and measures batch nearest-centroid
 ``predict`` throughput (QPS) plus per-batch latency percentiles
-(p50/p95/p99) across batch sizes for five contenders:
+(p50/p95/p99) across batch sizes for four contenders:
 
 * ``legacy_broadcast`` — the pre-PR ``Birch.predict`` loop, copied here
   verbatim: a chunked ``(B, K, d)`` difference-tensor broadcast;
@@ -27,21 +27,16 @@ Fits BIRCH on the paper's DS1 grid (100 clusters, d=2), compiles a
   einsum kernel, so its ratio is pinned near the subcluster/centroid
   FLOP ratio and is reported, not gated on;
 * ``frozen_predict``   — ``FrozenModel.predict`` as shipped (the flat
-  reduced-panel kernel, the default path and the gated contender);
-* ``frozen_pruned``    — FrozenModel through the triangle-bound group
-  index (``pruned=True``; exact, measured for the record — on this
-  single-core host it loses to the flat kernel, see
-  docs/performance.md).
+  reduced-panel kernel and the gated contender).
 
 Exactness is asserted, not assumed: every exact contender must produce
 byte-identical labels on the full query set before any timing is
-recorded (the pruned search is exact by construction; this is the
-regression tripwire).  The sklearn-style baseline predicts over a
+recorded (the regression tripwire).  The sklearn-style baseline predicts over a
 different granularity (subclusters), so it is scored by adjusted Rand
 index against the exact labels instead — raw label equality across two
 different fits would compare arbitrary cluster numberings.
 
-Results land in ``BENCH_serve_qps.json``.  Gates (ISSUE 9 acceptance):
+Results land in ``BENCH_serve_qps.json``.  Gates:
 ``--assert-vs-legacy 3.0`` always; ``--assert-vs-sklearn 10.0``
 enforced when scikit-learn is importable, recorded otherwise.  Both
 compare best-batch-size QPS at the full query count.
@@ -267,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     frozen = FrozenModel.load(artifact)  # measure the mmap'd form we ship
     sk = SklearnStylePredictor(fit_points)
     print(
-        f"model: K={frozen.n_clusters}, index={frozen.metadata['index']}; "
+        f"model: K={frozen.n_clusters}; "
         f"sklearn baseline: {sk.kind} over {sk.n_subclusters} subclusters"
     )
 
@@ -287,7 +282,6 @@ def main(argv: list[str] | None = None) -> int:
     contenders = {
         "birch_predict": estimator.predict(queries),
         "frozen_predict": frozen.predict(queries),
-        "frozen_pruned": frozen.predict(queries, pruned=True),
     }
     for name, labels in contenders.items():
         if not np.array_equal(labels, ref):
@@ -304,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         "birch_predict": estimator.predict,
         "sklearn_birch": sk.predict,
         "frozen_predict": frozen.predict,
-        "frozen_pruned": lambda q: frozen.predict(q, pruned=True),
     }
 
     runs: dict[str, dict] = {}
@@ -340,7 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "model": {
             "n_clusters": frozen.n_clusters,
-            "index": frozen.metadata["index"],
             "cf_backend": estimator.config.cf_backend,
         },
         "sklearn_available": SKLEARN_AVAILABLE,
@@ -359,8 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "note": (
-            "labels_byte_identical covers legacy_broadcast, birch_predict, "
-            "frozen_predict and frozen_pruned on the full query set. "
+            "labels_byte_identical covers legacy_broadcast, birch_predict "
+            "and frozen_predict on the full query set. "
             "sklearn_birch is the real estimator when sklearn_available, "
             "else a faithful reimplementation of its predict path "
             "(einsum pairwise_distances_argmin over leaf subcluster "

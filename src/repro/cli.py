@@ -337,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument("output", type=Path, help="artifact file to write")
     compile_cmd.add_argument(
-        "--no-index",
-        action="store_true",
-        help="skip the pruned candidate index (brute-force-only artifact)",
-    )
-    compile_cmd.add_argument(
         "--trace",
         type=Path,
         default=None,
@@ -356,11 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument("input", type=Path, help="CSV with one point per row")
     query_cmd.add_argument(
         "--out", type=Path, default=None, help="write labels CSV (default stdout summary only)"
-    )
-    query_cmd.add_argument(
-        "--brute",
-        action="store_true",
-        help="force the brute-force kernel (skip the pruned index)",
     )
     query_cmd.add_argument(
         "--verify",
@@ -477,11 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     _forest_options(ens_compile)
     ens_compile.add_argument(
         "output", type=Path, help="artifact file to write"
-    )
-    ens_compile.add_argument(
-        "--no-index",
-        action="store_true",
-        help="skip the pruned candidate index (brute-force-only artifact)",
     )
 
     ens_predict = ensemble_sub.add_parser(
@@ -793,8 +778,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(
             f"frozen model {args.archive}: "
             f"{meta.get('n_clusters', '?')} centroids, "
-            f"d={meta.get('dimensions', '?')}, "
-            f"index={meta.get('index', '?')}"
+            f"d={meta.get('dimensions', '?')}"
         )
         print(
             f"format v{header.get('version')}, "
@@ -974,15 +958,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.serve_mode == "compile":
         recorder = _serve_recorder(args.trace)
         with Timer() as timer:
-            model = compile_model(
-                args.source, pruned=not args.no_index, recorder=recorder
-            )
+            model = compile_model(args.source, recorder=recorder)
             digest = model.save(args.output)
         recorder.close()
         print(
             f"compiled {args.source} -> {args.output} in {timer.elapsed:.2f}s: "
-            f"{model.n_clusters} centroids, d={model.dimensions}, "
-            f"index={model.metadata['index']}"
+            f"{model.n_clusters} centroids, d={model.dimensions}"
         )
         print(f"payload sha256 {digest}")
         return 0
@@ -994,15 +975,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.artifact, verify=args.verify, recorder=recorder
         )
         with Timer() as timer:
-            labels = model.predict(
-                points, pruned=False if args.brute else None
-            )
+            labels = model.predict(points)
         recorder.close()
         qps = points.shape[0] / timer.elapsed if timer.elapsed > 0 else 0.0
         print(
             f"answered {points.shape[0]} queries in {timer.elapsed:.3f}s "
-            f"({qps:,.0f} QPS, "
-            f"{'brute-force' if args.brute else model.metadata['index']})"
+            f"({qps:,.0f} QPS)"
         )
         if args.out is not None:
             np.savetxt(args.out, labels, fmt="%d")
@@ -1023,7 +1001,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         # Synthetic queries drawn around the model's own centroids: the
         # realistic regime for a serving bench (queries resemble the
-        # fitted data) and the one where the pruned index matters.
+        # fitted data).
         picks = rng.integers(model.n_clusters, size=args.queries)
         scale = float(np.median(model.radii)) or 1.0
         queries = np.asarray(model.centroids)[picks] + rng.normal(
@@ -1040,8 +1018,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"{args.queries} queries, batch={args.batch_size}: "
             f"best {best:.3f}s = {qps:,.0f} QPS "
-            f"({model.n_clusters} centroids, d={model.dimensions}, "
-            f"index={model.metadata['index']})"
+            f"({model.n_clusters} centroids, d={model.dimensions})"
         )
         return 0
 
@@ -1135,16 +1112,13 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         points, _ = _load_points(args.input, truth_column=False)
         result, elapsed = _fit_forest(args, points)
         recorder = _serve_recorder(args.trace)
-        model = FrozenModel.from_forest(
-            result, pruned=not args.no_index, recorder=recorder
-        )
+        model = FrozenModel.from_forest(result, recorder=recorder)
         digest = model.save(args.output)
         recorder.close()
         print(
             f"compiled a {result.n_members}-member forest of "
             f"{args.input} -> {args.output} in {elapsed:.2f}s: "
-            f"{model.n_clusters} centroids, d={model.dimensions}, "
-            f"index={model.metadata['index']}"
+            f"{model.n_clusters} centroids, d={model.dimensions}"
         )
         print(f"payload sha256 {digest}")
         return 0

@@ -549,8 +549,8 @@ class Birch:
         try:
             if weight_arr is None or (weight_arr == 1).all():
                 if self._tree.decay_half_life is not None:
-                    # Lazy decay is applied on touch during the scalar
-                    # descent; the fused bulk kernel would bypass it.
+                    # The bulk window cannot replay fractional counts
+                    # bitwise (see CFTree.bulk_insert).
                     self._scalar_ingest(points)
                     return self
                 self._bulk_ingest(points)
@@ -1053,11 +1053,9 @@ class Birch:
         """Rebuild the tree, carrying the decay state across.
 
         Without decay this is a plain :func:`rebuild_tree`.  With decay
-        the old tree is settled first (so every reinserted CF carries
-        its fully-decayed weight), the rebuilt tree re-accumulates a
-        *weighted* point count that must be restored to the raw ledger
-        count, and the half-life/clock pair is reinstalled with every
-        node stamped as settled at the current clock.
+        the rebuilt tree re-accumulates a *weighted* point count that
+        must be restored to the raw ledger count, and the
+        half-life/clock pair is reinstalled.
         """
         assert self._tree is not None
         old = self._tree
@@ -1065,7 +1063,6 @@ class Birch:
             return rebuild_tree(
                 old, new_threshold, outlier_sink=sink, outlier_predicate=predicate
             )
-        old.settle_decay()
         raw_points = old._points
         half_life, clock = old.decay_half_life, old.decay_clock
         # Decay disables the outlier path (fractional mass never goes
@@ -1296,7 +1293,7 @@ class Birch:
                 assert tree.decay_half_life is not None
                 pending = tree.decay_clock - bucket.epoch
                 # Fold single-epoch factors, mirroring how the tree
-                # itself accrued them (one settle per clock advance) —
+                # itself accrued them (one factor per clock advance) —
                 # a one-shot 0.5**(pending/H) is not bit-equal to the
                 # product and would leave spurious residue to clamp.
                 step = 0.5 ** (1.0 / tree.decay_half_life)
@@ -1714,7 +1711,6 @@ class Birch:
     ) -> BirchResult:
         """Assemble a :class:`BirchResult` from finished phase outputs."""
         assert self._tree is not None
-        self._tree.settle_decay()
         tree_stats = self._tree.tree_stats()
         telemetry = None
         if self._recorder.enabled:
@@ -1755,7 +1751,6 @@ class Birch:
         """
         if self._tree is None:
             raise NotFittedError(_NO_DATA_MESSAGE)
-        self._tree.settle_decay()
         timings = PhaseTimings()
         timings.phase1_ingest = self._ingest_seconds
         timings.phase1_rebuilds = self._rebuild_seconds
@@ -1936,7 +1931,6 @@ class Birch:
         fields.update(forgotten_points=self._points_forgotten)
         tree = self._tree
         if tree is not None and tree.decay_half_life is not None:
-            tree.settle_decay()
             weighted = float(tree.summary_cf().n) if tree._points else 0.0
             fields.update(decayed_mass=max(0.0, float(tree._points) - weighted))
         if self._drift_monitor is not None:
@@ -2007,7 +2001,6 @@ class Birch:
         computation byte-identical to an unsupervised run.
         """
         assert self._tree is not None
-        self._tree.settle_decay()
         entries = self._tree.leaf_entries()
         if not entries:
             if self._points_forgotten > 0:

@@ -155,9 +155,6 @@ def _snapshot_payload(birch: "Birch") -> bytes:
     tree = birch._tree
     assert tree is not None and birch._budget is not None
     assert birch._policy is not None and birch._dimensions is not None
-    # Fold pending lazy decay in so the exported entry floats are the
-    # settled values; the clock itself is stored alongside.
-    tree.settle_decay()
     handler = birch._outlier_handler
     buckets = birch._epoch_buckets
     meta = {

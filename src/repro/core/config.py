@@ -185,8 +185,9 @@ class BirchConfig:
     decay_half_life:
         Exponential CF decay for evolving streams, in logical epochs
         (one epoch per ``partial_fit`` batch): every ``decay_half_life``
-        epochs, previously inserted mass halves.  Applied lazily
-        per-node, means (and hence routing) are decay-invariant.
+        epochs, previously inserted mass halves.  Applied to every node
+        at each clock advance; means (and hence routing) are
+        decay-invariant.
         Requires the weighted ``"stable"`` backend — the classic
         ``(N, LS, SS)`` triple cannot carry fractional mass, so setting
         this with ``cf_backend="classic"`` raises

@@ -75,7 +75,6 @@ class CFNode:
         "children",
         "prev_leaf",
         "next_leaf",
-        "decay_epoch",
     )
 
     def __init__(
@@ -97,9 +96,6 @@ class CFNode:
         self.children: Optional[list[CFNode]] = None if is_leaf else []
         self.prev_leaf: Optional[CFNode] = None
         self.next_leaf: Optional[CFNode] = None
-        # Logical epoch this node's entries were last decayed to; the
-        # tree's lazy decay multiplies pending factors in on touch.
-        self.decay_epoch = 0
 
     # -- capacity & views -----------------------------------------------------
 

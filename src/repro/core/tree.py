@@ -204,8 +204,7 @@ class CFTree:
         self._probe_due = False
         # Exponential decay state (evolving-stream support).  ``None``
         # half-life disables decay entirely; the clock counts logical
-        # epochs and nodes record the epoch they were last decayed to,
-        # so pending factors multiply in lazily on touch.
+        # epochs, and every advance scales the whole tree at once.
         self.decay_half_life: Optional[float] = None
         self.decay_clock: int = 0
         self.root: CFNode = self._new_node(is_leaf=True)
@@ -217,9 +216,7 @@ class CFTree:
         if self.budget is not None:
             self.budget.allocate(1)
         self._node_count += 1
-        node = CFNode(self.layout, is_leaf, cf_backend=self.cf_backend)
-        node.decay_epoch = self.decay_clock
-        return node
+        return CFNode(self.layout, is_leaf, cf_backend=self.cf_backend)
 
     def _free_node(self, node: CFNode) -> None:
         if node.is_leaf:
@@ -252,76 +249,41 @@ class CFTree:
 
     # -- exponential decay (evolving streams) -----------------------------------
 
-    def _touch(self, node: CFNode) -> None:
-        """Fold the node's pending decay factor into its entries.
-
-        Mass decays as ``0.5 ** (pending_epochs / half_life)``; scaling
-        both ``n`` and the quadratic statistic by the same factor keeps
-        every mean (and hence every centroid distance) invariant, so a
-        settled node and a lazily-pending node route probes identically.
-        """
-        if self.decay_half_life is None:
-            return
-        pending = self.decay_clock - node.decay_epoch
-        if pending > 0:
-            g = 0.5 ** (pending / self.decay_half_life)
-            node._ns[: node.size] *= g
-            node._sq[: node.size] *= g
-        node.decay_epoch = self.decay_clock
-
-    def settle_decay(self) -> None:
-        """Apply every pending decay factor tree-wide (preorder walk).
-
-        Callers must settle before exporting structure, rebuilding or
-        comparing weighted mass against the raw point count.  A no-op
-        when decay is disabled; idempotent otherwise.
-        """
-        if self.decay_half_life is None:
-            return
-
-        def visit(node: CFNode) -> None:
-            self._touch(node)
-            if node.children is not None:
-                for child in node.children:
-                    visit(child)
-
-        visit(self.root)
-
     def set_decay(self, half_life: Optional[float], clock: int) -> None:
-        """Install decay state, stamping every node as settled at ``clock``.
+        """Install decay state for a tree whose entries reflect ``clock``.
 
-        Used when adopting a tree whose entries already reflect the
-        given clock — checkpoint restore and post-rebuild state copy —
-        so the lazy touch does not re-apply epochs that were settled
-        before the snapshot.
+        Used when adopting a tree whose entries already carry every
+        factor up to the given clock — checkpoint restore and
+        post-rebuild state copy.
         """
         self.decay_half_life = half_life
         self.decay_clock = int(clock)
 
-        def visit(node: CFNode) -> None:
-            node.decay_epoch = self.decay_clock
-            if node.children is not None:
-                for child in node.children:
-                    visit(child)
-
-        visit(self.root)
-
     def advance_decay_clock(self, epochs: int = 1) -> None:
-        """Advance the logical decay clock and settle the whole tree.
+        """Advance the logical decay clock, scaling every node at once.
 
-        Settling eagerly here pins the floating-point decay trajectory
-        to the epoch schedule alone: every node accrues one factor per
-        clock advance, at the advance.  If nodes instead caught up
-        lazily at first touch, *when* a node was touched (an insert
-        descent, a checkpoint snapshot, a diagnostic walk) would decide
-        how its pending epochs were chunked into factors — and since
-        ``0.5**(a/H) * 0.5**(b/H)`` is not bit-equal to
-        ``0.5**((a+b)/H)``, observation timing would leak into results.
+        Mass decays as ``0.5 ** (epochs / half_life)``; scaling both
+        ``n`` and the quadratic statistic by the same factor keeps every
+        mean (and hence every centroid distance) invariant.  Applying
+        the factor to the whole tree at the advance pins the
+        floating-point decay trajectory to the epoch schedule alone:
+        since ``0.5**(a/H) * 0.5**(b/H)`` is not bit-equal to
+        ``0.5**((a+b)/H)``, chunking epochs by when a node happened to be
+        visited would leak into results.
         """
         if epochs < 0:
             raise ValueError(f"cannot rewind the decay clock by {epochs}")
         self.decay_clock += int(epochs)
-        self.settle_decay()
+        if self.decay_half_life is None or epochs == 0:
+            return
+        g = 0.5 ** (int(epochs) / self.decay_half_life)
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node._ns[: node.size] *= g
+            node._sq[: node.size] *= g
+            if node.children is not None:
+                stack.extend(node.children)
 
     # -- public API --------------------------------------------------------------
 
@@ -470,12 +432,13 @@ class CFTree:
             ``stop_on_alloc`` cut the batch short).
         """
         if self.decay_half_life is not None:
-            # The speculative window replays entry histories against
-            # static states and never folds pending decay factors in;
-            # decayed trees must take the scalar path.
+            # The window's count history ``n + arange(m + 1)`` is not
+            # bitwise equal to repeated ``+ 1.0`` on fractional
+            # (decayed) counts; decayed trees take the scalar path.
             raise RuntimeError(
-                "bulk_insert bypasses lazy decay; a decay-enabled tree "
-                "must ingest via insert_points/insert_cf"
+                "bulk_insert cannot replay fractional (decayed) counts "
+                "bitwise; a decay-enabled tree must ingest via "
+                "insert_points/insert_cf"
             )
         points = self._coerce_points(points)
         limit = points.shape[0] if max_rows is None else min(
@@ -1079,8 +1042,9 @@ class CFTree:
         """
         if self.decay_half_life is not None:
             raise RuntimeError(
-                "bulk_insert_cfs bypasses lazy decay; a decay-enabled "
-                "tree must ingest via insert_cf"
+                "bulk_insert_cfs cannot replay fractional (decayed) "
+                "counts bitwise; a decay-enabled tree must ingest via "
+                "insert_cf"
             )
         ns = np.asarray(ns, dtype=np.float64)
         vecs = np.asarray(vecs, dtype=np.float64)
@@ -1282,7 +1246,6 @@ class CFTree:
         """Every leaf entry (subcluster) as CF objects, in chain order."""
         entries: list[AnyCF] = []
         for leaf in self.leaves():
-            self._touch(leaf)
             entries.extend(leaf.iter_entry_cfs())
         return entries
 
@@ -1345,18 +1308,13 @@ class CFTree:
         self, n: float, vec: np.ndarray, sq: float
     ) -> tuple[CFNode, list[tuple[CFNode, int]]]:
         """Walk to the closest leaf; returns (leaf, [(node, child_idx), ...])."""
-        decaying = self.decay_half_life is not None
         path: list[tuple[CFNode, int]] = []
         node = self.root
         while not node.is_leaf:
-            if decaying:
-                self._touch(node)
             index, _ = self._closest(node, n, vec, sq)
             path.append((node, index))
             assert node.children is not None
             node = node.children[index]
-        if decaying:
-            self._touch(node)
         return node, path
 
     def _fits_threshold(
@@ -1481,9 +1439,6 @@ class CFTree:
     def _grow_root(self, sibling: CFNode) -> None:
         """Create a new root after the old root split."""
         old_root = self.root
-        if self.decay_half_life is not None:
-            self._touch(old_root)
-            self._touch(sibling)
         new_root = self._new_node(is_leaf=False)
         new_root.append_row(*old_root.summary_row(), old_root)
         new_root.append_row(*sibling.summary_row(), sibling)
@@ -1516,12 +1471,6 @@ class CFTree:
         left, right = node.children[i], node.children[j]
         if left.is_leaf != right.is_leaf:  # pragma: no cover - structural guard
             return
-        if self.decay_half_life is not None:
-            # The children's entries are about to be read and re-summed;
-            # fold pending decay in first so summaries stay consistent
-            # with the (already touched) parent.
-            self._touch(left)
-            self._touch(right)
         total = left.size + right.size
         if total <= left.capacity:
             self._merge_children(node, i, j)
@@ -1733,14 +1682,12 @@ class CFTree:
         sums, uniform leaf depth, leaf chain completeness, threshold
         satisfaction of multi-point leaf entries, and point conservation.
 
-        Under decay, pending factors are settled first and two checks
-        relax: the exact point-count identity (weighted mass is a
-        decayed fraction of the raw count, which ``_points`` keeps) and
-        the leaf threshold (decay shrinks ``n`` faster than SSD's
+        Under decay two checks relax: the exact point-count identity
+        (weighted mass is a decayed fraction of the raw count, which
+        ``_points`` keeps) and the leaf threshold (decay shrinks ``n`` faster than SSD's
         ``n - 1`` denominator, inflating the *diameter* of entries that
         satisfied ``T`` when their mass was whole).
         """
-        self.settle_decay()
         decaying = self.decay_half_life is not None
         leaf_depths: set[int] = set()
         leaves_via_tree: list[CFNode] = []

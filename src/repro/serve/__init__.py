@@ -2,11 +2,11 @@
 
 A fitted BIRCH model's query-time essence is just its Phase 3 centroids
 (paper §4); this package compiles that essence into a
-:class:`FrozenModel` — flat float64 arrays plus a pruned candidate
-index — seals it into a versioned, sha256-checked ``BIRCHFRZ`` artifact,
-and lets any number of processes map the artifact read-only through
-:class:`numpy.memmap` and answer ``predict``/``transform``/``score``
-batches through one shared vectorised kernel.
+:class:`FrozenModel` — flat float64 arrays — seals it into a
+versioned, sha256-checked ``BIRCHFRZ`` artifact, and lets any number
+of processes map the artifact read-only through :class:`numpy.memmap`
+and answer ``predict``/``transform``/``score`` batches through one
+shared vectorised kernel.
 
 The kernel module (:mod:`repro.serve.kernel`) is deliberately
 numpy-only so :mod:`repro.core.birch` can share the exact same
@@ -21,7 +21,6 @@ from repro.serve.artifact import (
     write_artifact,
 )
 from repro.serve.frozen import FrozenModel, compile_model
-from repro.serve.index import PrunedIndex, build_index
 from repro.serve.kernel import (
     default_chunk,
     nearest_centroids,
@@ -33,8 +32,6 @@ __all__ = [
     "ARTIFACT_MAGIC",
     "ARTIFACT_VERSION",
     "FrozenModel",
-    "PrunedIndex",
-    "build_index",
     "compile_model",
     "default_chunk",
     "load_artifact",

@@ -17,8 +17,7 @@ freezes that output into flat structure-of-arrays form:
   that Phase 4 refinement emptied are dropped at compile time, so a
   frozen model always emits dense consecutive labels — the original
   cluster count and the dropped ids are recorded under
-  ``metadata["compaction"]``);
-* optionally the :class:`~repro.serve.index.PrunedIndex` arrays.
+  ``metadata["compaction"]``).
 
 A frozen model can be built from a live :class:`~repro.core.birch.Birch`
 / :class:`~repro.core.birch.BirchResult`, from a sealed ``BIRCHCKP``
@@ -30,9 +29,11 @@ mmap-able ``BIRCHFRZ`` artifact
 queries off one shared read-only file.
 
 Query semantics match :meth:`Birch.predict <repro.core.birch.Birch.predict>`
-exactly — same kernel, same lowest-index tie rule — whether the pruned
-index or the brute-force fallback answers; the index is a pure
-accelerator.
+exactly — same kernel, same lowest-index tie rule.  Every query scans
+all ``K`` centroids through that one flat kernel: a two-level pruned
+index was measured slower than the flat scan at every ``K`` up to 8192
+and was removed (``docs/performance.md``).  Artifacts that still carry
+its ``index_*`` arrays load and serve as before; the arrays are ignored.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.serve.artifact import (
     load_artifact,
     write_artifact,
 )
-from repro.serve.index import PrunedIndex, build_index
 from repro.serve.kernel import (
     default_chunk,
     nearest_centroids,
@@ -133,7 +133,6 @@ class FrozenModel:
         "weights",
         "label_remap",
         "metadata",
-        "index",
         "_recorder",
     )
 
@@ -146,7 +145,6 @@ class FrozenModel:
         centroid_sq_norms: Optional[np.ndarray] = None,
         label_remap: Optional[np.ndarray] = None,
         metadata: Optional[dict] = None,
-        index: Optional[PrunedIndex] = None,
         recorder: Optional["Recorder"] = None,
     ) -> None:
         centroids = np.asarray(centroids, dtype=np.float64)
@@ -178,8 +176,6 @@ class FrozenModel:
         self.metadata = dict(metadata or {})
         self.metadata.setdefault("n_clusters", k)
         self.metadata.setdefault("dimensions", centroids.shape[1])
-        self.index = index
-        self.metadata["index"] = "pruned-groups" if index is not None else "flat"
         self._recorder = recorder if recorder is not None else _null_recorder()
 
     # -- introspection --------------------------------------------------------
@@ -197,8 +193,7 @@ class FrozenModel:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FrozenModel(n_clusters={self.n_clusters}, "
-            f"dimensions={self.dimensions}, "
-            f"index={self.metadata.get('index')!r})"
+            f"dimensions={self.dimensions})"
         )
 
     # -- compilation ----------------------------------------------------------
@@ -210,7 +205,6 @@ class FrozenModel:
         *,
         cf_backend: Optional[str] = None,
         source_digest: Optional[str] = None,
-        pruned: bool = True,
         recorder: Optional["Recorder"] = None,
     ) -> "FrozenModel":
         """Compile a fitted :class:`~repro.core.birch.BirchResult`.
@@ -236,22 +230,13 @@ class FrozenModel:
         centroids, radii, weights = _compact_clusters(
             centroids, radii, weights, metadata
         )
-        index = build_index(centroids) if pruned else None
-        return cls(
-            centroids,
-            radii,
-            weights,
-            metadata=metadata,
-            index=index,
-            recorder=recorder,
-        )
+        return cls(centroids, radii, weights, metadata=metadata, recorder=recorder)
 
     @classmethod
     def from_estimator(
         cls,
         birch: "Birch",
         *,
-        pruned: bool = True,
         recorder: Optional["Recorder"] = None,
     ) -> "FrozenModel":
         """Compile a fitted :class:`~repro.core.birch.Birch` estimator.
@@ -263,7 +248,6 @@ class FrozenModel:
         model = cls.from_result(
             result,
             cf_backend=birch.config.cf_backend,
-            pruned=pruned,
             recorder=recorder,
         )
         model.metadata["source"] = {"kind": "estimator"}
@@ -274,7 +258,6 @@ class FrozenModel:
         cls,
         result: "ForestResult",
         *,
-        pruned: bool = True,
         recorder: Optional["Recorder"] = None,
     ) -> "FrozenModel":
         """Compile a :class:`~repro.ensemble.ForestResult` consensus.
@@ -306,15 +289,7 @@ class FrozenModel:
         centroids, radii, weights = _compact_clusters(
             centroids, radii, weights, metadata
         )
-        index = build_index(centroids) if pruned else None
-        return cls(
-            centroids,
-            radii,
-            weights,
-            metadata=metadata,
-            index=index,
-            recorder=recorder,
-        )
+        return cls(centroids, radii, weights, metadata=metadata, recorder=recorder)
 
     # -- artifact round-trip --------------------------------------------------
 
@@ -327,15 +302,12 @@ class FrozenModel:
             "weights": self.weights,
             "label_remap": self.label_remap,
         }
-        if self.index is not None:
-            arrays.update(self.index.to_arrays())
         digest = write_artifact(Path(path), arrays, self.metadata)
         self._recorder.event(
             "serve.compile.saved",
             path=str(path),
             n_clusters=self.n_clusters,
             dimensions=self.dimensions,
-            index=self.metadata.get("index"),
         )
         return digest
 
@@ -361,10 +333,10 @@ class FrozenModel:
             raise ArchiveError(
                 f"{path}: frozen-model artifact is missing arrays {missing}"
             )
-        index = None
-        if "index_centers" in arrays:
-            index = PrunedIndex.from_arrays(arrays)
         metadata = dict(header.get("metadata", {}))
+        # Artifacts written while the pruned index existed name it here
+        # and carry its ``index_*`` arrays; both are ignored.
+        metadata.pop("index", None)
         metadata["artifact"] = {
             "path": str(path),
             "version": header.get("version"),
@@ -377,7 +349,6 @@ class FrozenModel:
             centroid_sq_norms=arrays["centroid_sq_norms"],
             label_remap=arrays["label_remap"],
             metadata=metadata,
-            index=index,
             recorder=recorder,
         )
         model._recorder.event(
@@ -406,57 +377,26 @@ class FrozenModel:
         return points
 
     def predict(
-        self,
-        points: np.ndarray,
-        *,
-        chunk: Optional[int] = None,
-        pruned: Optional[bool] = None,
+        self, points: np.ndarray, *, chunk: Optional[int] = None
     ) -> np.ndarray:
         """Nearest-centroid label for each query row.
 
-        ``pruned=None`` (default) picks the fastest measured path: the
-        flat reduced-panel kernel.  On this class of single-core BLAS
-        hosts one matmul over all ``K`` centroids beats the index's
-        gather-based candidate scan at every scale we benchmarked (see
-        ``docs/performance.md``), so the index is an explicit opt-in:
-        ``pruned=True`` requires an index and uses it, ``pruned=False``
-        forces the brute kernel.  Either path returns identical labels
-        — exact search, ties to the lowest cluster index.
+        Exact search through the flat reduced-panel kernel, ties to the
+        lowest cluster index; ``chunk`` sets the query rows per cache
+        block (default :func:`~repro.serve.kernel.default_chunk`).
         """
         points = self._coerce(points)
-        if pruned is None:
-            pruned = False
-        if pruned and self.index is None:
-            raise ValueError("this frozen model carries no pruned index")
         n = points.shape[0]
         if chunk is None:
             chunk = default_chunk(self.n_clusters)
         rec = self._recorder
-        stats: dict = {}
-        with rec.span("serve.predict", n=n, pruned=bool(pruned)):
-            labels = np.empty(n, dtype=np.int64)
-            for start in range(0, n, chunk):
-                block = points[start : start + chunk]
-                if pruned:
-                    idx = self.index.assign(
-                        block,
-                        self.centroids,
-                        self.centroid_sq_norms,
-                        stats=stats,
-                    )
-                else:
-                    idx = nearest_centroids(
-                        block,
-                        self.centroids,
-                        self.centroid_sq_norms,
-                        chunk=chunk,
-                    )
-                labels[start : start + chunk] = self.label_remap[idx]
+        with rec.span("serve.predict", n=n):
+            idx = nearest_centroids(
+                points, self.centroids, self.centroid_sq_norms, chunk=chunk
+            )
+            labels = self.label_remap[idx]
         rec.count("serve.queries", n)
         rec.count("serve.batches")
-        if pruned:
-            rec.count("serve.candidates", stats.get("candidates", 0))
-            rec.count("serve.candidates.brute_equiv", n * self.n_clusters)
         return labels
 
     def transform(
@@ -508,7 +448,6 @@ class FrozenModel:
 def compile_model(
     source: str | Path,
     *,
-    pruned: bool = True,
     recorder: Optional["Recorder"] = None,
 ) -> FrozenModel:
     """Compile a frozen model from an on-disk source.
@@ -541,7 +480,6 @@ def compile_model(
                 result,
                 cf_backend=estimator.config.cf_backend,
                 source_digest=digest,
-                pruned=pruned,
                 recorder=recorder,
             )
             model.metadata["source"].update(
@@ -575,18 +513,12 @@ def compile_model(
                 centroids, radii, weights, metadata
             )
             model = FrozenModel(
-                centroids,
-                radii,
-                weights,
-                metadata=metadata,
-                index=build_index(centroids) if pruned else None,
-                recorder=recorder,
+                centroids, radii, weights, metadata=metadata, recorder=recorder
             )
     rec.event(
         "serve.compile.done",
         source=str(source),
         n_clusters=model.n_clusters,
         dimensions=model.dimensions,
-        index=model.metadata.get("index"),
     )
     return model

@@ -2,9 +2,12 @@
 
 Everything that assigns query points to fitted centroids — the
 :class:`~repro.serve.frozen.FrozenModel` serving path,
-:meth:`repro.core.birch.Birch.predict`, the CLI's label export — runs
-through the functions here, so the arithmetic (and therefore the label
-output) is identical everywhere.
+:meth:`repro.core.birch.Birch.predict`, Phase 4 refinement, the CLI's
+label export — runs through the functions here, so the arithmetic (and
+therefore the label output) is identical everywhere.  Every query is an
+exact scan over all ``K`` centroids; no candidate index sits in front of
+it (one was measured slower at every ``K`` up to 8192, see
+``docs/performance.md``).
 
 The kernel uses the classic squared-distance decomposition
 
@@ -26,9 +29,7 @@ while it is argmin-reduced.
 
 Tie-breaking is deterministic and documented: among exactly equidistant
 centroids, the **lowest centroid index wins** (``np.argmin`` returns the
-first minimum).  The pruned index in :mod:`repro.serve.index` preserves
-this by resolving every candidate comparison with the same
-lowest-index-wins rule on the same ``r`` values.
+first minimum).
 
 Numerical note: cancellation can make a reconstructed squared distance
 slightly negative; it is clamped to zero before any ``sqrt``.  The

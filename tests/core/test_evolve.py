@@ -33,10 +33,8 @@ class TestCFDecay:
         birch = Birch(BirchConfig(n_clusters=2, decay_half_life=2.0))
         birch.partial_fit(_batch((0.0, 0.0), n=400))
         tree = birch._tree
-        tree.settle_decay()
         before = float(tree.summary_cf().n)
         tree.advance_decay_clock(2)  # one half-life
-        tree.settle_decay()
         after = float(tree.summary_cf().n)
         assert after == pytest.approx(before / 2.0, rel=1e-9)
 
@@ -46,10 +44,8 @@ class TestCFDecay:
         birch = Birch(BirchConfig(n_clusters=2, decay_half_life=3.0))
         birch.partial_fit(_batch((5.0, -1.0), n=300))
         tree = birch._tree
-        tree.settle_decay()
         before = tree.summary_cf().centroid.copy()
         tree.advance_decay_clock(4)
-        tree.settle_decay()
         np.testing.assert_allclose(
             tree.summary_cf().centroid, before, rtol=0, atol=1e-12
         )

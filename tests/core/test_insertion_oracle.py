@@ -116,7 +116,6 @@ def run_stream(points, config, tree_class, monkeypatch):
         est.partial_fit(points[lo : lo + 150])
     tree = est._tree
     assert type(tree) is tree_class
-    tree.settle_decay()
     return est, tree.export_structure()
 
 

@@ -10,7 +10,12 @@ import pytest
 from repro.cli import main
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
-from repro.serve import FrozenModel
+from repro.serve import (
+    FrozenModel,
+    compile_model,
+    read_artifact_header,
+    write_artifact,
+)
 
 pytestmark = pytest.mark.serve
 
@@ -48,11 +53,15 @@ class TestServeCompile:
         assert "payload sha256" in stdout
         assert out.exists()
 
-    def test_no_index_flag(self, checkpoint, tmp_path):
+    def test_compile_writes_only_core_arrays(self, checkpoint, tmp_path):
         ckpt, _ = checkpoint
         out = tmp_path / "flat.frz"
-        assert main(["serve", "compile", str(ckpt), str(out), "--no-index"]) == 0
-        assert FrozenModel.load(out).index is None
+        assert main(["serve", "compile", str(ckpt), str(out)]) == 0
+        header = read_artifact_header(out)
+        assert sorted(entry["name"] for entry in header["arrays"]) == sorted(
+            ["centroids", "centroid_sq_norms", "radii", "weights", "label_remap"]
+        )
+        assert "index" not in header["metadata"]
 
     def test_unreadable_source_exits_4(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.bin"
@@ -91,18 +100,17 @@ class TestServeQuery:
         assert np.array_equal(labels, expected)
 
     def test_brute_matches_default(self, artifact, tmp_path):
+        # The default query path against a naive brute-force argmin over
+        # the full (n, K, d) difference tensor.
         frz, points = artifact
         queries = tmp_path / "queries.csv"
         np.savetxt(queries, points[::5], delimiter=",")
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        assert main(["serve", "query", str(frz), str(queries), "--out", str(out_a)]) == 0
-        assert main(
-            ["serve", "query", str(frz), str(queries), "--brute", "--out", str(out_b)]
-        ) == 0
-        assert np.array_equal(
-            np.loadtxt(out_a, dtype=np.int64), np.loadtxt(out_b, dtype=np.int64)
-        )
+        out = tmp_path / "labels.csv"
+        assert main(["serve", "query", str(frz), str(queries), "--out", str(out)]) == 0
+        model = FrozenModel.load(frz)
+        diff = points[::5, None, :] - np.asarray(model.centroids)[None, :, :]
+        brute = model.label_remap[np.argmin((diff**2).sum(axis=2), axis=1)]
+        assert np.array_equal(np.loadtxt(out, dtype=np.int64), brute)
 
     def test_corrupt_artifact_exits_5_with_verify(self, artifact, tmp_path):
         frz, points = artifact
@@ -112,6 +120,60 @@ class TestServeQuery:
         queries = tmp_path / "queries.csv"
         np.savetxt(queries, points[:10], delimiter=",")
         assert main(["serve", "query", str(frz), str(queries), "--verify"]) == 5
+
+
+@pytest.fixture
+def indexed_artifact(checkpoint, tmp_path):
+    """An artifact laid out as ``serve compile`` wrote it with a pruned index.
+
+    Until the two-level index was removed, every default compile also
+    stored ``index_*`` arrays (group centers, their norms and radii, a
+    member permutation and group starts) and named the index in the
+    metadata.  Such files are still valid artifacts of the same version.
+    """
+    ckpt, points = checkpoint
+    model = compile_model(ckpt)
+    k = model.n_clusters
+    groups = np.array_split(np.arange(k), 2)
+    centers = np.stack([model.centroids[g].mean(axis=0) for g in groups])
+    arrays = {
+        "centroids": model.centroids,
+        "centroid_sq_norms": model.centroid_sq_norms,
+        "radii": model.radii,
+        "weights": model.weights,
+        "label_remap": model.label_remap,
+        "index_centers": centers,
+        "index_center_sq_norms": np.einsum("ij,ij->i", centers, centers),
+        "index_radii": np.ones(len(groups)),
+        "index_perm": np.arange(k, dtype=np.int64),
+        "index_starts": np.array([0, groups[0].size, k], dtype=np.int64),
+    }
+    path = tmp_path / "indexed.frz"
+    write_artifact(path, arrays, {**model.metadata, "index": "pruned-groups"})
+    return path, model, points
+
+
+class TestIndexedArtifacts:
+    def test_loads_with_verify_and_predicts_like_a_fresh_compile(
+        self, indexed_artifact
+    ):
+        path, fresh, points = indexed_artifact
+        loaded = FrozenModel.load(path, verify=True)
+        assert "index" not in loaded.metadata
+        assert np.array_equal(loaded.predict(points), fresh.predict(points))
+
+    def test_query_and_inspect_exit_0(self, indexed_artifact, tmp_path):
+        path, fresh, points = indexed_artifact
+        queries = tmp_path / "queries.csv"
+        np.savetxt(queries, points, delimiter=",")
+        out = tmp_path / "labels.csv"
+        assert main(
+            ["serve", "query", str(path), str(queries), "--verify", "--out", str(out)]
+        ) == 0
+        assert np.array_equal(
+            np.loadtxt(out, dtype=np.int64), fresh.predict(points)
+        )
+        assert main(["inspect", str(path)]) == 0
 
 
 class TestServeBench:
