@@ -6,11 +6,16 @@ This benchmark measures that claim two ways on the Figure 4 base
 workload (the DS1 grid, K = 100):
 
 * **tree ingest** — ``CFTree.bulk_insert`` with a live recorder vs the
-  shared ``NULL_RECORDER``, at a fixed threshold (best-of-R trials);
+  shared ``NULL_RECORDER``, at a fixed threshold;
 * **full fit** — Phase 1 of ``Birch.fit`` with ``observe=ObserveConfig()``
-  vs ``observe=None`` (best-of-R trials, interleaved like the ingest
-  rows), checking on every pair that the two runs produce
+  vs ``observe=None``, checking on every pair that the two runs produce
   byte-identical centroids (telemetry observes, never perturbs).
+
+Each of R rounds times one disabled and one enabled run back to back
+(the order alternates between rounds) and keeps their ratio; the
+overhead is the median of those paired ratios.  A minimum per side
+would compare the two sides at different host periods, which on a
+shared host moves the result by more than the 3% being measured.
 
 Results land in ``BENCH_observe_overhead.json``.  Run standalone (this
 is not a pytest module):
@@ -66,34 +71,41 @@ def _ingest_once(
     return time.perf_counter() - start, tree
 
 
-def _best_ingest_pair(
-    points: np.ndarray,
-    backend: str,
-    threshold: float,
-    page_size: int,
-    repeats: int,
-) -> tuple[float, CFTree, float, CFTree]:
-    """Best-of-``repeats`` for disabled and enabled, interleaved.
+def _paired_rounds(run, check, repeats: int) -> dict[str, object]:
+    """Time ``run(enabled)`` off/on in ``repeats`` paired rounds.
 
-    Alternating the two configurations within each round keeps cache
-    warm-up, frequency scaling and allocator drift from loading onto
-    one side of the comparison.
+    The order within a round alternates, so warm-up and drift do not
+    load onto one side.  ``check(off_output, on_output)`` runs on every
+    pair.  Returns the per-round seconds and ratios and their medians.
     """
-    best_off = best_on = float("inf")
-    off_tree: CFTree | None = None
-    on_tree: CFTree | None = None
-    for _ in range(repeats):
-        seconds, off_tree = _ingest_once(
-            points, backend, threshold, page_size, NULL_RECORDER
-        )
-        best_off = min(best_off, seconds)
-        seconds, on_tree = _ingest_once(
-            points, backend, threshold, page_size,
-            Recorder([RingBufferSink(1024)]),
-        )
-        best_on = min(best_on, seconds)
-    assert off_tree is not None and on_tree is not None
-    return best_off, off_tree, best_on, on_tree
+    off_s: list[float] = []
+    on_s: list[float] = []
+    for i in range(repeats):
+        outputs = {}
+        for enabled in ((False, True) if i % 2 == 0 else (True, False)):
+            seconds, outputs[enabled] = run(enabled)
+            (on_s if enabled else off_s).append(seconds)
+        check(outputs[False], outputs[True])
+    ratios = [on / off for on, off in zip(on_s, off_s)]
+    return {
+        "disabled_seconds": off_s,
+        "enabled_seconds": on_s,
+        "ratios": ratios,
+        "median_disabled_seconds": float(np.median(off_s)),
+        "median_enabled_seconds": float(np.median(on_s)),
+        "overhead_pct": (float(np.median(ratios)) - 1.0) * 100.0,
+    }
+
+
+def _same_ingest(off_tree: CFTree, on_tree: CFTree, n: int) -> None:
+    assert off_tree.points == on_tree.points == n
+    assert off_tree.stats.summary() == on_tree.stats.summary(), (
+        "telemetry-on ingest diverged from telemetry-off (I/O ledger mismatch)"
+    )
+
+
+def _same_centroids(off: np.ndarray, on: np.ndarray) -> None:
+    assert on.tobytes() == off.tobytes(), "telemetry changed clustering output"
 
 
 def _fit_seconds(
@@ -114,25 +126,6 @@ def _fit_seconds(
     return result.timings.phase1, result.centroids
 
 
-def _best_fit_pair(
-    points: np.ndarray, threshold: float, repeats: int
-) -> tuple[float, float]:
-    """Best-of-``repeats`` Phase-1 seconds, disabled then enabled per round.
-
-    Every pair must agree on the centroids byte for byte.
-    """
-    best_off = best_on = float("inf")
-    for _ in range(repeats):
-        off_s, centroids_off = _fit_seconds(points, False, threshold)
-        on_s, centroids_on = _fit_seconds(points, True, threshold)
-        assert centroids_on.tobytes() == centroids_off.tobytes(), (
-            "telemetry changed clustering output"
-        )
-        best_off = min(best_off, off_s)
-        best_on = min(best_on, on_s)
-    return best_off, best_on
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -146,8 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--page-size", type=int, default=1024)
     parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="trials per configuration; best time wins (default 3)",
+        "--repeats", type=int, default=7,
+        help="paired off/on rounds; the median ratio is reported (default 7)",
     )
     parser.add_argument(
         "--out", type=Path, default=Path("BENCH_observe_overhead.json"),
@@ -179,12 +172,13 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "timed": {
             "tree_ingest": (
-                "one layer: CFTree.bulk_insert, best of repeats, "
-                "disabled/enabled interleaved"
+                "one layer: CFTree.bulk_insert; overhead = median of "
+                "per-round enabled/disabled ratios, order alternating"
             ),
             "full_fit": (
-                "Phase 1 of a whole Birch.fit (timings.phase1), best of "
-                "repeats, disabled/enabled interleaved"
+                "Phase 1 of a whole Birch.fit (timings.phase1); overhead = "
+                "median of per-round enabled/disabled ratios, order "
+                "alternating"
             ),
         },
         "cpu_count": os.cpu_count(),
@@ -194,25 +188,20 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = True
     for backend in ("classic", "stable"):
-        off_s, off_tree, on_s, on_tree = _best_ingest_pair(
-            points, backend, args.threshold, args.page_size, args.repeats
+        rounds = _paired_rounds(
+            lambda enabled: _ingest_once(
+                points, backend, args.threshold, args.page_size,
+                Recorder([RingBufferSink(1024)]) if enabled else NULL_RECORDER,
+            ),
+            lambda off, on: _same_ingest(off, on, n),
+            args.repeats,
         )
-        assert off_tree.points == on_tree.points == n
-        assert off_tree.stats.summary() == on_tree.stats.summary(), (
-            "telemetry-on ingest diverged from telemetry-off "
-            "(I/O ledger mismatch)"
-        )
-        overhead_pct = (on_s / off_s - 1.0) * 100.0
-        report["tree_ingest"][backend] = {
-            "disabled_seconds": off_s,
-            "enabled_seconds": on_s,
-            "disabled_points_per_second": n / off_s,
-            "enabled_points_per_second": n / on_s,
-            "overhead_pct": overhead_pct,
-        }
+        overhead_pct = rounds["overhead_pct"]
+        report["tree_ingest"][backend] = rounds
         print(
-            f"{backend:>7}: off {n / off_s:9.0f} pts/s | "
-            f"on {n / on_s:9.0f} pts/s | overhead {overhead_pct:+.2f}%"
+            f"{backend:>7}: off {n / rounds['median_disabled_seconds']:9.0f} "
+            f"pts/s | on {n / rounds['median_enabled_seconds']:9.0f} pts/s | "
+            f"overhead {overhead_pct:+.2f}% (median of {args.repeats} pairs)"
         )
         if (
             args.assert_overhead is not None
@@ -225,17 +214,16 @@ def main(argv: list[str] | None = None) -> int:
             )
             ok = False
 
-    fit_off_s, fit_on_s = _best_fit_pair(points, args.threshold, args.repeats)
-    fit_overhead_pct = (fit_on_s / fit_off_s - 1.0) * 100.0
-    report["full_fit"] = {
-        "disabled_phase1_seconds": fit_off_s,
-        "enabled_phase1_seconds": fit_on_s,
-        "overhead_pct": fit_overhead_pct,
-        "byte_identical_centroids": True,
-    }
+    fit = _paired_rounds(
+        lambda enabled: _fit_seconds(points, enabled, args.threshold),
+        _same_centroids,
+        args.repeats,
+    )
+    report["full_fit"] = {**fit, "byte_identical_centroids": True}
     print(
-        f"full fit: off {fit_off_s:6.2f}s | on {fit_on_s:6.2f}s | "
-        f"overhead {fit_overhead_pct:+.2f}% (centroids byte-identical)"
+        f"full fit: off {fit['median_disabled_seconds']:6.2f}s | "
+        f"on {fit['median_enabled_seconds']:6.2f}s | "
+        f"overhead {fit['overhead_pct']:+.2f}% (centroids byte-identical)"
     )
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")

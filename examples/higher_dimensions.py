@@ -11,7 +11,7 @@ factors per page.  This example:
 2. clusters it with an 80 KB tree (note the reduced B/L the page
    layout derives for d = 16),
 3. scores the labelling against ground truth with ARI/purity,
-4. saves the fitted result and the tree summary to ``.npz`` archives
+4. saves the fitted result and the tree summary to sealed archives
    and loads them back — the CF summary *is* the compressed dataset.
 
 Run:  python examples/higher_dimensions.py
@@ -65,8 +65,8 @@ def main() -> None:
     print(f"ARI vs truth:    {adjusted_rand_index(result.labels, mixture.labels):.3f}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        result_path = Path(tmp) / "result.npz"
-        summary_path = Path(tmp) / "summary.npz"
+        result_path = Path(tmp) / "result.res"
+        summary_path = Path(tmp) / "summary.cfs"
         save_result(result_path, result)
         save_cfs(summary_path, result.subclusters)
 

@@ -13,15 +13,15 @@ Three commands cover the adopt-this-library workflow:
   finish Phases 2-3;
 * ``inspect``  — print tree-health diagnostics and an ASCII outline
   from a checkpoint or a ``save_tree`` archive, without clustering;
-  also recognises frozen-model artifacts and prints their summary;
+  result, CF and frozen-model files get a one-screen summary;
 * ``serve``    — the read path: ``serve compile`` freezes a checkpoint
-  or result archive into a sealed mmap-shareable ``BIRCHFRZ`` artifact,
+  or result archive into a sealed mmap-shareable frozen-model artifact,
   ``serve query`` answers a CSV of batch queries from it, and
   ``serve bench`` probes its QPS/latency in-process;
 * ``ensemble`` — the order-robust path: ``ensemble fit`` clusters a CSV
   with a forest of K perturbed BIRCH members and CF-level consensus,
   ``ensemble compile`` freezes that consensus straight into a
-  ``BIRCHFRZ`` artifact, and ``ensemble predict`` answers queries from
+  frozen-model artifact, and ``ensemble predict`` answers queries from
   a compiled forest artifact.
 
 ``cluster`` takes ``--trace PATH`` (append a JSONL telemetry journal)
@@ -34,8 +34,8 @@ unless ``--truth-column`` is given.
 
 Exit codes: 0 success, 2 argparse usage errors, and for operational
 failures a stable mapping scripts can branch on — 3 invalid input point
-(``InvalidPointError``), 4 unreadable checkpoint/archive
-(``ArchiveError``), 5 checkpoint integrity failure
+(``InvalidPointError``), 4 unreadable or foreign file for any archive
+kind (``ArchiveError``), 5 integrity failure of any archive
 (``ChecksumMismatchError``), 6 parallel task unrecoverable
 (``WorkerCrashError``; only under ``--escalation raise`` — the default
 ladder finishes the task in-process instead), 7 feature needs the other
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-labels", type=Path, default=None, help="write labels CSV"
     )
     cluster.add_argument(
-        "--save-result", type=Path, default=None, help="write result .npz"
+        "--save-result", type=Path, default=None, help="write a result archive"
     )
     cluster.add_argument(
         "--checkpoint",
@@ -275,17 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="CSV of points not yet seen at the checkpoint (optional)",
     )
     resume.add_argument(
-        "--save-result", type=Path, default=None, help="write result .npz"
+        "--save-result", type=Path, default=None, help="write a result archive"
     )
 
     inspect_cmd = sub.add_parser(
         "inspect",
-        help="print tree diagnostics from a checkpoint or tree archive",
+        help="summarise any archive: tree diagnostics for checkpoints and "
+        "tree archives, a summary for result, CF and frozen-model files",
     )
     inspect_cmd.add_argument(
         "archive",
         type=Path,
-        help="file written by ``cluster --checkpoint`` or ``save_tree``",
+        help="checkpoint, save_tree/save_result/save_cfs archive or "
+        "frozen model",
     )
     inspect_cmd.add_argument(
         "--max-depth",
@@ -328,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_cmd = serve_sub.add_parser(
         "compile",
-        help="freeze a checkpoint or result archive into a BIRCHFRZ artifact",
+        help="freeze a checkpoint or result archive into a frozen-model artifact",
     )
     compile_cmd.add_argument(
         "source",
         type=Path,
-        help="BIRCHCKP checkpoint or ``cluster --save-result`` .npz",
+        help="checkpoint or ``cluster --save-result`` archive",
     )
     compile_cmd.add_argument("output", type=Path, help="artifact file to write")
     compile_cmd.add_argument(
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd = serve_sub.add_parser(
         "query", help="batch-predict a CSV of points from an artifact"
     )
-    query_cmd.add_argument("artifact", type=Path, help="BIRCHFRZ artifact")
+    query_cmd.add_argument("artifact", type=Path, help="frozen-model artifact")
     query_cmd.add_argument("input", type=Path, help="CSV with one point per row")
     query_cmd.add_argument(
         "--out", type=Path, default=None, help="write labels CSV (default stdout summary only)"
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd = serve_sub.add_parser(
         "bench", help="probe an artifact's batch-predict QPS in-process"
     )
-    bench_cmd.add_argument("artifact", type=Path, help="BIRCHFRZ artifact")
+    bench_cmd.add_argument("artifact", type=Path, help="frozen-model artifact")
     bench_cmd.add_argument(
         "--queries", type=int, default=100_000, help="total synthetic queries"
     )
@@ -457,12 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-labels", type=Path, default=None, help="write labels CSV"
     )
     ens_fit.add_argument(
-        "--save-result", type=Path, default=None, help="write result .npz"
+        "--save-result", type=Path, default=None, help="write a result archive"
     )
 
     ens_compile = ensemble_sub.add_parser(
         "compile",
-        help="fit a forest and freeze the consensus into a BIRCHFRZ artifact",
+        help="fit a forest and freeze the consensus into a frozen-model artifact",
     )
     _forest_options(ens_compile)
     ens_compile.add_argument(
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     ens_predict = ensemble_sub.add_parser(
         "predict", help="batch-predict a CSV from a compiled forest artifact"
     )
-    ens_predict.add_argument("artifact", type=Path, help="BIRCHFRZ artifact")
+    ens_predict.add_argument("artifact", type=Path, help="frozen-model artifact")
     ens_predict.add_argument(
         "input", type=Path, help="CSV with one point per row"
     )
@@ -761,19 +763,14 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.core import container
     from repro.core.diagnostics import diagnose, render_outline
-    from repro.core.serialization import load_tree
+    from repro.core.serialization import load_cfs, load_result_arrays, load_tree
 
-    try:
-        with open(args.archive, "rb") as fh:
-            magic = fh.read(8)
-    except OSError as exc:
-        raise ArchiveError(f"cannot read {args.archive}: {exc}") from exc
-    if magic == b"BIRCHFRZ":
-        from repro.serve import read_artifact_header
-
-        header = read_artifact_header(args.archive)
-        meta = header.get("metadata", {})
+    kind = container.sniff(args.archive)
+    if kind == "frozen-model":
+        header = container.read_header(args.archive)
+        meta = header.metadata
         source = meta.get("source", {})
         print(
             f"frozen model {args.archive}: "
@@ -781,8 +778,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"d={meta.get('dimensions', '?')}"
         )
         print(
-            f"format v{header.get('version')}, "
-            f"payload sha256 {header.get('payload_sha256', '?')[:16]}…"
+            f"format v{header.version}, "
+            f"payload sha256 {header.payload_sha256[:16]}…"
         )
         origin = source.get("kind", "unknown")
         digest = source.get("sha256")
@@ -793,7 +790,27 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         if meta.get("cf_backend"):
             print(f"cf backend: {meta['cf_backend']}")
         return 0
-    if magic == b"BIRCHCKP":
+    if kind == "result":
+        clusters, centroids, labels, header = load_result_arrays(args.archive)
+        print(
+            f"result archive {args.archive}: {len(clusters)} clusters, "
+            f"d={centroids.shape[1]}, "
+            f"{sum(cf.n for cf in clusters):.0f} points"
+            + (f", {labels.shape[0]} labels" if labels is not None else "")
+        )
+        print(
+            f"final T={header['final_threshold']:.4g}, "
+            f"{header['rebuilds']} rebuilds"
+        )
+        return 0
+    if kind == "cfs":
+        cfs = load_cfs(args.archive)
+        print(
+            f"CF archive {args.archive}: {len(cfs)} CF entries, "
+            f"d={cfs[0].dimensions}, {sum(cf.n for cf in cfs):.0f} points"
+        )
+        return 0
+    if kind == "checkpoint":
         estimator = Birch.resume(args.archive)
         tree = estimator.tree
         print(

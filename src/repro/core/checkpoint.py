@@ -24,31 +24,16 @@ Everything insertion order and rebuild history have baked into the run:
 
 File format
 -----------
-A small binary container around a ``numpy`` ``.npz`` payload::
-
-    magic  "BIRCHCKP"              8 bytes
-    version                        4 bytes, little-endian uint32
-    sha256(version|length|payload) 32 bytes
-    payload length                 8 bytes, little-endian uint64
-    payload                        .npz bytes
-
-The digest covers everything after the magic, so flipping any protected
-byte raises :class:`~repro.errors.ChecksumMismatchError` instead of
-deserialising corrupt state.  Writes are atomic: the container goes to
-a temporary file in the same directory, is fsynced, and replaces the
-destination with ``os.replace`` — a crash mid-checkpoint leaves the
-previous checkpoint intact.  Writes optionally run through a
-:class:`~repro.pagestore.faults.FaultInjector` and are retried with
-bounded backoff on transient faults.
+A checkpoint is a ``checkpoint``-kind file of the sealed container
+(:mod:`repro.core.container`): the scalar state above as JSON
+metadata, the tree, outlier, quarantine and epoch-bucket records as
+arrays.  Layout, integrity checks, atomic writes and the legacy
+``BIRCHCKP`` files that still load are described once, in
+``docs/robustness.md`` ("On-disk formats").
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
-import os
-import struct
 import time
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
@@ -57,11 +42,12 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from repro.core import container
 from repro.core.config import BirchConfig
 from repro.core.evolve import EpochBuckets
 from repro.core.features import AnyCF, CF, StableCF
 from repro.core.tree import CFTree, ThresholdKind
-from repro.errors import ArchiveError, ChecksumMismatchError
+from repro.errors import ArchiveError
 from repro.pagestore.faults import FaultInjector, retry_io
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,16 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["CHECKPOINT_VERSION", "load_checkpoint", "write_checkpoint"]
 
 CHECKPOINT_VERSION = 2
-# Version 2 added the "evolve" section (decay clock, epoch buckets,
-# drift monitor state); version-1 archives still load, resuming with a
-# zeroed decay clock and no window/drift state.
+# The metadata schema ("format").  Version 2 added the "evolve" section
+# (decay clock, epoch buckets, drift monitor state); version-1
+# checkpoints still load, resuming with a zeroed decay clock and no
+# window/drift state.
 _SUPPORTED_VERSIONS = frozenset({1, 2})
-
-_MAGIC = b"BIRCHCKP"
-_VERSION_STRUCT = struct.Struct("<I")
-_LENGTH_STRUCT = struct.Struct("<Q")
-_HEADER_BYTES = len(_MAGIC) + _VERSION_STRUCT.size + 32 + _LENGTH_STRUCT.size
-_IO_CHUNK = 64 * 1024
 
 
 # -- config round-trip --------------------------------------------------------
@@ -151,7 +132,7 @@ def _cfs_from_arrays(
 # -- payload ------------------------------------------------------------------
 
 
-def _snapshot_payload(birch: "Birch") -> bytes:
+def _snapshot(birch: "Birch") -> tuple[dict, dict]:
     tree = birch._tree
     assert tree is not None and birch._budget is not None
     assert birch._policy is not None and birch._dimensions is not None
@@ -228,18 +209,11 @@ def _snapshot_payload(birch: "Birch") -> bytes:
             arrays[f"quar_{key}"] = value
     else:
         meta["guardrails"]["quarantine"] = None
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **arrays,
-    )
-    return buffer.getvalue()
+    return meta, arrays
 
 
 def _restore_birch(
-    payload: bytes,
-    path: Path,
+    archive: container.Archive,
     *,
     outlier_injector: Optional[FaultInjector] = None,
     quarantine_injector: Optional[FaultInjector] = None,
@@ -247,42 +221,29 @@ def _restore_birch(
 ) -> "Birch":
     from repro.core.birch import Birch
 
-    try:
-        with np.load(io.BytesIO(payload)) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            tree_arrays = {
-                "node_is_leaf": data["tree_node_is_leaf"],
-                "node_sizes": data["tree_node_sizes"],
-                "entry_ns": data["tree_entry_ns"],
-                "entry_vec": data["tree_entry_vec"],
-                "entry_sq": data["tree_entry_sq"],
-                "leaf_chain": data["tree_leaf_chain"],
-            }
-            outlier_ns = data["outlier_ns"]
-            outlier_vec = data["outlier_vec"]
-            outlier_sq = data["outlier_sq"]
-            evolve_arrays = {
-                key[len("evolve_") :]: data[key]
-                for key in data.files
-                if key.startswith("evolve_")
-            }
-            quarantine_arrays = None
-            if "quar_rows" in data.files:
-                quarantine_arrays = {
-                    key: data[f"quar_{key}"]
-                    for key in (
-                        "rows",
-                        "reasons",
-                        "weights",
-                        "has_values",
-                        "values",
-                        "offsets",
-                    )
-                }
-    except ChecksumMismatchError:  # pragma: no cover - defensive
-        raise
-    except Exception as exc:
-        raise ArchiveError(f"cannot read checkpoint {path}: {exc}")
+    path = archive.path
+    meta = archive.metadata
+    if meta.get("format") not in _SUPPORTED_VERSIONS:
+        raise ArchiveError(
+            f"checkpoint {path} has format {meta.get('format')!r}; this "
+            f"build reads formats {sorted(_SUPPORTED_VERSIONS)}"
+        )
+    tree_arrays = {
+        key: archive[f"tree_{key}"]
+        for key in (
+            "node_is_leaf",
+            "node_sizes",
+            "entry_ns",
+            "entry_vec",
+            "entry_sq",
+            "leaf_chain",
+        )
+    }
+    evolve_arrays = {
+        key[len("evolve_") :]: value
+        for key, value in archive.arrays.items()
+        if key.startswith("evolve_")
+    }
 
     config = _config_from_dict(meta["config"])
     birch = Birch(
@@ -323,7 +284,10 @@ def _restore_birch(
     birch.stats.load_state(meta["io"])
     if birch._outlier_handler is not None and meta["outliers"] is not None:
         records = _cfs_from_arrays(
-            outlier_ns, outlier_vec, outlier_sq, config.cf_backend
+            archive["outlier_ns"],
+            archive["outlier_vec"],
+            archive["outlier_sq"],
+            config.cf_backend,
         )
         birch._outlier_handler.disk.adopt(records)
         birch._outlier_handler.load_state(meta["outliers"])
@@ -340,8 +304,18 @@ def _restore_birch(
         if guardrails["watchdog"] is not None and birch._watchdog is not None:
             birch._watchdog.load_state(guardrails["watchdog"])
         if guardrails["quarantine"] is not None:
-            assert quarantine_arrays is not None
             store = birch._ensure_quarantine()
+            quarantine_arrays = {
+                key: archive[f"quar_{key}"]
+                for key in (
+                    "rows",
+                    "reasons",
+                    "weights",
+                    "has_values",
+                    "values",
+                    "offsets",
+                )
+            }
             store.load_state(
                 {"meta": guardrails["quarantine"], **quarantine_arrays}
             )
@@ -375,98 +349,6 @@ def _restore_birch(
     return birch
 
 
-# -- container I/O ------------------------------------------------------------
-
-
-def _seal(payload: bytes) -> bytes:
-    version = _VERSION_STRUCT.pack(CHECKPOINT_VERSION)
-    length = _LENGTH_STRUCT.pack(len(payload))
-    digest = hashlib.sha256(version + length + payload).digest()
-    return _MAGIC + version + digest + length + payload
-
-
-def _unseal(raw: bytes, path: Path) -> bytes:
-    if len(raw) < _HEADER_BYTES:
-        raise ArchiveError(
-            f"checkpoint {path} is truncated: {len(raw)} bytes is smaller "
-            f"than the {_HEADER_BYTES}-byte header"
-        )
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise ArchiveError(f"{path} is not a BIRCH checkpoint (bad magic)")
-    cursor = len(_MAGIC)
-    version_bytes = raw[cursor : cursor + _VERSION_STRUCT.size]
-    cursor += _VERSION_STRUCT.size
-    digest = raw[cursor : cursor + 32]
-    cursor += 32
-    length_bytes = raw[cursor : cursor + _LENGTH_STRUCT.size]
-    cursor += _LENGTH_STRUCT.size
-    payload = raw[cursor:]
-    expected = hashlib.sha256(version_bytes + length_bytes + payload).digest()
-    if digest != expected:
-        raise ChecksumMismatchError(
-            f"checkpoint {path} failed its integrity check "
-            f"(stored sha256 {digest.hex()[:16]}..., "
-            f"computed {expected.hex()[:16]}...)"
-        )
-    (version,) = _VERSION_STRUCT.unpack(version_bytes)
-    if version not in _SUPPORTED_VERSIONS:
-        raise ArchiveError(
-            f"checkpoint {path} has version {version}; this build reads "
-            f"versions {sorted(_SUPPORTED_VERSIONS)}"
-        )
-    (declared,) = _LENGTH_STRUCT.unpack(length_bytes)
-    if declared != len(payload):  # pragma: no cover - caught by the digest
-        raise ArchiveError(
-            f"checkpoint {path} declares {declared} payload bytes "
-            f"but carries {len(payload)}"
-        )
-    return payload
-
-
-def _write_atomic(
-    path: Path,
-    blob: bytes,
-    *,
-    injector: Optional[FaultInjector],
-    attempts: int,
-    base_delay: float,
-    sleep: Callable[[float], None],
-) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-
-    def write_once() -> None:
-        with open(tmp, "wb") as handle:
-            offset = 0
-            while offset < len(blob):
-                chunk = blob[offset : offset + _IO_CHUNK]
-                if injector is not None:
-                    injector.check("write", nbytes=len(chunk), offset=offset)
-                handle.write(chunk)
-                offset += len(chunk)
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    try:
-        retry_io(
-            write_once, attempts=attempts, base_delay=base_delay, sleep=sleep
-        )
-        os.replace(tmp, path)
-    except Exception:
-        tmp.unlink(missing_ok=True)
-        raise
-    # Make the rename itself durable where the platform allows it.
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-specific
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover - platform-specific
-        pass
-    finally:
-        os.close(dir_fd)
-
-
 # -- public API ---------------------------------------------------------------
 
 
@@ -497,10 +379,12 @@ def write_checkpoint(
         Transient-fault retry parameters; default to the estimator's
         ``io_retry_attempts`` / ``io_retry_base_delay`` config.
     """
-    blob = _seal(_snapshot_payload(birch))
-    _write_atomic(
-        Path(path),
-        blob,
+    meta, arrays = _snapshot(birch)
+    container.write(
+        path,
+        "checkpoint",
+        arrays,
+        meta,
         injector=injector,
         attempts=(
             attempts if attempts is not None else birch.config.io_retry_attempts
@@ -552,25 +436,17 @@ def load_checkpoint(
     ChecksumMismatchError
         Any flipped byte in the protected region.
     """
-    path = Path(path)
 
-    def read_once() -> bytes:
+    def read_once() -> container.Archive:
         if injector is not None:
             injector.check("read")
-        try:
-            return path.read_bytes()
-        except FileNotFoundError:
-            raise ArchiveError(f"checkpoint {path} does not exist")
-        except OSError as exc:
-            raise ArchiveError(f"cannot read checkpoint {path}: {exc}")
+        return container.read(path, "checkpoint")
 
-    raw = retry_io(
+    archive = retry_io(
         read_once, attempts=attempts, base_delay=base_delay, sleep=sleep
     )
-    payload = _unseal(raw, path)
     return _restore_birch(
-        payload,
-        path,
+        archive,
         outlier_injector=outlier_injector,
         quarantine_injector=quarantine_injector,
         sleep=sleep,

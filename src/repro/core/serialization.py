@@ -5,47 +5,40 @@ of data compression and at feeding them to later analyses.  That
 requires the summaries to outlive the process, so this module provides
 round-trip serialisation:
 
-* :func:`save_cfs` / :func:`load_cfs` — a list of CF entries as a
-  compressed ``.npz`` (three arrays, exactly the ``(N, LS, SS)``
-  layout the page model charges for);
+* :func:`save_cfs` / :func:`load_cfs` — a list of CF entries (three
+  arrays, exactly the ``(N, LS, SS)`` layout the page model charges
+  for);
 * :func:`save_tree` / :func:`load_tree` — a CF-tree's leaf entries plus
   its parameters; loading re-inserts the entries, which by CF
   additivity reproduces an equivalent tree (same summaries, possibly
   different internal node boundaries);
-* :func:`save_result` / :func:`load_result` — a fitted
+* :func:`save_result` / :func:`load_result_arrays` — a fitted
   :class:`~repro.core.birch.BirchResult`'s clusters, centroids and
   labels.
 
-Formats are plain ``numpy.savez_compressed`` archives with a small JSON
-header — no pickle, so archives are safe to exchange.
-
-Two on-disk layouts exist, one per CF backend:
-
-* version 1 — classic ``(N, LS, SS)`` triples under keys
-  ``ns``/``ls``/``ss`` (unchanged from earlier releases, so old
-  archives keep loading and classic saves stay byte-compatible);
-* version 2 — stable ``(n, mean, SSD)`` triples under keys
-  ``ns``/``means``/``ssds``.  Stable summaries are saved in their own
-  representation rather than converted, because converting to
-  ``(LS, SS)`` would reintroduce exactly the catastrophic cancellation
-  the stable backend exists to avoid.
+Each is a ``cfs``/``tree``/``result`` file of the sealed container
+(:mod:`repro.core.container`), written to exactly the path given; no
+pickle, so archives are safe to exchange.  Classic CFs are stored as
+``ns``/``ls``/``ss``, stable CFs in their own ``(n, mean, SSD)``
+representation as ``ns``/``means``/``ssds``: converting to ``(LS, SS)``
+would reintroduce exactly the catastrophic cancellation the stable
+backend exists to avoid.  The layout, what is verified on load and the
+older ``.npz`` archives that still load are described in
+``docs/robustness.md`` ("On-disk formats").
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.core import container
 from repro.core.birch import BirchResult
 from repro.core.distances import Metric
 from repro.core.features import AnyCF, CF, StableCF
 from repro.core.tree import CFTree, ThresholdKind
-from repro.errors import ArchiveError
 from repro.pagestore.page import PageLayout
 
 __all__ = [
@@ -57,47 +50,9 @@ __all__ = [
     "save_tree",
 ]
 
-_FORMAT_VERSION = 1
-_STABLE_FORMAT_VERSION = 2
-_KNOWN_VERSIONS = (_FORMAT_VERSION, _STABLE_FORMAT_VERSION)
 
-
-@contextmanager
-def _open_archive(path: Path) -> Iterator[np.lib.npyio.NpzFile]:
-    """``np.load`` with loud failures.
-
-    Every way an archive can disappoint — missing file, truncated zip,
-    foreign file format, absent keys, undecodable header — surfaces as
-    an :class:`~repro.errors.ArchiveError` naming the path and reason,
-    instead of whatever ``KeyError``/``BadZipFile`` numpy happens to
-    leak for that particular corruption.
-    """
-    try:
-        data = np.load(path)
-    except FileNotFoundError as exc:
-        raise ArchiveError(f"cannot read archive {path}: file not found") from exc
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise ArchiveError(
-            f"cannot read archive {path}: not a valid .npz archive ({exc})"
-        ) from exc
-    with data:
-        try:
-            yield data
-        except ArchiveError:
-            raise
-        except KeyError as exc:
-            raise ArchiveError(
-                f"archive {path} has no {exc} array; it is not a repro "
-                f"archive of this kind, or was truncated"
-            ) from exc
-        except (ValueError, OSError, zipfile.BadZipFile, UnicodeDecodeError) as exc:
-            raise ArchiveError(
-                f"archive {path} is truncated or corrupt: {exc}"
-            ) from exc
-
-
-def _cfs_to_arrays(cfs: list[AnyCF]) -> tuple[dict[str, np.ndarray], int]:
-    """Pack CFs into named arrays; returns (arrays, format version)."""
+def _cfs_to_arrays(cfs: list[AnyCF]) -> dict[str, np.ndarray]:
+    """Pack CFs into named arrays (classic or stable layout)."""
     if not cfs:
         raise ValueError("cannot serialise an empty CF list")
     stable = isinstance(cfs[0], StableCF)
@@ -105,52 +60,48 @@ def _cfs_to_arrays(cfs: list[AnyCF]) -> tuple[dict[str, np.ndarray], int]:
     if mixed:
         raise TypeError("cannot serialise a mix of classic and stable CFs")
     if stable:
-        arrays = {
-            "ns": np.array([cf.n for cf in cfs], dtype=np.int64),
+        # float64 counts: decayed stable CFs carry fractional mass.
+        return {
+            "ns": np.array([cf.n for cf in cfs], dtype=np.float64),
             "means": np.stack([cf.mean for cf in cfs]).astype(np.float64),
             "ssds": np.array([cf.ssd for cf in cfs], dtype=np.float64),
         }
-        return arrays, _STABLE_FORMAT_VERSION
-    arrays = {
+    return {
         "ns": np.array([cf.n for cf in cfs], dtype=np.int64),
         "ls": np.stack([cf.ls for cf in cfs]).astype(np.float64),
         "ss": np.array([cf.ss for cf in cfs], dtype=np.float64),
     }
-    return arrays, _FORMAT_VERSION
 
 
-def _arrays_to_cfs(data) -> list[AnyCF]:
+def _arrays_to_cfs(archive: container.Archive) -> list[AnyCF]:
     """Unpack a loaded archive's CF arrays (either layout)."""
-    if "means" in data:
+    if "means" in archive:
         return [
-            StableCF(int(n), mean_row.copy(), float(s))
-            for n, mean_row, s in zip(data["ns"], data["means"], data["ssds"])
+            StableCF(float(n), mean_row.copy(), float(s))
+            for n, mean_row, s in zip(
+                archive["ns"], archive["means"], archive["ssds"]
+            )
         ]
     return [
         CF(int(n), ls_row.copy(), float(s))
-        for n, ls_row, s in zip(data["ns"], data["ls"], data["ss"])
+        for n, ls_row, s in zip(archive["ns"], archive["ls"], archive["ss"])
     ]
 
 
 def save_cfs(path: str | Path, cfs: list[AnyCF]) -> None:
-    """Write CF entries to a compressed ``.npz`` archive.
-
-    Classic CFs produce a version-1 archive (``ns``/``ls``/``ss``),
-    stable CFs a version-2 archive (``ns``/``means``/``ssds``).
-    """
-    arrays, version = _cfs_to_arrays(cfs)
-    np.savez_compressed(Path(path), version=version, **arrays)
+    """Write CF entries to a sealed ``cfs`` archive at ``path``."""
+    container.write(path, "cfs", _cfs_to_arrays(cfs), {})
 
 
 def load_cfs(path: str | Path) -> list[AnyCF]:
-    """Read CF entries written by :func:`save_cfs` (either version).
+    """Read CF entries written by :func:`save_cfs` (or a legacy ``.npz``).
 
     Raises :class:`~repro.errors.ArchiveError` (a ``ValueError``) when
-    the file is missing, truncated, corrupt or not a CF archive.
+    the file is missing, truncated, corrupt or not a CF archive, and its
+    subclass :class:`~repro.errors.ChecksumMismatchError` when a byte
+    was flipped.
     """
-    with _open_archive(Path(path)) as data:
-        _check_version(int(data["version"]))
-        return _arrays_to_cfs(data)
+    return _arrays_to_cfs(container.read(path, "cfs"))
 
 
 def save_tree(path: str | Path, tree: CFTree) -> None:
@@ -160,23 +111,15 @@ def save_tree(path: str | Path, tree: CFTree) -> None:
     the leaf entries are a complete summary, and reloading re-inserts
     them under the same threshold/metric.
     """
-    entries = tree.leaf_entries()
-    arrays, version = _cfs_to_arrays(entries)
     header = {
         "page_size": tree.layout.page_size,
         "dimensions": tree.layout.dimensions,
         "threshold": tree.threshold,
         "metric": tree.metric.value,
         "threshold_kind": tree.threshold_kind.value,
+        "cf_backend": tree.cf_backend,
     }
-    if version != _FORMAT_VERSION:
-        header["cf_backend"] = tree.cf_backend
-    np.savez_compressed(
-        Path(path),
-        version=version,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        **arrays,
-    )
+    container.write(path, "tree", _cfs_to_arrays(tree.leaf_entries()), header)
 
 
 def load_tree(path: str | Path) -> CFTree:
@@ -185,10 +128,9 @@ def load_tree(path: str | Path) -> CFTree:
     Raises :class:`~repro.errors.ArchiveError` (a ``ValueError``) when
     the file is missing, truncated, corrupt or not a tree archive.
     """
-    with _open_archive(Path(path)) as data:
-        _check_version(int(data["version"]))
-        header = json.loads(bytes(data["header"]).decode())
-        entries = _arrays_to_cfs(data)
+    archive = container.read(path, "tree")
+    header = archive.metadata
+    entries = _arrays_to_cfs(archive)
     layout = PageLayout(
         page_size=int(header["page_size"]), dimensions=int(header["dimensions"])
     )
@@ -206,27 +148,18 @@ def load_tree(path: str | Path) -> CFTree:
 
 def save_result(path: str | Path, result: BirchResult) -> None:
     """Persist a fitted result: clusters, centroids, labels, metadata."""
-    clusters = [cf for cf in result.clusters]
-    arrays, version = _cfs_to_arrays(clusters)
+    arrays = _cfs_to_arrays(list(result.clusters))
+    arrays["centroids"] = np.asarray(result.centroids, dtype=np.float64)
+    arrays["entry_labels"] = np.asarray(result.entry_labels, dtype=np.int64)
+    if result.labels is not None:
+        arrays["labels"] = np.asarray(result.labels, dtype=np.int64)
     header = {
         "final_threshold": result.final_threshold,
         "rebuilds": result.rebuilds,
         "io": result.io,
         "tree_stats": result.tree_stats,
     }
-    extra: dict[str, np.ndarray] = {
-        "centroids": np.asarray(result.centroids, dtype=np.float64),
-        "entry_labels": np.asarray(result.entry_labels, dtype=np.int64),
-    }
-    if result.labels is not None:
-        extra["labels"] = np.asarray(result.labels, dtype=np.int64)
-    np.savez_compressed(
-        Path(path),
-        version=version,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        **arrays,
-        **extra,
-    )
+    container.write(path, "result", arrays, header)
 
 
 def load_result_arrays(
@@ -242,18 +175,6 @@ def load_result_arrays(
     Raises :class:`~repro.errors.ArchiveError` (a ``ValueError``) when
     the file is missing, truncated, corrupt or not a result archive.
     """
-    with _open_archive(Path(path)) as data:
-        _check_version(int(data["version"]))
-        header = json.loads(bytes(data["header"]).decode())
-        clusters = _arrays_to_cfs(data)
-        centroids = data["centroids"].copy()
-        labels = data["labels"].copy() if "labels" in data else None
-    return clusters, centroids, labels, header
-
-
-def _check_version(version: int) -> None:
-    if version not in _KNOWN_VERSIONS:
-        raise ArchiveError(
-            f"unsupported archive version {version}; this build reads "
-            f"versions {sorted(_KNOWN_VERSIONS)}"
-        )
+    archive = container.read(path, "result")
+    labels = archive.arrays.get("labels")
+    return _arrays_to_cfs(archive), archive["centroids"], labels, archive.metadata

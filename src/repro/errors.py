@@ -107,20 +107,20 @@ class UnsupportedBackendError(ReproError, ValueError):
 
 
 class ArchiveError(ReproError, ValueError):
-    """An on-disk archive (``.npz`` or checkpoint) cannot be read.
+    """An on-disk archive of any kind cannot be read.
 
     Carries the offending path and the underlying reason in its message;
-    truncated files, foreign formats and unsupported versions all land
-    here rather than leaking ``KeyError``/``zipfile.BadZipFile`` from
-    NumPy internals.
+    missing, truncated and foreign files, files of the wrong kind and
+    unsupported versions all land here rather than leaking
+    ``KeyError``/``zipfile.BadZipFile`` from NumPy internals.
     """
 
 
 class ChecksumMismatchError(ArchiveError):
     """Archive content does not match its recorded checksum.
 
-    A flipped bit anywhere in a checkpoint's protected region raises
-    this instead of silently deserialising corrupt state.
+    A flipped bit anywhere after an archive's magic raises this instead
+    of silently deserialising corrupt state.
     """
 
 

@@ -20,7 +20,6 @@ no sink can perturb the byte-identical-output guarantee.
 from __future__ import annotations
 
 import json
-import os
 import re
 import time
 from collections import deque
@@ -172,12 +171,13 @@ def write_metrics_textfile(
     """Atomically write the metrics textfile (write-temp + replace).
 
     The node-exporter textfile collector reads whole files; the
-    temp-and-rename dance guarantees it never sees a torn write.
+    container's atomic writer (temp file, fsync, rename) guarantees it
+    never sees a torn write.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(render_metrics_textfile(counters, gauges), encoding="utf-8")
-    os.replace(tmp, path)
+    # Imported here: the repro.core package imports repro.observe.
+    from repro.core.container import write_atomic
+
+    write_atomic(path, render_metrics_textfile(counters, gauges).encode("utf-8"))
 
 
 def events_named(

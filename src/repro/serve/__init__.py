@@ -3,7 +3,8 @@
 A fitted BIRCH model's query-time essence is just its Phase 3 centroids
 (paper §4); this package compiles that essence into a
 :class:`FrozenModel` — flat float64 arrays — seals it into a
-versioned, sha256-checked ``BIRCHFRZ`` artifact, and lets any number
+sha256-checked ``frozen-model`` file of the library's one on-disk
+container (:mod:`repro.core.container`), and lets any number
 of processes map the artifact read-only through :class:`numpy.memmap`
 and answer ``predict``/``transform``/``score`` batches through one
 shared vectorised kernel.

@@ -1,57 +1,23 @@
-"""The ``BIRCHFRZ`` frozen-model artifact: sealed, versioned, mmap-able.
+"""The frozen-model artifact: a ``frozen-model`` file of the sealed container.
 
 A compiled :class:`~repro.serve.frozen.FrozenModel` is a handful of flat
-numpy arrays plus a small metadata dict.  The checkpoint container
-(``BIRCHCKP``, :mod:`repro.core.checkpoint`) wraps a compressed ``.npz``
-— right for durability of a live tree, wrong for serving: every loading
-process would decompress its own private copy.  This container instead
-lays the raw little-endian C-order array bytes directly in the file at
-64-byte-aligned offsets, so any number of processes can map the same
-file read-only with :class:`numpy.memmap` and share one set of physical
-pages.
-
-File layout::
-
-    magic  "BIRCHFRZ"                      8 bytes
-    version                                4 bytes, little-endian uint32
-    sha256(version|header length|header)  32 bytes
-    header length                          8 bytes, little-endian uint64
-    header                                 UTF-8 JSON
-    (zero padding to the first 64-byte boundary)
-    array payload                          raw C-order bytes, each array
-                                           starting on a 64-byte boundary
-
-The header JSON carries the array table (name, dtype, shape, absolute
-file offset, byte count), the model metadata, and ``payload_sha256`` —
-a digest over the entire payload region.  The *header* digest is always
-verified on open (it is a few hundred bytes, effectively free), so a
-truncated or foreign file fails fast with a typed error.  The *payload*
-digest is verified only when ``load_artifact(..., verify=True)`` —
-hashing would fault in every page and defeat lazy read-only mapping,
-so the serving hot path skips it while ``inspect``/tests opt in.
-
-Writes are atomic (temp file + fsync + ``os.replace``), mirroring the
-checkpoint writer, so a crash mid-compile never leaves a torn artifact.
-
-Errors reuse the archive hierarchy — :class:`~repro.errors.ArchiveError`
-for unreadable/foreign/truncated files, and its subclass
-:class:`~repro.errors.ChecksumMismatchError` for digest failures — so
-the CLI's existing exit-code mapping (4 and 5) covers frozen models
-with no new plumbing.
+numpy arrays plus a small metadata dict.  The container
+(:mod:`repro.core.container`) lays the raw array bytes at 64-byte
+boundaries, so any number of serving processes map one file read-only
+with :class:`numpy.memmap` and share one set of physical pages.  The
+layout, what is verified when (a serving load skips the payload digest)
+and the ``BIRCHFRZ`` v1 files that still load are described in
+``docs/robustness.md`` ("On-disk formats").
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import struct
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from repro.errors import ArchiveError, ChecksumMismatchError
+from repro.core import container
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -61,239 +27,30 @@ __all__ = [
     "write_artifact",
 ]
 
-ARTIFACT_MAGIC = b"BIRCHFRZ"
-ARTIFACT_VERSION = 1
-_SUPPORTED_VERSIONS = frozenset({1})
-
-_VERSION_STRUCT = struct.Struct("<I")
-_LENGTH_STRUCT = struct.Struct("<Q")
-_PREAMBLE_BYTES = len(ARTIFACT_MAGIC) + _VERSION_STRUCT.size + 32 + _LENGTH_STRUCT.size
-_ALIGN = 64
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _header_digest(version: int, header_bytes: bytes) -> bytes:
-    h = hashlib.sha256()
-    h.update(_VERSION_STRUCT.pack(version))
-    h.update(_LENGTH_STRUCT.pack(len(header_bytes)))
-    h.update(header_bytes)
-    return h.digest()
+ARTIFACT_MAGIC = container.MAGIC
+ARTIFACT_VERSION = container.VERSION
 
 
 def write_artifact(
-    path: str | Path,
-    arrays: dict[str, np.ndarray],
-    metadata: dict,
+    path: str | Path, arrays: dict[str, np.ndarray], metadata: dict
 ) -> str:
-    """Write a sealed frozen-model artifact; returns the payload digest.
-
-    ``arrays`` values are forced to C-contiguous native little-endian
-    layout before their bytes are recorded, so a reader can reconstruct
-    each one as a zero-copy :class:`numpy.memmap` view.
-    """
-    path = Path(path)
-    prepared: dict[str, np.ndarray] = {}
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(array)
-        if array.dtype.byteorder == ">":
-            array = array.astype(array.dtype.newbyteorder("<"))
-        prepared[name] = array
-
-    # First pass: lay out offsets.  The header length depends on the
-    # offsets and vice versa, so compute with a draft header and then
-    # re-render until the layout is stable (converges immediately in
-    # practice — offsets only grow if the header crosses an alignment
-    # boundary, which at most nudges every offset by one _ALIGN step).
-    table = [
-        {
-            "name": name,
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "offset": 0,
-            "nbytes": int(array.nbytes),
-        }
-        for name, array in prepared.items()
-    ]
-
-    payload_hash = hashlib.sha256()
-    # Pre-hash the payload region content-wise (arrays + deterministic
-    # zero padding between them) once offsets are final; do the layout
-    # fixpoint first with a placeholder digest of the right length.
-    placeholder = "0" * 64
-
-    def render(digest_hex: str) -> bytes:
-        header = {
-            "format": "birch-frozen-model",
-            "version": ARTIFACT_VERSION,
-            "payload_sha256": digest_hex,
-            "arrays": table,
-            "metadata": metadata,
-        }
-        return json.dumps(header, sort_keys=True).encode("utf-8")
-
-    header_len = len(render(placeholder))
-    for _ in range(8):
-        cursor = _align(_PREAMBLE_BYTES + header_len)
-        for entry, array in zip(table, prepared.values()):
-            entry["offset"] = cursor
-            cursor = _align(cursor + array.nbytes)
-        new_len = len(render(placeholder))
-        if new_len == header_len:
-            break
-        header_len = new_len
-    else:  # pragma: no cover - layout always converges
-        raise ArchiveError(f"{path}: artifact header layout did not converge")
-
-    payload_start = _align(_PREAMBLE_BYTES + header_len)
-    cursor = payload_start
-    for entry, array in zip(table, prepared.values()):
-        pad = entry["offset"] - cursor
-        payload_hash.update(b"\x00" * pad)
-        payload_hash.update(array.tobytes(order="C"))
-        cursor = entry["offset"] + array.nbytes
-    digest_hex = payload_hash.hexdigest()
-
-    header_bytes = render(digest_hex)
-    if len(header_bytes) != header_len:  # pragma: no cover - digest is fixed-width
-        raise ArchiveError(f"{path}: artifact header layout did not converge")
-
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(ARTIFACT_MAGIC)
-        handle.write(_VERSION_STRUCT.pack(ARTIFACT_VERSION))
-        handle.write(_header_digest(ARTIFACT_VERSION, header_bytes))
-        handle.write(_LENGTH_STRUCT.pack(len(header_bytes)))
-        handle.write(header_bytes)
-        cursor = _PREAMBLE_BYTES + len(header_bytes)
-        for entry, array in zip(table, prepared.values()):
-            handle.write(b"\x00" * (entry["offset"] - cursor))
-            handle.write(array.tobytes(order="C"))
-            cursor = entry["offset"] + array.nbytes
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return digest_hex
+    """Seal a frozen-model artifact; returns the payload digest."""
+    return container.write(path, "frozen-model", arrays, metadata)
 
 
 def read_artifact_header(path: str | Path) -> dict:
-    """Read and authenticate an artifact's header without touching arrays.
-
-    Raises :class:`~repro.errors.ArchiveError` for foreign, truncated or
-    unsupported files and :class:`~repro.errors.ChecksumMismatchError`
-    when the header digest does not match.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            preamble = handle.read(_PREAMBLE_BYTES)
-            if len(preamble) < _PREAMBLE_BYTES:
-                raise ArchiveError(f"{path}: truncated frozen-model artifact")
-            magic = preamble[: len(ARTIFACT_MAGIC)]
-            if magic != ARTIFACT_MAGIC:
-                raise ArchiveError(
-                    f"{path}: not a frozen-model artifact (bad magic)"
-                )
-            offset = len(ARTIFACT_MAGIC)
-            (version,) = _VERSION_STRUCT.unpack_from(preamble, offset)
-            offset += _VERSION_STRUCT.size
-            stored_digest = preamble[offset : offset + 32]
-            offset += 32
-            (header_len,) = _LENGTH_STRUCT.unpack_from(preamble, offset)
-            if version not in _SUPPORTED_VERSIONS:
-                raise ArchiveError(
-                    f"{path}: unsupported frozen-model version {version} "
-                    f"(supported: {sorted(_SUPPORTED_VERSIONS)})"
-                )
-            header_bytes = handle.read(header_len)
-    except OSError as exc:
-        raise ArchiveError(f"{path}: cannot read frozen-model artifact: {exc}")
-    if len(header_bytes) < header_len:
-        raise ArchiveError(f"{path}: truncated frozen-model artifact")
-    if _header_digest(version, header_bytes) != stored_digest:
-        raise ChecksumMismatchError(
-            f"{path}: frozen-model header checksum mismatch"
-        )
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArchiveError(f"{path}: corrupt frozen-model header: {exc}")
-    if not isinstance(header, dict) or "arrays" not in header:
-        raise ArchiveError(f"{path}: malformed frozen-model header")
-    header["_header_end"] = _PREAMBLE_BYTES + header_len
-    return header
-
-
-def _verify_payload(path: Path, header: dict) -> None:
-    expected = header.get("payload_sha256")
-    table = header["arrays"]
-    if not table:
-        return
-    start = _align(header["_header_end"])
-    payload_hash = hashlib.sha256()
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        end = max(e["offset"] + e["nbytes"] for e in table)
-        remaining = end - start
-        while remaining > 0:
-            block = handle.read(min(1 << 20, remaining))
-            if not block:
-                raise ArchiveError(
-                    f"{path}: truncated frozen-model payload"
-                )
-            payload_hash.update(block)
-            remaining -= len(block)
-    if payload_hash.hexdigest() != expected:
-        raise ChecksumMismatchError(
-            f"{path}: frozen-model payload checksum mismatch"
-        )
+    """Read and authenticate an artifact's header without touching arrays."""
+    return asdict(container.read_header(path))
 
 
 def load_artifact(
-    path: str | Path,
-    *,
-    verify: bool = False,
-    mmap: bool = True,
+    path: str | Path, *, verify: bool = False, mmap: bool = True
 ) -> tuple[dict[str, np.ndarray], dict]:
-    """Open an artifact; returns ``(arrays, header)``.
-
-    With ``mmap=True`` (the default) every array is a read-only
-    :class:`numpy.memmap` view into the shared file pages — no copy is
-    made, and concurrent loaders in other processes share the same
-    physical memory.  ``mmap=False`` reads private in-memory copies
-    (useful when the file will be replaced underneath the reader).
-
-    ``verify=True`` additionally hashes the full payload region against
-    the sealed digest before returning.
-    """
-    path = Path(path)
-    header = read_artifact_header(path)
-    if verify:
-        _verify_payload(path, header)
-    size = path.stat().st_size
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        name = entry["name"]
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        if entry["offset"] + entry["nbytes"] > size:
-            raise ArchiveError(
-                f"{path}: truncated frozen-model payload (array {name!r})"
-            )
-        if mmap:
-            view = np.memmap(
-                path, dtype=dtype, mode="r", offset=entry["offset"], shape=shape
-            )
-            arrays[name] = view
-        else:
-            with open(path, "rb") as handle:
-                handle.seek(entry["offset"])
-                raw = handle.read(entry["nbytes"])
-            if len(raw) < entry["nbytes"]:
-                raise ArchiveError(
-                    f"{path}: truncated frozen-model payload (array {name!r})"
-                )
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return arrays, header
+    """Open an artifact; returns ``(arrays, header)`` (see :func:`container.read`)."""
+    archive = container.read(path, "frozen-model", verify=verify, mmap=mmap)
+    header = {
+        "version": archive.version,
+        "payload_sha256": archive.payload_sha256,
+        "metadata": archive.metadata,
+    }
+    return archive.arrays, header

@@ -44,12 +44,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.core import container
 from repro.errors import ArchiveError
-from repro.serve.artifact import (
-    ARTIFACT_MAGIC,
-    load_artifact,
-    write_artifact,
-)
 from repro.serve.kernel import (
     default_chunk,
     nearest_centroids,
@@ -65,10 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["FrozenModel", "compile_model"]
 
 _CORE_ARRAYS = ("centroids", "centroid_sq_norms", "radii", "weights", "label_remap")
-
-# BIRCHCKP magic, duplicated as bytes to avoid importing the checkpoint
-# module (and its dependency fan-out) just to sniff eight bytes.
-_CHECKPOINT_MAGIC = b"BIRCHCKP"
 
 
 def _file_digest(path: Path) -> str:
@@ -199,6 +191,27 @@ class FrozenModel:
     # -- compilation ----------------------------------------------------------
 
     @classmethod
+    def _from_clusters(
+        cls,
+        centroids: np.ndarray,
+        clusters: list,
+        metadata: dict,
+        recorder: Optional["Recorder"],
+    ) -> "FrozenModel":
+        """Freeze centroids with radii and weights from their exact CFs."""
+        radii = np.array(
+            [cf.radius if cf.n > 0 else 0.0 for cf in clusters], dtype=np.float64
+        )
+        weights = np.array([float(cf.n) for cf in clusters], dtype=np.float64)
+        centroids, radii, weights = _compact_clusters(
+            np.ascontiguousarray(centroids, dtype=np.float64),
+            radii,
+            weights,
+            metadata,
+        )
+        return cls(centroids, radii, weights, metadata=metadata, recorder=recorder)
+
+    @classmethod
     def from_result(
         cls,
         result: "BirchResult",
@@ -214,23 +227,14 @@ class FrozenModel:
         that refinement emptied are compacted away so the served label
         space is dense (see :func:`_compact_clusters`).
         """
-        centroids = np.ascontiguousarray(result.centroids, dtype=np.float64)
-        radii = np.array(
-            [cf.radius if cf.n > 0 else 0.0 for cf in result.clusters],
-            dtype=np.float64,
-        )
-        weights = np.array(
-            [float(cf.n) for cf in result.clusters], dtype=np.float64
-        )
         metadata: dict = {"source": {"kind": "result"}}
         if cf_backend is not None:
             metadata["cf_backend"] = cf_backend
         if source_digest is not None:
             metadata["source"]["sha256"] = source_digest
-        centroids, radii, weights = _compact_clusters(
-            centroids, radii, weights, metadata
+        return cls._from_clusters(
+            result.centroids, result.clusters, metadata, recorder
         )
-        return cls(centroids, radii, weights, metadata=metadata, recorder=recorder)
 
     @classmethod
     def from_estimator(
@@ -269,14 +273,6 @@ class FrozenModel:
         seed, consensus method) so a served model is traceable to the
         exact ensemble that produced it.
         """
-        centroids = np.ascontiguousarray(result.centroids, dtype=np.float64)
-        radii = np.array(
-            [cf.radius if cf.n > 0 else 0.0 for cf in result.clusters],
-            dtype=np.float64,
-        )
-        weights = np.array(
-            [float(cf.n) for cf in result.clusters], dtype=np.float64
-        )
         metadata: dict = {
             "source": {
                 "kind": "forest",
@@ -286,15 +282,14 @@ class FrozenModel:
                 "n_anchors": len(result.anchors),
             }
         }
-        centroids, radii, weights = _compact_clusters(
-            centroids, radii, weights, metadata
+        return cls._from_clusters(
+            result.centroids, result.clusters, metadata, recorder
         )
-        return cls(centroids, radii, weights, metadata=metadata, recorder=recorder)
 
     # -- artifact round-trip --------------------------------------------------
 
     def save(self, path: str | Path) -> str:
-        """Seal into a ``BIRCHFRZ`` artifact; returns the payload digest."""
+        """Seal into a ``frozen-model`` artifact; returns the payload digest."""
         arrays: dict[str, np.ndarray] = {
             "centroids": self.centroids,
             "centroid_sq_norms": self.centroid_sq_norms,
@@ -302,7 +297,7 @@ class FrozenModel:
             "weights": self.weights,
             "label_remap": self.label_remap,
         }
-        digest = write_artifact(Path(path), arrays, self.metadata)
+        digest = container.write(path, "frozen-model", arrays, self.metadata)
         self._recorder.event(
             "serve.compile.saved",
             path=str(path),
@@ -327,20 +322,16 @@ class FrozenModel:
         file share one set of physical pages and copy nothing.
         ``verify=True`` additionally checks the payload digest.
         """
-        arrays, header = load_artifact(Path(path), verify=verify, mmap=mmap)
-        missing = [name for name in _CORE_ARRAYS if name not in arrays]
-        if missing:
-            raise ArchiveError(
-                f"{path}: frozen-model artifact is missing arrays {missing}"
-            )
-        metadata = dict(header.get("metadata", {}))
+        archive = container.read(path, "frozen-model", verify=verify, mmap=mmap)
+        arrays = {name: archive[name] for name in _CORE_ARRAYS}
+        metadata = dict(archive.metadata)
         # Artifacts written while the pruned index existed name it here
         # and carry its ``index_*`` arrays; both are ignored.
         metadata.pop("index", None)
         metadata["artifact"] = {
             "path": str(path),
-            "version": header.get("version"),
-            "payload_sha256": header.get("payload_sha256"),
+            "version": archive.version,
+            "payload_sha256": archive.payload_sha256,
         }
         model = cls(
             arrays["centroids"],
@@ -452,26 +443,33 @@ def compile_model(
 ) -> FrozenModel:
     """Compile a frozen model from an on-disk source.
 
-    ``source`` may be a sealed ``BIRCHCKP`` checkpoint (the tree is
-    resumed and :meth:`~repro.core.birch.Birch.finalize`-d — Phases 2-3
-    run, no raw-data rescan) or a ``save_result`` ``.npz`` archive.  The
+    ``source`` may be a checkpoint (the tree is resumed and
+    :meth:`~repro.core.birch.Birch.finalize`-d — Phases 2-3 run, no
+    raw-data rescan) or a ``save_result`` archive, current or legacy
+    (:func:`repro.core.container.sniff` tells them apart).  The
     source file's sha256 is recorded in the model metadata so a served
     artifact is traceable to the exact fit that produced it.
 
     Raises :class:`~repro.errors.ArchiveError` when the source is
-    unreadable or of neither format.
+    unreadable or of another kind.
     """
     source = Path(source)
-    try:
-        with open(source, "rb") as handle:
-            magic = handle.read(len(_CHECKPOINT_MAGIC))
-    except OSError as exc:
-        raise ArchiveError(f"{source}: cannot read compile source: {exc}")
+    kind = container.sniff(source)
+    if kind == "frozen-model":
+        raise ArchiveError(
+            f"{source}: already a frozen-model artifact; load it with "
+            f"FrozenModel.load instead of compiling"
+        )
+    if kind not in ("checkpoint", "result"):
+        raise ArchiveError(
+            f"{source}: a {kind} archive cannot be compiled; give a "
+            f"checkpoint or a result archive"
+        )
     rec = recorder if recorder is not None else _null_recorder()
 
     with rec.span("serve.compile", source=str(source)):
         digest = _file_digest(source)
-        if magic == _CHECKPOINT_MAGIC:
+        if kind == "checkpoint":
             from repro.core.birch import Birch
 
             estimator = Birch.resume(source)
@@ -485,23 +483,10 @@ def compile_model(
             model.metadata["source"].update(
                 {"kind": "checkpoint", "path": str(source)}
             )
-        elif magic == ARTIFACT_MAGIC:
-            raise ArchiveError(
-                f"{source}: already a frozen-model artifact; load it with "
-                f"FrozenModel.load instead of compiling"
-            )
         else:
             from repro.core.serialization import load_result_arrays
 
             clusters, centroids, _labels, _header = load_result_arrays(source)
-            centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-            radii = np.array(
-                [cf.radius if cf.n > 0 else 0.0 for cf in clusters],
-                dtype=np.float64,
-            )
-            weights = np.array(
-                [float(cf.n) for cf in clusters], dtype=np.float64
-            )
             metadata = {
                 "source": {
                     "kind": "result-archive",
@@ -509,11 +494,8 @@ def compile_model(
                     "sha256": digest,
                 }
             }
-            centroids, radii, weights = _compact_clusters(
-                centroids, radii, weights, metadata
-            )
-            model = FrozenModel(
-                centroids, radii, weights, metadata=metadata, recorder=recorder
+            model = FrozenModel._from_clusters(
+                centroids, clusters, metadata, recorder
             )
     rec.event(
         "serve.compile.done",

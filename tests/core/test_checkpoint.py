@@ -24,6 +24,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.pagestore.faults import FaultInjector
+from tests.legacy_formats import checkpoint_state, v1_checkpoint_bytes
 
 
 def _stream(n: int = 1200, d: int = 2) -> np.ndarray:
@@ -290,44 +291,18 @@ class TestEvolveArchiveCompat:
         rng = np.random.default_rng(100 + i)
         return rng.normal((i % 5, i % 5), 0.3, (120, 2))
 
-    @staticmethod
-    def _reseal(payload: bytes, version: int) -> bytes:
-        packed = struct.pack("<I", version)
-        length = struct.pack("<Q", len(payload))
-        digest = hashlib.sha256(packed + length + payload).digest()
-        return b"BIRCHCKP" + packed + digest + length + payload
-
     def test_v1_archive_loads_with_zeroed_evolve_state(
         self, tmp_path: Path
     ) -> None:
-        # Emulate a genuine version-1 archive: take a v2 snapshot of a
-        # plain (non-evolving) run and strip the evolve payload the old
-        # writer never produced.
-        import io
-        import json
-
+        # A genuine version-1 BIRCHCKP file: the state of a plain
+        # (non-evolving) run without the evolve payload the old writer
+        # never produced.
         est = Birch(_config("stable"))
         est.partial_fit(_stream()[:400])
         ckpt = tmp_path / "v1.ckpt"
         est.checkpoint(ckpt)
-        raw = ckpt.read_bytes()
-
-        with np.load(io.BytesIO(raw[52:]), allow_pickle=False) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {
-                key: data[key]
-                for key in data.files
-                if key != "meta" and not key.startswith("evolve_")
-            }
-        assert meta.pop("evolve", None) is not None
-        meta["format"] = 1
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            **arrays,
-        )
-        ckpt.write_bytes(self._reseal(buffer.getvalue(), 1))
+        assert "evolve" in checkpoint_state(ckpt)[0]
+        ckpt.write_bytes(v1_checkpoint_bytes(ckpt))
 
         resumed = load_checkpoint(ckpt)
         assert resumed.epoch == 0

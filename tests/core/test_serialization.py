@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
+from repro.core.container import read, sniff
 from repro.core.features import CF
 from repro.core.serialization import (
     load_cfs,
@@ -39,11 +40,11 @@ class TestCFRoundTrip:
         with pytest.raises(ValueError):
             save_cfs(tmp_path / "x.npz", [])
 
-    def test_archive_is_compressed_npz(self, cf_list, tmp_path):
+    def test_archive_is_a_sealed_cfs_file(self, cf_list, tmp_path):
         path = tmp_path / "cfs.npz"
         save_cfs(path, cf_list)
-        with np.load(path) as data:
-            assert set(data.files) >= {"ns", "ls", "ss", "version"}
+        assert sniff(path) == "cfs"
+        assert set(read(path).arrays) == {"ns", "ls", "ss"}
 
 
 class TestTreeRoundTrip:
@@ -119,6 +120,37 @@ class TestResultRoundTrip:
         save_result(path, result)
         _, _, labels, _ = load_result_arrays(path)
         assert labels is None
+
+
+class TestExactPaths:
+    """Every ``save_*`` writes the path it is given, suffix or not."""
+
+    def test_suffixless_paths_round_trip(self, cf_list, rng, tmp_path):
+        points = rng.normal(size=(200, 2))
+        result = Birch(BirchConfig(n_clusters=3)).fit(points)
+        tree = CFTree(PageLayout(page_size=256, dimensions=2), threshold=0.5)
+        for p in points:
+            tree.insert_point(p)
+        save_cfs(tmp_path / "cfs.bin", cf_list)
+        save_tree(tmp_path / "tree", tree)
+        save_result(tmp_path / "res.bin", result)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfs.bin", "res.bin", "tree"
+        ]
+        assert len(load_cfs(tmp_path / "cfs.bin")) == len(cf_list)
+        assert load_tree(tmp_path / "tree").points == tree.points
+        _, centroids, labels, _ = load_result_arrays(tmp_path / "res.bin")
+        np.testing.assert_array_equal(centroids, result.centroids)
+        np.testing.assert_array_equal(labels, result.labels)
+
+
+class TestFractionalMass:
+    def test_decayed_stable_counts_survive(self, tmp_path):
+        from repro.core.features import StableCF
+
+        cfs = [StableCF(2.5, np.array([1.0, 2.0]), 0.75), StableCF(0.125, np.zeros(2), 0.0)]
+        save_cfs(tmp_path / "decayed", cfs)
+        assert [cf.n for cf in load_cfs(tmp_path / "decayed")] == [2.5, 0.125]
 
 
 class TestVersioning:

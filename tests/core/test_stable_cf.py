@@ -417,23 +417,21 @@ class TestStableSerialization:
         for got, want in zip(loaded, cfs):
             assert got.allclose(want)
 
-    def test_classic_archives_stay_version_1(self, tmp_path):
+    def test_classic_archives_store_ls_ss(self, tmp_path):
+        from repro.core.container import read
         from repro.core.serialization import save_cfs
 
         path = tmp_path / "classic.npz"
         save_cfs(path, [CF.from_point([1.0, 2.0])])
-        with np.load(path) as data:
-            assert int(data["version"]) == 1
-            assert "ls" in data and "means" not in data
+        assert set(read(path, "cfs").arrays) == {"ns", "ls", "ss"}
 
-    def test_stable_archives_are_version_2(self, tmp_path):
+    def test_stable_archives_store_mean_ssd(self, tmp_path):
+        from repro.core.container import read
         from repro.core.serialization import save_cfs
 
         path = tmp_path / "stable.npz"
         save_cfs(path, [StableCF.from_point([1.0, 2.0])])
-        with np.load(path) as data:
-            assert int(data["version"]) == 2
-            assert "means" in data and "ls" not in data
+        assert set(read(path, "cfs").arrays) == {"ns", "means", "ssds"}
 
     def test_mixed_backend_list_rejected(self, tmp_path):
         from repro.core.serialization import save_cfs

@@ -301,10 +301,7 @@ class TestCheckpointResume:
     ) -> None:
         """Checkpoints written without the guardrails block resume with
         zeroed accounting instead of failing."""
-        import io
-        import json
-
-        from repro.core.checkpoint import _seal, _unseal
+        from tests.legacy_formats import birchckp_bytes, checkpoint_state
 
         points = np.random.default_rng(1).normal(0, 5, (300, 2))
         est = Birch(_config("stable", n_clusters=2))
@@ -313,18 +310,9 @@ class TestCheckpointResume:
         est.checkpoint(ckpt)
 
         # Strip the guardrails metadata to mimic an old-format file.
-        payload = _unseal(ckpt.read_bytes(), ckpt)
-        with np.load(io.BytesIO(payload)) as data:
-            arrays = {key: data[key] for key in data.files}
-        meta = json.loads(bytes(arrays.pop("meta")).decode())
+        meta, arrays = checkpoint_state(ckpt)
         assert meta.pop("guardrails", None) is not None
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            **arrays,
-        )
-        ckpt.write_bytes(_seal(buffer.getvalue()))
+        ckpt.write_bytes(birchckp_bytes(meta, arrays, 2))
 
         resumed = Birch.resume(ckpt)
         assert resumed.points_seen == 300

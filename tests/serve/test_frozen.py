@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
-import json
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +16,7 @@ from repro.core.serialization import save_result
 from repro.datagen.presets import ds1, ds2
 from repro.errors import ArchiveError, NotFittedError
 from repro.serve import FrozenModel, compile_model
+from tests.legacy_formats import v1_checkpoint_bytes
 
 pytestmark = pytest.mark.serve
 
@@ -138,27 +136,7 @@ class TestCompileSources:
         estimator.partial_fit(small_fit)
         ckpt = tmp_path / "v1.ckpt"
         estimator.checkpoint(ckpt)
-        raw = ckpt.read_bytes()
-        with np.load(io.BytesIO(raw[52:]), allow_pickle=False) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {
-                key: data[key]
-                for key in data.files
-                if key != "meta" and not key.startswith("evolve_")
-            }
-        meta.pop("evolve", None)
-        meta["format"] = 1
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            **arrays,
-        )
-        payload = buffer.getvalue()
-        packed = struct.pack("<I", 1)
-        length = struct.pack("<Q", len(payload))
-        digest = hashlib.sha256(packed + length + payload).digest()
-        ckpt.write_bytes(b"BIRCHCKP" + packed + digest + length + payload)
+        ckpt.write_bytes(v1_checkpoint_bytes(ckpt))
 
         model = compile_model(ckpt)
         resumed = Birch.resume(ckpt)

@@ -449,3 +449,51 @@ class TestInspect:
         code = main(["inspect", str(junk)])
         assert code == EXIT_ARCHIVE
         assert "error:" in capsys.readouterr().err
+
+    def test_inspect_result_archive(self, csv_points, tmp_path, capsys):
+        archive = tmp_path / "out.bin"
+        assert main(
+            ["cluster", str(csv_points), "-k", "3", "--save-result", str(archive)]
+        ) == 0
+        assert f"result archive written to {archive}" in capsys.readouterr().out
+        assert archive.exists()
+        assert main(["inspect", str(archive)]) == 0
+        out = capsys.readouterr().out
+        assert f"result archive {archive}: 3 clusters, d=2, 180 points" in out
+        assert "final T=" in out
+        assert "rebuilds" in out
+
+    def test_inspect_legacy_result_archive(self, csv_points, tmp_path, capsys):
+        from tests.legacy_formats import npz_copy
+
+        archive = tmp_path / "out.bin"
+        main(["cluster", str(csv_points), "-k", "3", "--save-result", str(archive)])
+        legacy = tmp_path / "legacy.npz"
+        npz_copy(archive, legacy)
+        capsys.readouterr()
+        assert main(["inspect", str(legacy)]) == 0
+        assert "3 clusters" in capsys.readouterr().out
+
+    def test_inspect_cf_archive(self, tmp_path, rng, capsys):
+        from repro.core.features import CF
+        from repro.core.serialization import save_cfs
+
+        archive = tmp_path / "summary.cfs"
+        save_cfs(archive, [CF.from_points(rng.normal(size=(4, 3)))] * 5)
+        assert main(["inspect", str(archive)]) == 0
+        out = capsys.readouterr().out
+        assert f"CF archive {archive}: 5 CF entries, d=3, 20 points" in out
+
+    def test_inspect_flipped_result_byte_exits_5(
+        self, csv_points, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_CHECKSUM
+
+        archive = tmp_path / "out.bin"
+        main(["cluster", str(csv_points), "-k", "3", "--save-result", str(archive)])
+        raw = bytearray(archive.read_bytes())
+        raw[-1] ^= 0x01
+        archive.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["inspect", str(archive)]) == EXIT_CHECKSUM
+        assert "integrity" in capsys.readouterr().err
