@@ -7,8 +7,9 @@ a large DS1 grid, isolating what the parallel runtime rebuild changed:
   point arrays into workers),
 * the persistent worker pool (created once, reused for every shard
   dispatch and every merge round), and
-* pairwise tournament merge reduction with batched CF insertion
-  (``ceil(log2 N)`` rounds of ``bulk_insert_cfs`` folds instead of a
+* pairwise tournament merge reduction (``ceil(log2 N)`` rounds of
+  pair folds, each moving the donor's leaf entries through
+  ``CFTree.bulk_insert`` — the path raw points take — instead of a
   serial per-entry ``insert_cf`` fold in the parent).
 
 Results land in ``BENCH_phase1_scale.json``.  **Honesty note:** the

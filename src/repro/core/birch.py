@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.config import BirchConfig
 from repro.core.evolve import DriftMonitor, EpochBucket, EpochBuckets
-from repro.core.features import CF, AnyCF, StableCF
+from repro.core.features import CF, AnyCF, StableCF, point_rows, row_cf
 from repro.core.global_clustering import (
     CFKMeans,
     CFMedoids,
@@ -529,15 +529,7 @@ class Birch:
     def _partial_fit_clean(
         self, points: np.ndarray, weight_arr: Optional[np.ndarray]
     ) -> "Birch":
-        """Phase 1 insertion of an already-screened float64 batch.
-
-        Unit-weight batches on a healthy tree go through
-        :meth:`CFTree.bulk_insert`, which picks speculative windows or
-        scalar runs per window and is byte-identical to the per-point
-        loop either way; weighted, delayed, decayed or degraded streams
-        take the guarded per-point path, whose extra per-insert checks
-        are the point.
-        """
+        """Phase 1 insertion of an already-screened float64 batch."""
         if points.shape[0] == 0:
             return self  # the whole batch was rejected (with accounting)
         if self._tree is None:
@@ -547,15 +539,7 @@ class Birch:
         start = time.perf_counter()
         rebuilds_before = self._rebuild_seconds
         try:
-            if weight_arr is None or (weight_arr == 1).all():
-                if self._tree.decay_half_life is not None:
-                    # The bulk window cannot replay fractional counts
-                    # bitwise (see CFTree.bulk_insert).
-                    self._scalar_ingest(points)
-                    return self
-                self._bulk_ingest(points)
-                return self
-            self._weighted_ingest(points, weight_arr)
+            self._ingest(points, weight_arr)
             return self
         finally:
             elapsed = time.perf_counter() - start
@@ -563,69 +547,64 @@ class Birch:
                 0.0, elapsed - (self._rebuild_seconds - rebuilds_before)
             )
 
-    def _bulk_ingest(self, points: np.ndarray) -> None:
-        """Unit-weight Phase 1 scan through :meth:`CFTree.bulk_insert`.
+    def _ingest(
+        self, points: np.ndarray, weight_arr: Optional[np.ndarray]
+    ) -> None:
+        """Phase 1 scan of a batch through :meth:`CFTree.bulk_insert`.
 
+        Each point goes in as the CF row of its weight (one point, or
+        the image study's ``w`` coincident points; see
+        :func:`~repro.core.features.point_rows`), on decayed trees too.
         The tree chooses per window between speculative windows and
-        scalar runs; both build the per-point loop's tree.  Equivalence
-        with :meth:`_insert_one`'s budget checks rests on one invariant:
-        only an insertion that allocates or frees a node can flip the
-        memory budget's over/under state, and ``stop_on_alloc=True``
-        returns control here right after such an insertion, so a scalar
-        run may span many calls.  If a rebuild leaves the tree over
-        budget, the next call returns after the first row that needs a
-        new entry, and this loop rebuilds again.  Checkpoint cadence is
-        preserved by capping each call at the next checkpoint boundary.
+        scalar runs; both build the tree of a per-row
+        :meth:`_insert_one` loop.  Equivalence with that loop's budget
+        checks rests on one invariant: only an insertion that allocates
+        or frees a node can flip the memory budget's over/under state,
+        and ``stop_on_alloc=True`` returns control here right after such
+        an insertion, so a scalar run may span many calls.  If a
+        rebuild leaves the tree over budget, the next call returns
+        after the first row that needs a new entry, and this loop
+        rebuilds again.  Checkpoint cadence is preserved by capping each
+        call at the row whose weight reaches the next checkpoint
+        boundary.  Delayed and degraded streams leave the fast path:
+        the guarded per-row :meth:`_insert_one` owns their rows, whose
+        extra per-insert checks are the point.
         """
         assert self._tree is not None and self._budget is not None
-        n = points.shape[0]
+        ns, vecs, sqs = point_rows(points, self.config.cf_backend, weight_arr)
+        n = ns.shape[0]
+        # fed[i]: raw points in rows 0..i-1, the ledger's unit.
+        fed = (
+            np.arange(n + 1)
+            if weight_arr is None
+            else np.concatenate(([0], np.cumsum(weight_arr)))
+        )
         every = self.config.checkpoint_every_points
         i = 0
         while i < n:
             if self._delay_mode or (
                 self._watchdog is not None and self._watchdog.degraded
             ):
-                # The stream left the healthy fast-path regime; the
-                # guarded per-point path owns these rows.
-                self._scalar_ingest(points[i:])
+                backend = self.config.cf_backend
+                for t in range(i, n):
+                    self._insert_one(row_cf(ns[t], vecs[t], sqs[t], backend))
                 return
             cap = n - i
             if every is not None:
-                cap = min(cap, max(1, self._next_checkpoint_at - self._points_seen))
+                due = fed[i] + max(1, self._next_checkpoint_at - self._points_seen)
+                cap = min(cap, int(np.searchsorted(fed, due)) - i)
             took = self._tree.bulk_insert(
-                points[i : i + cap], max_rows=cap, stop_on_alloc=True
+                vecs[i : i + cap], ns[i : i + cap], sqs[i : i + cap],
+                stop_on_alloc=True,
             )
+            self._points_seen += int(fed[i + took] - fed[i])
             i += took
-            self._points_seen += took
             if self._budget.over_budget:
                 if self.config.delay_split and self._outlier_handler is not None:
                     self._delay_mode = True
                 else:
                     self._rebuild()
             self._maybe_checkpoint()
-
-    def _scalar_ingest(self, points: np.ndarray) -> None:
-        """Per-point unit-weight insertion through the guarded path."""
-        if self.config.cf_backend == "stable":
-            for row in points:
-                self._insert_one(StableCF(1, row.copy(), 0.0))
-            return
-        norms = np.einsum("ij,ij->i", points, points)
-        for row, norm in zip(points, norms):
-            self._insert_one(CF(1, row.copy(), float(norm)))
-
-    def _weighted_ingest(
-        self, points: np.ndarray, weight_arr: np.ndarray
-    ) -> None:
-        """Weighted insertion (image-study multiplicities)."""
-        if self.config.cf_backend == "stable":
-            # w coincident points have mean = the point and SSD = 0.
-            for row, w in zip(points, weight_arr):
-                self._insert_one(StableCF(int(w), row.copy(), 0.0))
-            return
-        norms = np.einsum("ij,ij->i", points, points)
-        for row, norm, w in zip(points, norms, weight_arr):
-            self._insert_one(CF(int(w), w * row, float(w * norm)))
 
     def _sharded_phase1(self, points: np.ndarray, n_jobs: int) -> None:
         """Sharded parallel Phase 1 (``fit(..., n_jobs=N)``).

@@ -57,22 +57,18 @@ __all__ = [
     "classic_merged_radius_core",
     "distance",
     "distances_to_set",
-    "gathered_point_distances",
+    "gathered_cf_distances",
     "merged_diameter",
     "merged_radius",
-    "paired_point_distances",
-    "paired_point_merged_stat",
-    "point_distances_to_set",
+    "paired_cf_merged_stat",
     "stable_distances_core",
     "stable_distances_to_set",
-    "stable_gathered_point_distances",
+    "stable_gathered_cf_distances",
     "stable_merged_diameter",
     "stable_merged_radius",
     "stable_merged_radius_core",
     "stable_cf_batch_distances",
-    "stable_paired_point_distances",
-    "stable_paired_point_merged_stat",
-    "stable_point_distances_to_set",
+    "stable_paired_cf_merged_stat",
 ]
 
 
@@ -418,139 +414,54 @@ def stable_merged_radius_core(
 
 # -- bulk-ingest kernels ------------------------------------------------------
 #
-# The vectorised Phase-1 fast path (CFTree.bulk_insert) evaluates many
-# singleton probes against a node's entries in one call.  Each kernel
-# below reproduces, element for element, the exact floating-point value
-# the corresponding per-probe kernel above would compute — same
-# elementwise operation order, same einsum contraction — so a bulk build
-# is byte-identical to per-point insertion.  That property rules out
-# BLAS ``@`` (gemm and gemv round differently) and any algebraic
-# rearrangement, however innocuous.
+# The vectorised Phase-1 fast path (CFTree.bulk_insert) routes a window
+# of CF rows of any weight with the batch kernels below
+# (cf_batch_distances / stable_cf_batch_distances) and validates it
+# with the gathered and paired kernels here, which see per-row entry
+# states that evolve within the window.  Each reproduces, element for
+# element, the exact floating-point value the corresponding per-probe
+# core above computes — same elementwise operation order, same einsum
+# contraction — so a bulk build is byte-identical to a sequential
+# insert_cf loop.  That property rules out BLAS ``@`` (gemm and gemv
+# round differently) and any algebraic rearrangement, however innocuous.
 
 
-def point_distances_to_set(
-    points: np.ndarray,
-    norms: np.ndarray,
+def gathered_cf_distances(
+    p_ns: np.ndarray,
+    p_ls: np.ndarray,
+    p_ss: np.ndarray,
     ns: np.ndarray,
     ls: np.ndarray,
     ss: np.ndarray,
     metric: Metric = Metric.D2_AVG_INTERCLUSTER,
 ) -> np.ndarray:
-    """Distances from ``m`` singleton point-CFs to ``k`` classic CFs.
+    """Distances from ``m`` classic CF probes to per-row entry states.
 
-    ``points`` is ``(m, d)``; ``norms`` holds the per-row squared norms
-    (the singleton probes' ``SS`` values, precomputed once per chunk).
-    Returns an ``(m, k)`` matrix whose row ``r`` equals
-    ``distances_to_set(CF(1, points[r], norms[r]), ns, ls, ss, metric)``
-    bitwise.
-    """
-    if ns.size == 0:
-        return np.empty((points.shape[0], 0), dtype=np.float64)
-    if metric is Metric.D0_EUCLIDEAN:
-        diff = (ls / ns[:, None])[None, :, :] - points[:, None, :]
-        return np.sqrt(np.maximum(np.einsum("rkj,rkj->rk", diff, diff), 0.0))
-    if metric is Metric.D1_MANHATTAN:
-        diff = (ls / ns[:, None])[None, :, :] - points[:, None, :]
-        return np.abs(diff).sum(axis=2)
-    if metric is Metric.D2_AVG_INTERCLUSTER:
-        cross = np.einsum("rj,kj->rk", points, ls)
-        d2 = (ns[None, :] * norms[:, None] + 1 * ss[None, :] - 2.0 * cross) / (
-            ns[None, :] * 1
-        )
-        return np.sqrt(np.maximum(d2, 0.0))
-    if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + 1
-        ls_merged = ls[None, :, :] + points[:, None, :]
-        ss_merged = ss[None, :] + norms[:, None]
-        norm = np.einsum("rkj,rkj->rk", ls_merged, ls_merged)
-        denom = (n_merged * (n_merged - 1))[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d2 = np.where(
-                denom > 0,
-                (2.0 * n_merged[None, :] * ss_merged - 2.0 * norm) / denom,
-                0.0,
-            )
-        return np.sqrt(np.maximum(d2, 0.0))
-    if metric is Metric.D4_VARIANCE_INCREASE:
-        ls_merged = ls[None, :, :] + points[:, None, :]
-        own = np.einsum("ij,ij->i", ls, ls) / ns
-        probe_own = norms / 1
-        merged = np.einsum("rkj,rkj->rk", ls_merged, ls_merged) / (ns + 1)[None, :]
-        return np.sqrt(
-            np.maximum(own[None, :] + probe_own[:, None] - merged, 0.0)
-        )
-    raise ValueError(f"unhandled metric {metric!r}")
-
-
-def stable_point_distances_to_set(
-    points: np.ndarray,
-    ns: np.ndarray,
-    means: np.ndarray,
-    ssds: np.ndarray,
-    metric: Metric = Metric.D2_AVG_INTERCLUSTER,
-) -> np.ndarray:
-    """Distances from ``m`` singleton point-CFs to ``k`` StableCFs.
-
-    Row ``r`` equals
-    ``stable_distances_to_set(StableCF(1, points[r], 0.0), ...)`` bitwise
-    (a singleton stable probe has ``n=1``, ``mean=point``, ``ssd=0``).
-    """
-    if ns.size == 0:
-        return np.empty((points.shape[0], 0), dtype=np.float64)
-    diff = means[None, :, :] - points[:, None, :]
-    if metric is Metric.D1_MANHATTAN:
-        return np.abs(diff).sum(axis=2)
-    delta2 = np.einsum("rkj,rkj->rk", diff, diff)
-    if metric is Metric.D0_EUCLIDEAN:
-        return np.sqrt(delta2)
-    if metric is Metric.D2_AVG_INTERCLUSTER:
-        return np.sqrt((ssds / ns)[None, :] + 0.0 + delta2)
-    if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + 1
-        ssd_merged = ssds[None, :] + 0.0 + ((ns * 1) / n_merged)[None, :] * delta2
-        denom = (n_merged - 1.0)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d2 = np.where(denom > 0, 2.0 * ssd_merged / denom, 0.0)
-        return np.sqrt(np.maximum(d2, 0.0))
-    if metric is Metric.D4_VARIANCE_INCREASE:
-        return np.sqrt(((ns * 1) / (ns + 1))[None, :] * delta2)
-    raise ValueError(f"unhandled metric {metric!r}")
-
-
-def gathered_point_distances(
-    points: np.ndarray,
-    norms: np.ndarray,
-    ns: np.ndarray,
-    ls: np.ndarray,
-    ss: np.ndarray,
-    metric: Metric = Metric.D2_AVG_INTERCLUSTER,
-) -> np.ndarray:
-    """Distances from ``m`` singleton point-CFs to per-row entry states.
-
-    Unlike :func:`point_distances_to_set`, every row sees its **own**
-    snapshot of the ``k`` entries: ``ns``, ``ls`` and ``ss`` have shapes
-    ``(m, k)``, ``(m, k, d)`` and ``(m, k)``.  Element ``(r, k)`` equals
-    ``distances_to_set(CF(1, points[r], norms[r]), ns[r], ls[r],
+    The probes have shapes ``(m,)``, ``(m, d)`` and ``(m,)``; every
+    probe sees its **own** snapshot of the ``k`` entries: ``ns``,
+    ``ls`` and ``ss`` have shapes ``(m, k)``, ``(m, k, d)`` and
+    ``(m, k)``.  Element ``(r, k)`` equals
+    ``distances_to_set(CF(p_ns[r], p_ls[r], p_ss[r]), ns[r], ls[r],
     ss[r], metric)[k]`` bitwise.  This is the validation kernel of the
     bulk-ingest fast path, where entries evolve row by row within a
     window.
     """
     if ns.shape[1] == 0:
-        return np.empty((points.shape[0], 0), dtype=np.float64)
-    if metric is Metric.D0_EUCLIDEAN:
-        diff = ls / ns[:, :, None] - points[:, None, :]
+        return np.empty((p_ns.shape[0], 0), dtype=np.float64)
+    pn = p_ns[:, None]
+    if metric is Metric.D0_EUCLIDEAN or metric is Metric.D1_MANHATTAN:
+        diff = ls / ns[:, :, None] - (p_ls / pn)[:, None, :]
+        if metric is Metric.D1_MANHATTAN:
+            return np.abs(diff).sum(axis=2)
         return np.sqrt(np.maximum(np.einsum("rkj,rkj->rk", diff, diff), 0.0))
-    if metric is Metric.D1_MANHATTAN:
-        diff = ls / ns[:, :, None] - points[:, None, :]
-        return np.abs(diff).sum(axis=2)
     if metric is Metric.D2_AVG_INTERCLUSTER:
-        cross = np.einsum("rj,rkj->rk", points, ls)
-        d2 = (ns * norms[:, None] + 1 * ss - 2.0 * cross) / (ns * 1)
+        cross = np.einsum("rj,rkj->rk", p_ls, ls)
+        d2 = (ns * p_ss[:, None] + pn * ss - 2.0 * cross) / (ns * pn)
         return np.sqrt(np.maximum(d2, 0.0))
+    n_merged = ns + pn
+    ls_merged = ls + p_ls[:, None, :]
     if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + 1
-        ls_merged = ls + points[:, None, :]
-        ss_merged = ss + norms[:, None]
+        ss_merged = ss + p_ss[:, None]
         norm = np.einsum("rkj,rkj->rk", ls_merged, ls_merged)
         denom = n_merged * (n_merged - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -559,180 +470,115 @@ def gathered_point_distances(
             )
         return np.sqrt(np.maximum(d2, 0.0))
     if metric is Metric.D4_VARIANCE_INCREASE:
-        ls_merged = ls + points[:, None, :]
         own = np.einsum("rkj,rkj->rk", ls, ls) / ns
-        probe_own = norms / 1
-        merged = np.einsum("rkj,rkj->rk", ls_merged, ls_merged) / (ns + 1)
+        probe_own = np.einsum("rj,rj->r", p_ls, p_ls) / p_ns
+        merged = np.einsum("rkj,rkj->rk", ls_merged, ls_merged) / n_merged
         return np.sqrt(np.maximum(own + probe_own[:, None] - merged, 0.0))
     raise ValueError(f"unhandled metric {metric!r}")
 
 
-def stable_gathered_point_distances(
-    points: np.ndarray,
+def stable_gathered_cf_distances(
+    p_ns: np.ndarray,
+    p_means: np.ndarray,
+    p_ssds: np.ndarray,
     ns: np.ndarray,
     means: np.ndarray,
     ssds: np.ndarray,
     metric: Metric = Metric.D2_AVG_INTERCLUSTER,
 ) -> np.ndarray:
-    """Stable counterpart of :func:`gathered_point_distances`.
+    """Stable counterpart of :func:`gathered_cf_distances`.
 
-    ``ns``/``means``/``ssds`` are per-row entry snapshots of shapes
-    ``(m, k)``, ``(m, k, d)`` and ``(m, k)``; element ``(r, k)`` equals
-    ``stable_distances_to_set(StableCF(1, points[r], 0.0), ns[r],
-    means[r], ssds[r], metric)[k]`` bitwise.
+    Same shapes; element ``(r, k)`` equals
+    ``stable_distances_to_set(StableCF(p_ns[r], p_means[r], p_ssds[r]),
+    ns[r], means[r], ssds[r], metric)[k]`` bitwise.
     """
     if ns.shape[1] == 0:
-        return np.empty((points.shape[0], 0), dtype=np.float64)
-    diff = means - points[:, None, :]
+        return np.empty((p_ns.shape[0], 0), dtype=np.float64)
+    diff = means - p_means[:, None, :]
     if metric is Metric.D1_MANHATTAN:
         return np.abs(diff).sum(axis=2)
     delta2 = np.einsum("rkj,rkj->rk", diff, diff)
     if metric is Metric.D0_EUCLIDEAN:
         return np.sqrt(delta2)
+    pn = p_ns[:, None]
     if metric is Metric.D2_AVG_INTERCLUSTER:
-        return np.sqrt(ssds / ns + 0.0 + delta2)
+        return np.sqrt(ssds / ns + (p_ssds / p_ns)[:, None] + delta2)
+    n_merged = ns + pn
     if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + 1
-        ssd_merged = ssds + 0.0 + ((ns * 1) / n_merged) * delta2
+        ssd_merged = ssds + p_ssds[:, None] + (ns * pn / n_merged) * delta2
         denom = n_merged - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = np.where(denom > 0, 2.0 * ssd_merged / denom, 0.0)
         return np.sqrt(np.maximum(d2, 0.0))
     if metric is Metric.D4_VARIANCE_INCREASE:
-        return np.sqrt(((ns * 1) / (ns + 1)) * delta2)
+        return np.sqrt((ns * pn / n_merged) * delta2)
     raise ValueError(f"unhandled metric {metric!r}")
 
 
-def paired_point_distances(
-    points: np.ndarray,
-    norms: np.ndarray,
+def paired_cf_merged_stat(
+    p_ns: np.ndarray,
+    p_ls: np.ndarray,
+    p_ss: np.ndarray,
     ns: np.ndarray,
     ls: np.ndarray,
     ss: np.ndarray,
-    metric: Metric = Metric.D2_AVG_INTERCLUSTER,
+    kind: str,
 ) -> np.ndarray:
-    """Row-wise distances: point ``r`` vs classic CF ``r`` (evolving states).
+    """Merged diameter/radius of classic CF probe ``r`` with CF ``r``.
 
-    All arguments are parallel over the first axis; element ``r`` equals
-    ``distances_to_set(CF(1, points[r], norms[r]), ns[r:r+1], ...)[0]``
-    bitwise.  Used by the bulk path to re-evaluate the one entry a run
-    mutates row by row while every other entry stays cached.
+    All arguments are parallel over the first axis.  ``kind`` is
+    ``"diameter"`` or ``"radius"``; element ``r`` equals the scalar
+    :func:`merged_diameter`/:func:`merged_radius` of probe ``r`` on a
+    one-entry slice, bitwise (the leaf threshold test of the bulk path).
     """
-    if metric is Metric.D0_EUCLIDEAN:
-        diff = ls / ns[:, None] - points
-        return np.sqrt(np.maximum(np.einsum("rj,rj->r", diff, diff), 0.0))
-    if metric is Metric.D1_MANHATTAN:
-        diff = ls / ns[:, None] - points
-        return np.abs(diff).sum(axis=1)
-    if metric is Metric.D2_AVG_INTERCLUSTER:
-        cross = np.einsum("rj,rj->r", ls, points)
-        d2 = (ns * norms + 1 * ss - 2.0 * cross) / (ns * 1)
-        return np.sqrt(np.maximum(d2, 0.0))
-    if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + 1
-        ls_merged = ls + points
-        ss_merged = ss + norms
-        norm = np.einsum("rj,rj->r", ls_merged, ls_merged)
+    n_merged = ns + p_ns
+    ls_merged = ls + p_ls
+    ss_merged = ss + p_ss
+    norm = np.einsum("rj,rj->r", ls_merged, ls_merged)
+    if kind == "diameter":
         denom = n_merged * (n_merged - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = np.where(
                 denom > 0, (2.0 * n_merged * ss_merged - 2.0 * norm) / denom, 0.0
             )
-        return np.sqrt(np.maximum(d2, 0.0))
-    if metric is Metric.D4_VARIANCE_INCREASE:
-        ls_merged = ls + points
-        own = np.einsum("rj,rj->r", ls, ls) / ns
-        probe_own = norms / 1
-        merged = np.einsum("rj,rj->r", ls_merged, ls_merged) / (ns + 1)
-        return np.sqrt(np.maximum(own + probe_own - merged, 0.0))
-    raise ValueError(f"unhandled metric {metric!r}")
+    else:
+        d2 = ss_merged / n_merged - norm / (n_merged * n_merged)
+    return np.sqrt(np.maximum(d2, 0.0))
 
 
-def stable_paired_point_distances(
-    points: np.ndarray,
+def stable_paired_cf_merged_stat(
+    p_ns: np.ndarray,
+    p_means: np.ndarray,
+    p_ssds: np.ndarray,
     ns: np.ndarray,
     means: np.ndarray,
     ssds: np.ndarray,
-    metric: Metric = Metric.D2_AVG_INTERCLUSTER,
+    kind: str,
 ) -> np.ndarray:
-    """Row-wise distances: point ``r`` vs StableCF ``r`` (evolving states)."""
-    diff = means - points
-    if metric is Metric.D1_MANHATTAN:
-        return np.abs(diff).sum(axis=1)
+    """Merged diameter/radius of StableCF probe ``r`` with StableCF ``r``."""
+    diff = means - p_means
     delta2 = np.einsum("rj,rj->r", diff, diff)
-    if metric is Metric.D0_EUCLIDEAN:
-        return np.sqrt(delta2)
-    if metric is Metric.D2_AVG_INTERCLUSTER:
-        return np.sqrt(ssds / ns + 0.0 + delta2)
-    if metric is Metric.D3_AVG_INTRACLUSTER:
-        n_merged = ns + 1
-        ssd_merged = ssds + 0.0 + ((ns * 1) / n_merged) * delta2
+    n_merged = ns + p_ns
+    ssd_merged = ssds + p_ssds + (ns * p_ns / n_merged) * delta2
+    if kind == "diameter":
         denom = n_merged - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = np.where(denom > 0, 2.0 * ssd_merged / denom, 0.0)
         return np.sqrt(np.maximum(d2, 0.0))
-    if metric is Metric.D4_VARIANCE_INCREASE:
-        return np.sqrt(((ns * 1) / (ns + 1)) * delta2)
-    raise ValueError(f"unhandled metric {metric!r}")
-
-
-def paired_point_merged_stat(
-    points: np.ndarray,
-    norms: np.ndarray,
-    ns: np.ndarray,
-    ls: np.ndarray,
-    ss: np.ndarray,
-    kind: str,
-) -> np.ndarray:
-    """Merged diameter/radius of point ``r`` with classic CF ``r``.
-
-    ``kind`` is ``"diameter"`` or ``"radius"``; element ``r`` equals the
-    scalar :func:`merged_diameter`/:func:`merged_radius` on a one-entry
-    slice, bitwise (the leaf threshold test of the bulk path).
-    """
-    if kind == "diameter":
-        return paired_point_distances(
-            points, norms, ns, ls, ss, Metric.D3_AVG_INTRACLUSTER
-        )
-    n_merged = ns + 1
-    ls_merged = ls + points
-    ss_merged = ss + norms
-    norm = np.einsum("rj,rj->r", ls_merged, ls_merged)
-    r2 = ss_merged / n_merged - norm / (n_merged * n_merged)
-    return np.sqrt(np.maximum(r2, 0.0))
-
-
-def stable_paired_point_merged_stat(
-    points: np.ndarray,
-    ns: np.ndarray,
-    means: np.ndarray,
-    ssds: np.ndarray,
-    kind: str,
-) -> np.ndarray:
-    """Merged diameter/radius of point ``r`` with StableCF ``r``."""
-    if kind == "diameter":
-        return stable_paired_point_distances(
-            points, ns, means, ssds, Metric.D3_AVG_INTRACLUSTER
-        )
-    diff = means - points
-    delta2 = np.einsum("rj,rj->r", diff, diff)
-    n_merged = ns + 1
-    ssd_merged = ssds + 0.0 + ((ns * 1) / n_merged) * delta2
     return np.sqrt(np.maximum(ssd_merged, 0.0) / n_merged)
 
 
-# -- bulk CF-merge kernels -----------------------------------------------------
+# -- batch CF kernels -----------------------------------------------------------
 #
 # These kernels evaluate the m x k distance matrix between CF *probes*
-# (not singleton points) and a node's entries.  The batched CF descent
-# (CFTree.bulk_insert_cfs, used by the pairwise tree merge) routes m
-# subcluster CFs through a node with one call, and
+# of any weight and a node's entries.  CFTree.bulk_insert routes a
+# window of rows through a node with one call, and
 # CFNode.pairwise_entry_distances evaluates a node against itself.  Row
 # ``r`` equals the per-probe kernel on probe ``r`` bitwise — the same
 # elementwise operations in the same order, the same einsum
-# contractions — for D0-D4 on both backends, so the merging
-# refinement's closest pair and the threshold heuristics' pairwise
-# statistics are those of a per-entry loop.
+# contractions — for D0-D4 on both backends, so the bulk path's routing,
+# the merging refinement's closest pair and the threshold heuristics'
+# pairwise statistics are those of a per-entry loop.
 
 
 def cf_batch_distances(

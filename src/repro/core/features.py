@@ -38,7 +38,16 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-__all__ = ["CF", "StableCF", "AnyCF", "CF_BACKENDS", "cf_row", "coerce_backend"]
+__all__ = [
+    "CF",
+    "StableCF",
+    "AnyCF",
+    "CF_BACKENDS",
+    "cf_row",
+    "coerce_backend",
+    "point_rows",
+    "row_cf",
+]
 
 #: Relative scale below which a negative square-sum / SSD residue is
 #: treated as round-off (clamped to zero) rather than a logic error.
@@ -587,6 +596,39 @@ def cf_row(cf: AnyCF) -> tuple[float, np.ndarray, float]:
     if isinstance(cf, StableCF):
         return cf.n, cf.mean, cf.ssd
     return cf.n, cf.ls, cf.ss
+
+
+def row_cf(n: float, vec: np.ndarray, sq: float, backend: str) -> AnyCF:
+    """The inverse of :func:`cf_row`: a raw row as a CF of ``backend``.
+
+    The vector is copied.  A stable row keeps its raw float count
+    (decayed entries carry fractional mass; :class:`StableCF`
+    normalises integral counts back to int).
+    """
+    if backend == "stable":
+        return StableCF(float(n), vec.copy(), float(sq))
+    return CF(int(n), vec.copy(), float(sq))
+
+
+def point_rows(
+    points: np.ndarray, backend: str, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch of points as the raw ``(ns, vecs, sqs)`` rows of ``backend``.
+
+    A point of integer weight ``w`` (default 1) is ``w`` coincident
+    points: the classic row is ``(w, w x, w ||x||^2)`` and the stable
+    row ``(w, x, 0)``.  The square norms come from one einsum over the
+    batch, which is bitwise what a per-point loop over the same rows
+    computes.  Unweighted rows share ``points`` as their vectors.
+    """
+    m = points.shape[0]
+    ns = np.ones(m) if weights is None else weights.astype(np.float64)
+    if backend == "stable":
+        return ns, points, np.zeros(m)
+    norms = np.einsum("ij,ij->i", points, points)
+    if weights is None:
+        return ns, points, norms
+    return ns, weights[:, None] * points, weights * norms
 
 
 def _validate_point(point: np.ndarray, dimensions: int | None = None) -> np.ndarray:

@@ -8,10 +8,11 @@ tree.  Because a leaf entry is an exact CF of its points, the fold
 loses nothing beyond what the absorption threshold always loses — the
 merged tree is a valid Phase 1 output for the union of the shards.
 
-:func:`merge_tree_pair` is the unit of work: one donor tree folded into
-one accumulator through :meth:`~repro.core.tree.CFTree.bulk_insert_cfs`
-(batched routing descent instead of a per-entry scalar insert), growing
-the threshold with the standard policy whenever the merged tree would
+:func:`merge_tree_pair` is the unit of work: one donor tree's leaf
+entries folded into one accumulator through the same batched insertion
+path as raw points (:meth:`~repro.core.tree.CFTree.bulk_insert`, which
+is byte-identical to a per-entry ``insert_cf`` fold), growing the
+threshold with the standard policy whenever the merged tree would
 exceed its memory budget.  :func:`merge_trees` keeps the historical
 N-ary API as a sequential fold over pairs; the sharded build reduces
 pairs in parallel rounds instead (see :mod:`repro.parallel.worker`).
@@ -26,6 +27,7 @@ import numpy as np
 from repro.core.rebuild import rebuild_tree
 from repro.core.threshold import ThresholdPolicy
 from repro.core.tree import CFTree
+from repro.observe.recorder import NULL_RECORDER
 
 __all__ = ["merge_tree_pair", "merge_trees"]
 
@@ -88,11 +90,13 @@ def merge_tree_pair(
 
     ``acc`` is the accumulator (consumed and returned, possibly
     rebuilt coarser); ``donor`` is read but not freed.  Entries move in
-    leaf-chain order through the batched CF descent, pausing to re-check
-    the memory budget after any insertion that allocated a node and
-    rebuilding at the policy's next threshold whenever the budget trips
-    — the same grow-until-it-fits loop Phase 1 applies to raw points,
-    lifted to subclusters.
+    leaf-chain order through :meth:`~repro.core.tree.CFTree.bulk_insert`,
+    pausing to re-check the memory budget after any insertion that
+    allocated a node and rebuilding at the policy's next threshold
+    whenever the budget trips — the same grow-until-it-fits loop Phase 1
+    applies to raw points, lifted to subclusters.  The result is
+    byte-identical to a per-entry ``insert_cf`` fold with the same
+    budget checks.
 
     Returns a tree whose summary CF is the exact sum of both inputs'
     (CF additivity, Theorem 4.1) and whose threshold is at least the
@@ -113,7 +117,11 @@ def merge_tree_pair(
     total = ns.shape[0]
     i = 0
     while i < total:
-        i = merged.bulk_insert_cfs(ns, vecs, sqs, start=i, stop_on_alloc=True)
+        # Donor entries are not stream rows: keep them out of the
+        # accumulator's bulk.* counters.
+        recorder, merged.recorder = merged.recorder, NULL_RECORDER
+        i += merged.bulk_insert(vecs[i:], ns[i:], sqs[i:], stop_on_alloc=True)
+        merged.recorder = recorder
         while merged.budget is not None and merged.budget.over_budget:
             new_threshold = policy.next_threshold(merged, merged.points)
             merged = rebuild_tree(merged, new_threshold)

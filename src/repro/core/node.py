@@ -43,6 +43,7 @@ from repro.core.features import (
     StableCF,
     cf_row,
     coerce_backend,
+    row_cf,
 )
 from repro.pagestore.page import PageLayout
 
@@ -148,13 +149,9 @@ class CFNode:
     def entry_cf(self, index: int) -> AnyCF:
         """Entry ``index`` as an independent CF object (backend class)."""
         self._check_index(index)
-        if self.cf_backend == "stable":
-            # Pass the raw float count: decayed entries carry fractional
-            # mass (StableCF normalises integral counts back to int).
-            return StableCF(
-                float(self._ns[index]), self._vec[index].copy(), float(self._sq[index])
-            )
-        return CF(int(self._ns[index]), self._vec[index].copy(), float(self._sq[index]))
+        return row_cf(
+            self._ns[index], self._vec[index], self._sq[index], self.cf_backend
+        )
 
     def iter_entry_cfs(self) -> Iterator[AnyCF]:
         """All live entries as CF objects (copies)."""

@@ -19,8 +19,12 @@ keep the same accounting guarantee with a simpler progressive sweep:
   and the budget's ``transient_pages`` allowance is set to the old
   height for the duration, mirroring the theorem's ``h`` extra pages.
 
-Entries can be diverted to an outlier sink instead of reinserted; this
-is how the outlier-handling option hooks into rebuilds (Section 5.1.4).
+Each old leaf's entries go back in through one
+:meth:`~repro.core.tree.CFTree.bulk_insert` call, which builds exactly
+the tree a per-entry :meth:`~repro.core.tree.CFTree.insert_cf` loop
+would (an entry is a CF row like any other).  Entries can be diverted
+to an outlier sink instead of reinserted; this is how the
+outlier-handling option hooks into rebuilds (Section 5.1.4).
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import math
 import time
 from typing import Callable, Optional
 
-from repro.core.features import AnyCF
+import numpy as np
+
+from repro.core.features import AnyCF, row_cf
 from repro.core.node import CFNode
 from repro.core.tree import CFTree
 
@@ -102,7 +108,6 @@ def rebuild_tree(
         stats=old.stats,
         merging_refinement=old.merging_refinement,
         cf_backend=old.cf_backend,
-        recorder=old.recorder,
     )
 
     # Collect the chain up front (cheap: one pointer per leaf page); the
@@ -115,8 +120,10 @@ def rebuild_tree(
     # in-flight footprint within the old size plus h pages.
     ancestors, remaining = _leaf_ancestry(old)
     n_diverted = 0
+    divert = outlier_sink is not None and outlier_predicate is not None
     for leaf in list(old.leaves()):
-        entries = list(leaf.iter_entry_cfs())
+        size = leaf.size
+        ns, vecs, sqs = leaf._ns[:size], leaf._vec[:size], leaf._sq[:size]
         chain = ancestors.get(id(leaf), [])
         old._free_node(leaf)  # release this page before reinserting
         for interior in chain:
@@ -125,19 +132,21 @@ def rebuild_tree(
                 if old.budget is not None:
                     old.budget.release(1)
                 old._node_count -= 1
-        for cf in entries:
-            diverted = False
-            if (
-                outlier_sink is not None
-                and outlier_predicate is not None
-                and outlier_predicate(cf, mean_entry_points)
-            ):
-                diverted = outlier_sink(cf)
-            if not diverted:
-                new.insert_cf(cf)
-            elif rec.enabled:
-                n_diverted += 1
+        keep = np.ones(size, dtype=bool)
+        if divert:
+            for i in range(size):
+                cf = row_cf(ns[i], vecs[i], sqs[i], old.cf_backend)
+                if outlier_predicate(cf, mean_entry_points) and outlier_sink(cf):
+                    keep[i] = False
+                    n_diverted += 1
+        # One old leaf's kept entries per call, in chain order: the same
+        # rows a per-entry insert_cf loop would reinsert, in the same
+        # order, so the h-page bound above still holds.
+        new.bulk_insert(vecs[keep], ns[keep], sqs[keep])
 
+    # The recorder joins once the reinsertions are done: the bulk.*
+    # counters account for stream rows, not for a rebuild's entries.
+    new.recorder = rec
     if budget is not None and saved_transient is not None:
         budget.transient_pages = saved_transient
     if old.stats is not None:

@@ -9,7 +9,8 @@ round-trip serialisation:
   arrays, exactly the ``(N, LS, SS)`` layout the page model charges
   for);
 * :func:`save_tree` / :func:`load_tree` — a CF-tree's leaf entries plus
-  its parameters; loading re-inserts the entries, which by CF
+  its parameters; loading re-inserts the entries (one
+  :meth:`~repro.core.tree.CFTree.bulk_insert` call), which by CF
   additivity reproduces an equivalent tree (same summaries, possibly
   different internal node boundaries);
 * :func:`save_result` / :func:`load_result_arrays` — a fitted
@@ -37,8 +38,9 @@ import numpy as np
 from repro.core import container
 from repro.core.birch import BirchResult
 from repro.core.distances import Metric
-from repro.core.features import AnyCF, CF, StableCF
+from repro.core.features import AnyCF, CF, StableCF, coerce_backend
 from repro.core.tree import CFTree, ThresholdKind
+from repro.errors import ArchiveError
 from repro.pagestore.page import PageLayout
 
 __all__ = [
@@ -74,7 +76,25 @@ def _cfs_to_arrays(cfs: list[AnyCF]) -> dict[str, np.ndarray]:
 
 
 def _arrays_to_cfs(archive: container.Archive) -> list[AnyCF]:
-    """Unpack a loaded archive's CF arrays (either layout)."""
+    """Unpack a loaded archive's CF arrays (either layout).
+
+    Every stored count must be finite and positive — zero only for a
+    result's clusters, which Phase 4 refinement can empty.  Legacy
+    ``.npz`` archives of decayed stable fits stored counts truncated to
+    int64, so an entry that had decayed below one point reads back as
+    0; such an archive raises :class:`~repro.errors.ArchiveError`
+    instead of feeding empty CFs onward.
+    """
+    ns = np.asarray(archive["ns"], dtype=np.float64)
+    floor_ok = (ns >= 0) if archive.kind == "result" else (ns > 0)
+    bad = ~(np.isfinite(ns) & floor_ok)
+    if bad.any():
+        raise ArchiveError(
+            f"{archive.path}: {int(bad.sum())} of {ns.shape[0]} CF entries "
+            f"have a count that is not a positive finite number (first: "
+            f"{ns[int(np.argmax(bad))]:g}); the counts of a decayed fit "
+            f"archived as truncated integers cannot be restored"
+        )
     if "means" in archive:
         return [
             StableCF(float(n), mean_row.copy(), float(s))
@@ -130,7 +150,10 @@ def load_tree(path: str | Path) -> CFTree:
     """
     archive = container.read(path, "tree")
     header = archive.metadata
-    entries = _arrays_to_cfs(archive)
+    backend = header.get("cf_backend", "classic")
+    rows = _cfs_to_arrays(
+        [coerce_backend(cf, backend) for cf in _arrays_to_cfs(archive)]
+    )
     layout = PageLayout(
         page_size=int(header["page_size"]), dimensions=int(header["dimensions"])
     )
@@ -139,10 +162,13 @@ def load_tree(path: str | Path) -> CFTree:
         threshold=float(header["threshold"]),
         metric=Metric.from_name(header["metric"]),
         threshold_kind=ThresholdKind(header["threshold_kind"]),
-        cf_backend=header.get("cf_backend", "classic"),
+        cf_backend=backend,
     )
-    for cf in entries:
-        tree.insert_cf(cf)
+    ns = rows["ns"].astype(np.float64)
+    if "means" in rows:
+        tree.bulk_insert(rows["means"], ns, rows["ssds"])
+    else:
+        tree.bulk_insert(rows["ls"], ns, rows["ss"])
     return tree
 
 

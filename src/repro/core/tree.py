@@ -36,23 +36,21 @@ from repro.core.distances import (
     cf_batch_distances,
     classic_distances_core,
     classic_merged_radius_core,
-    gathered_point_distances,
-    paired_point_merged_stat,
-    point_distances_to_set,
+    gathered_cf_distances,
+    paired_cf_merged_stat,
     stable_cf_batch_distances,
     stable_distances_core,
-    stable_gathered_point_distances,
+    stable_gathered_cf_distances,
     stable_merged_radius_core,
-    stable_paired_point_merged_stat,
-    stable_point_distances_to_set,
+    stable_paired_cf_merged_stat,
 )
 from repro.core.features import (
-    CF,
     AnyCF,
     CF_BACKENDS,
     StableCF,
     cf_row,
     coerce_backend,
+    point_rows,
 )
 from repro.core.node import CFNode
 from repro.errors import UnsupportedBackendError
@@ -87,11 +85,6 @@ _SCALAR_MIN_RUN = 16
 _SCALAR_MAX_RUN = 1024
 
 _EPS = float(np.finfo(np.float64).eps)
-
-#: Routing chunk for :meth:`CFTree.bulk_insert_cfs` (the batched CF
-#: merge).  One batched descent routes this many donor CFs before the
-#: sequential apply step re-validates each against the evolved tree.
-_CF_BULK_CHUNK = 256
 
 
 class ThresholdKind(enum.Enum):
@@ -315,80 +308,89 @@ class CFTree:
             )
         return points
 
-    def _scratch_cf(self) -> AnyCF:
-        """A reusable singleton-probe CF for the hot insertion loops.
-
-        ``insert_cf`` copies entry data into node arrays and never
-        retains the probe object, so one scratch instance can carry a
-        fresh row (as a view, no copy) on every iteration instead of
-        allocating a CF object and a row copy per point.
-        """
-        zero = np.zeros(self.layout.dimensions, dtype=np.float64)
-        if self.cf_backend == "stable":
-            return StableCF(1, zero, 0.0)
-        return CF(1, zero, 0.0)
-
     def insert_points(self, points: np.ndarray) -> None:
-        """Insert a batch of points (rows of an ``(n, d)`` array).
+        """Insert a batch of points one row at a time (rows of ``(n, d)``).
 
-        Semantically identical to calling :meth:`insert_point` per row.
-        The square norms of the whole chunk are precomputed in one
-        vectorised pass for both backends (they are the singleton
-        probes' ``SS`` values; a stable singleton carries ``SSD = 0``
-        and ignores them), and one scratch CF is reused across rows.
-        A single ``(d,)`` point is promoted to ``(1, d)``.
+        Semantically identical to calling :meth:`insert_point` per row;
+        the per-point oracle that :meth:`bulk_insert` is checked against.
+        The rows come from :func:`~repro.core.features.point_rows` (one
+        vectorised square-norm pass; a stable singleton carries
+        ``SSD = 0``).  A single ``(d,)`` point is promoted to ``(1, d)``.
         """
         points = self._coerce_points(points)
         if self.recorder.enabled:
             self.recorder.count("scalar.rows", points.shape[0])
-        self._insert_rows(points, 0, points.shape[0], stop_on_alloc=False)
+        rows = point_rows(points, self.cf_backend)
+        self._insert_rows(*rows, 0, points.shape[0], stop_on_alloc=False)
 
     def _insert_rows(
-        self, points: np.ndarray, start: int, count: int, stop_on_alloc: bool
+        self,
+        ns: np.ndarray,
+        vecs: np.ndarray,
+        sqs: np.ndarray,
+        start: int,
+        count: int,
+        stop_on_alloc: bool,
     ) -> int:
-        """Insert ``points[start:start+count]`` one row at a time.
+        """Insert rows ``start .. start+count-1`` one at a time.
 
         The scalar path shared by :meth:`insert_points`, the chooser's
-        scalar runs and :meth:`bulk_insert`'s threshold-miss fallback.
-        Classic probes take their ``SS`` from one einsum over the run,
-        bitwise equal to a whole-chunk einsum over the same rows; a
-        stable singleton carries ``SSD = 0``.  With ``stop_on_alloc``
-        the run ends right after an insertion that allocated or freed a
-        node.  Returns the number of rows inserted.
+        scalar runs and :meth:`bulk_insert`'s threshold-miss fallback:
+        each row goes through :meth:`insert_cf`'s pass without a CF
+        object.  With ``stop_on_alloc`` the run ends right after an
+        insertion that allocated or freed a node.  Returns the number
+        of rows inserted.
         """
-        rows = points[start : start + count]
-        stable = self.cf_backend == "stable"
-        norms = None if stable else np.einsum("ij,ij->i", rows, rows)
-        scratch = self._scratch_cf()
+        stop = start + count
         nodes = self._node_count
-        for t, row in enumerate(rows):
-            if stable:
-                scratch.mean = row
-                scratch.ssd = 0.0
-            else:
-                scratch.ls = row
-                scratch.ss = float(norms[t])
-            self.insert_cf(scratch)
+        t = start
+        for n, sq in zip(ns[start:stop].tolist(), sqs[start:stop].tolist()):
+            self._insert_row(n, vecs[t], sq)
+            t += 1
             if stop_on_alloc and self._node_count != nodes:
-                return t + 1
-        return rows.shape[0]
+                break
+        self._add_points(ns[start:t])
+        return t - start
+
+    def _add_points(self, ns: np.ndarray) -> None:
+        """Count inserted rows into :attr:`points` as ``insert_cf`` does.
+
+        Integral counts add as one exact integer sum; a fractional
+        (decayed) count makes the total a float, summed row by row in
+        order.
+        """
+        if isinstance(self._points, int) and (ns == np.rint(ns)).all():
+            self._points += int(ns.sum())
+            return
+        for n in ns.tolist():
+            self._points += n
 
     def bulk_insert(
         self,
-        points: np.ndarray,
+        vecs: np.ndarray,
+        ns: Optional[np.ndarray] = None,
+        sqs: Optional[np.ndarray] = None,
         *,
         max_rows: Optional[int] = None,
         stop_on_alloc: bool = False,
     ) -> int:
-        """Insert a batch via the Phase-1 fast path, choosing per window.
+        """Insert a batch of CF rows via the Phase-1 fast path.
 
-        Produces a tree **byte-identical** to :meth:`insert_points` on
-        the same rows (structure, entry floats, leaf chain and I/O
-        ledger).  Rows go in through one of two paths that build the
-        same tree, so the choice between them changes cost only:
+        The rows are ``(ns[i], vecs[i], sqs[i])`` in this tree's backend
+        — ``(N, LS, SS)`` classic, ``(n, mean, SSD)`` stable — of any
+        positive, possibly fractional, count: points, weighted points,
+        decayed-stream points, a rebuilt tree's old leaf entries or a
+        donor tree's entries.  Without ``ns`` and ``sqs``, ``vecs``
+        holds points, each a CF with ``n = 1``.
+
+        Produces a tree **byte-identical** to a sequential
+        :meth:`insert_cf` loop over the same rows (structure, entry
+        floats, leaf chain, point count and I/O ledger).  Rows go in
+        through one of two paths that build the same tree, so the
+        choice between them changes cost only:
 
         * **Speculative windows** (:meth:`_bulk_run`) descend once per
-          *node group* instead of once per point and commit the longest
+          *node group* instead of once per row and commit the longest
           prefix of rows whose speculative routing and threshold tests
           survive exact replay.  A first deviating row whose argmin
           flipped by in-window evolution starts the next window; a row
@@ -396,8 +398,8 @@ class CFTree:
           new entry, maybe a split) is inserted as a scalar run of
           length 1.
         * **Scalar runs** (:meth:`_insert_rows`) insert rows one by one
-          through :meth:`insert_cf`, which handles appends, splits and
-          merging refinement verbatim.
+          through :meth:`insert_cf`'s pass, which handles appends,
+          splits and merging refinement verbatim.
 
         The tree keeps a moving average of the rows each window commits.
         While it stays below ``_CHOOSER_BREAK_EVEN`` (shuffled input at
@@ -406,12 +408,16 @@ class CFTree:
         window probes the bulk path again; the run length doubles while
         probes keep failing.  The chooser reads counts only, so a
         traced run repeats its counters exactly, and its state lives on
-        this tree (a rebuild or a resume starts afresh).
+        this tree (a resume starts afresh; a rebuilt tree keeps what
+        the reinsertion of the old entries left).
 
         Parameters
         ----------
-        points:
-            ``(n, d)`` batch (or one ``(d,)`` point).
+        vecs:
+            ``(m, d)`` row vectors (or one ``(d,)`` row).
+        ns, sqs:
+            ``(m,)`` counts and scalars of the rows; both or neither.
+            Counts must be positive, as every tree entry's is.
         max_rows:
             Consume at most this many rows (``None`` = all).  Lets the
             caller align consumption with checkpoint boundaries; a
@@ -431,21 +437,14 @@ class CFTree:
             Number of rows consumed (all of them unless ``max_rows`` or
             ``stop_on_alloc`` cut the batch short).
         """
-        if self.decay_half_life is not None:
-            # The window's count history ``n + arange(m + 1)`` is not
-            # bitwise equal to repeated ``+ 1.0`` on fractional
-            # (decayed) counts; decayed trees take the scalar path.
-            raise RuntimeError(
-                "bulk_insert cannot replay fractional (decayed) counts "
-                "bitwise; a decay-enabled tree must ingest via "
-                "insert_points/insert_cf"
-            )
-        points = self._coerce_points(points)
-        limit = points.shape[0] if max_rows is None else min(
-            points.shape[0], int(max_rows)
+        vecs = self._coerce_points(vecs)
+        limit = vecs.shape[0] if max_rows is None else min(
+            vecs.shape[0], int(max_rows)
         )
         if limit <= 0:
             return 0
+        if ns is None:
+            ns, vecs, sqs = point_rows(vecs[:limit], self.cf_backend)
         stat_kind = (
             "diameter"
             if self.threshold_kind is ThresholdKind.DIAMETER
@@ -476,7 +475,8 @@ class CFTree:
             nodes = self._node_count
             if self._scalar_left and not over:
                 took = self._insert_rows(
-                    points, i, min(self._scalar_left, limit - i), stop_on_alloc
+                    ns, vecs, sqs, i, min(self._scalar_left, limit - i),
+                    stop_on_alloc,
                 )
                 i += took
                 self._scalar_left -= took
@@ -486,7 +486,7 @@ class CFTree:
                     break
                 continue
             w = min(window, limit - i)
-            absorbed, flipped = self._bulk_run(points, i, w, stat_kind)
+            absorbed, flipped = self._bulk_run(ns, vecs, sqs, i, w, stat_kind)
             i += absorbed
             self._committed_ema += _CHOOSER_EMA_WEIGHT * (
                 absorbed - self._committed_ema
@@ -499,7 +499,7 @@ class CFTree:
                 )
             self._probe_due = False
             if rec.enabled:
-                # Per-window accounting (never per point): window count,
+                # Per-window accounting (never per row): window count,
                 # absorbed prefix length, whether the whole window
                 # committed and whether a routing flip cut it — enough
                 # to derive the fallback rate and the speculative-commit
@@ -521,10 +521,10 @@ class CFTree:
                 max(_BULK_MIN_WINDOW, absorbed + absorbed // 2 + 1),
             )
             if flipped:
-                continue  # points[i] routes against committed state next
-            # points[i]'s confirmed routing fails its threshold test:
-            # insert it exactly as the per-point loop would.
-            i += self._insert_rows(points, i, 1, stop_on_alloc)
+                continue  # row i routes against committed state next
+            # Row i's confirmed routing fails its threshold test: insert
+            # it exactly as the sequential loop would.
+            i += self._insert_rows(ns, vecs, sqs, i, 1, stop_on_alloc)
             if rec.enabled:
                 rec.count("bulk.fallback_rows")
             if stop_on_alloc and (over or self._node_count != nodes):
@@ -533,7 +533,9 @@ class CFTree:
 
     def _bulk_run(
         self,
-        points: np.ndarray,
+        ns: np.ndarray,
+        vecs: np.ndarray,
+        sqs: np.ndarray,
         start: int,
         w: int,
         stat_kind: str,
@@ -543,22 +545,23 @@ class CFTree:
         :meth:`bulk_insert` calls this only when its chooser picks the
         bulk path (the window is worth speculating on, or it probes
         after a scalar run); the rows a window commits feed the
-        chooser's estimate.  Speculate-validate-commit over
-        ``points[start:start+w]``:
+        chooser's estimate.  Speculate-validate-commit over rows
+        ``start .. start+w-1``:
 
         1. **Route** the window down the tree using the entries' current
-           (static) states — one distance-matrix kernel per visited
+           (static) states — one batch distance kernel per visited
            node, rows partitioned by argmin child.
         2. **Replay** each touched entry's exact state history over the
            rows routed to it, bitwise equal to the sequential
-           ``add_to_entry`` fold, and re-evaluate every routing argmin
-           and leaf threshold test against the state each row would
-           actually have seen (the entry's state after the rows ordered
-           before it).  Nodes are validated top-down, so the first row
-           to fail a check is known early; rows at or past it can never
-           commit and are left out of every later replay.  Row
-           ``start`` always sees static state, so its routing is
-           confirmed by construction and progress is guaranteed.
+           ``CFNode.add_row`` fold with each row's own count and
+           scalar, and re-evaluate every routing argmin and leaf
+           threshold test against the state each row would actually
+           have seen (the entry's state after the rows ordered before
+           it).  Nodes are validated top-down, so the first row to fail
+           a check is known early; rows at or past it can never commit
+           and are left out of every later replay.  Row ``start``
+           always sees static state, so its routing is confirmed by
+           construction and progress is guaranteed.
         3. **Commit** the longest prefix of rows whose decisions all
            match the sequential semantics, with one batched write per
            touched entry.
@@ -572,42 +575,39 @@ class CFTree:
         """
         if self.root.size == 0:
             return 0, False
-        stable = self.cf_backend == "stable"
-        rows = points[start : start + w]
-        # Squared row norms feed only the classic kernels; a window-local
-        # einsum is bitwise equal to insert_points' whole-chunk one.
-        row_norms = None if stable else np.einsum("ij,ij->i", rows, rows)
+        stable = self._stable
+        stop = start + w
+        p_ns, rows, p_sq = ns[start:stop], vecs[start:stop], sqs[start:stop]
         d = self.layout.dimensions
-        eps = float(np.finfo(np.float64).eps)
         threshold_sq = self.threshold**2
+        if stable:
+            route = stable_cf_batch_distances
+            gathered = stable_gathered_cf_distances
+            merged_stat = stable_paired_cf_merged_stat
+        else:
+            route = cf_batch_distances
+            gathered = gathered_cf_distances
+            merged_stat = paired_cf_merged_stat
 
         # -- 1. speculative routing --------------------------------------
         # visits: (node, row indices routed here (ascending), their
-        # argmin columns), every node after its ancestors.
-        visits: list[tuple[CFNode, np.ndarray, np.ndarray]] = []
+        # argmin columns, those rows' (n, vector, scalar) gathered once
+        # for routing and validation), every node after its ancestors.
+        visits: list[tuple[CFNode, np.ndarray, np.ndarray, tuple]] = []
         pending: list[tuple[CFNode, np.ndarray]] = [(self.root, np.arange(w))]
         while pending:
             node, idx = pending.pop()
-            sub_rows = rows[idx]
-            if stable:
-                mat = stable_point_distances_to_set(
-                    sub_rows,
-                    node.ns,
-                    node._vec[: node.size],
-                    node._sq[: node.size],
-                    self.metric,
-                )
-            else:
-                mat = point_distances_to_set(
-                    sub_rows,
-                    row_norms[idx],
-                    node.ns,
-                    node._vec[: node.size],
-                    node._sq[: node.size],
-                    self.metric,
-                )
+            k = node.size
+            probes = (p_ns[idx], rows[idx], p_sq[idx])
+            mat = route(
+                *probes,
+                node._ns[:k],
+                node._vec[:k],
+                node._sq[:k],
+                self.metric,
+            )
             cols = np.argmin(mat, axis=1)
-            visits.append((node, idx, cols))
+            visits.append((node, idx, cols, probes))
             if not node.is_leaf:
                 assert node.children is not None
                 for c in np.unique(cols):
@@ -616,7 +616,7 @@ class CFTree:
 
         # -- 2. exact sequential validation ------------------------------
         # Every row's argmins and leaf threshold test are re-evaluated
-        # against exactly evolved states.  Prefix counts are exact for
+        # against exactly evolved states.  Prefix states are exact for
         # any row all of whose predecessors are confirmed, which is all
         # that matters: commit stops at the first unconfirmed row, so
         # ``cut`` (the first row known to fail) only moves down, and a
@@ -625,13 +625,14 @@ class CFTree:
         cut = w
         flipped = False
         writes: list[tuple[CFNode, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for node, idx, cols in visits:
+        for node, idx, cols, (q_ns, q_vec, q_sq) in visits:
             if idx[-1] >= cut:
                 live = int(np.searchsorted(idx, cut))
                 if live == 0:
                     continue
                 idx = idx[:live]
                 cols = cols[:live]
+                q_ns, q_vec, q_sq = q_ns[:live], q_vec[:live], q_sq[:live]
             wn = idx.shape[0]
             k = node.size
             # Per-row entry snapshots, seeded with the static states and
@@ -640,28 +641,32 @@ class CFTree:
             g_ns = np.empty((wn, k), dtype=np.float64)
             g_vec = np.empty((wn, k, d), dtype=np.float64)
             g_sq = np.empty((wn, k), dtype=np.float64)
-            g_ns[:] = node.ns
+            g_ns[:] = node._ns[:k]
             g_vec[:] = node._vec[:k]
             g_sq[:] = node._sq[:k]
             for c in np.unique(cols):
                 c = int(c)
                 assigned = idx[cols == c]
                 m = assigned.shape[0]
+                a_ns = p_ns[assigned]
                 # Entry state history: h_*[t] is entry c after absorbing
-                # the first t rows assigned to it.  Counts are exact
-                # integer-valued floats.
-                h_ns = node._ns[c] + np.arange(m + 1, dtype=np.float64)
+                # the first t rows assigned to it.  The counts are the
+                # running sum n0 + n1 + ... added left to right, as
+                # repeated add_row does.
+                h_ns = np.add.accumulate(np.concatenate((node._ns[c : c + 1], a_ns)))
                 h_vec = np.empty((m + 1, d), dtype=np.float64)
                 h_sq = np.empty(m + 1, dtype=np.float64)
                 h_vec[0] = node._vec[c]
                 h_sq[0] = node._sq[c]
                 if stable:
                     # Chan recurrence, bitwise equal to the scalar
-                    # add_to_entry update (singleton cf: n=1, ssd=0; the
-                    # precomputed coefficients are the same elementwise
-                    # IEEE divisions the scalar loop performs).
-                    inv = 1.0 / h_ns[1:]
-                    coef = h_ns[:m] / h_ns[1:]
+                    # add_row update: the precomputed coefficients are
+                    # the same elementwise IEEE operations it performs,
+                    # ``n / n_new`` and ``n_old * n / n_new``, and each
+                    # step adds the row's own SSD before the
+                    # between-means term.
+                    inv = a_ns / h_ns[1:]
+                    coef = h_ns[:m] * a_ns / h_ns[1:]
                     if d <= 2:
                         # Pure-float inner loop.  Safe only for d <= 2:
                         # the scalar path's einsum dot reduces one or
@@ -671,6 +676,7 @@ class CFTree:
                         # uses SIMD partial sums with a different
                         # reduction order.)
                         xs = rows[assigned].tolist()
+                        ssds = p_sq[assigned].tolist()
                         inv_l = inv.tolist()
                         coef_l = coef.tolist()
                         mean = node._vec[c].tolist()
@@ -683,16 +689,18 @@ class CFTree:
                                 dj = x[j] - mean[j]
                                 mean[j] += iv * dj
                                 dd += dj * dj
-                            sq += coef_l[t] * dd
+                            sq += ssds[t] + coef_l[t] * dd
                             h_vec[t + 1] = mean
                             h_sq[t + 1] = sq
                     else:
                         assigned_rows = rows[assigned]
+                        assigned_sq = p_sq[assigned]
                         for t in range(m):
                             delta = assigned_rows[t] - h_vec[t]
                             h_vec[t + 1] = h_vec[t] + inv[t] * delta
-                            h_sq[t + 1] = h_sq[t] + coef[t] * float(
-                                np.einsum("j,j->", delta, delta)
+                            h_sq[t + 1] = h_sq[t] + (
+                                assigned_sq[t]
+                                + coef[t] * float(np.einsum("j,j->", delta, delta))
                             )
                 else:
                     # Classic additivity is a left fold of +=, which
@@ -700,7 +708,7 @@ class CFTree:
                     # seeds the scan.
                     h_vec[1:] = rows[assigned]
                     h_vec = np.cumsum(h_vec, axis=0)
-                    h_sq[1:] = row_norms[assigned]
+                    h_sq[1:] = p_sq[assigned]
                     h_sq = np.cumsum(h_sq)
                 # State index each visiting row would have seen: the
                 # number of assigned rows ordered strictly before it.
@@ -709,14 +717,7 @@ class CFTree:
                 g_vec[:, c] = h_vec[t_of]
                 g_sq[:, c] = h_sq[t_of]
                 writes.append((node, c, assigned, h_ns, h_vec, h_sq))
-            if stable:
-                dists = stable_gathered_point_distances(
-                    rows[idx], g_ns, g_vec, g_sq, self.metric
-                )
-            else:
-                dists = gathered_point_distances(
-                    rows[idx], row_norms[idx], g_ns, g_vec, g_sq, self.metric
-                )
+            dists = gathered(q_ns, q_vec, q_sq, g_ns, g_vec, g_sq, self.metric)
             route_bad = np.argmin(dists, axis=1) != cols
             bad = route_bad
             if node.is_leaf:
@@ -727,21 +728,18 @@ class CFTree:
                 own_ns = g_ns[rn, cols]
                 own_vec = g_vec[rn, cols]
                 own_sq = g_sq[rn, cols]
+                value = merged_stat(
+                    q_ns, q_vec, q_sq, own_ns, own_vec, own_sq, stat_kind
+                )
                 if stable:
-                    value = stable_paired_point_merged_stat(
-                        rows[idx], own_ns, own_vec, own_sq, stat_kind
-                    )
-                    n_merged = own_ns + 1.0
+                    n_merged = own_ns + q_ns
                     mean_sq = np.einsum("rj,rj->r", own_vec, own_vec)
-                    slack_sq = 64.0 * eps * (
-                        value * value + eps * n_merged * mean_sq
+                    slack_sq = 64.0 * _EPS * (
+                        value * value + _EPS * n_merged * mean_sq
                     )
                 else:
-                    value = paired_point_merged_stat(
-                        rows[idx], row_norms[idx], own_ns, own_vec, own_sq, stat_kind
-                    )
-                    merged_ss = own_sq + row_norms[idx]
-                    slack_sq = 64.0 * eps * np.maximum(merged_ss, 1.0)
+                    merged_ss = own_sq + q_sq
+                    slack_sq = 64.0 * _EPS * np.maximum(merged_ss, 1.0)
                 bad = route_bad | ~(value * value <= threshold_sq + slack_sq)
             if bad.any():
                 j = int(np.argmax(bad))
@@ -757,7 +755,7 @@ class CFTree:
             node._ns[c] = h_ns[t]
             node._vec[c] = h_vec[t]
             node._sq[c] = h_sq[t]
-        self._points += cut
+        self._add_points(p_ns[:cut])
         return cut, flipped
 
     def insert_cf(self, cf: AnyCF) -> None:
@@ -775,7 +773,14 @@ class CFTree:
         if cf.n <= 0:
             raise ValueError("cannot insert an empty CF")
         cf = coerce_backend(cf, self.cf_backend)
-        n, vec, sq = cf_row(cf)
+        self._insert_row(*cf_row(cf))
+        self._points += cf.n
+
+    def _insert_row(self, n: float, vec: np.ndarray, sq: float) -> None:
+        """:meth:`insert_cf`'s pass on a raw row of this tree's backend.
+
+        Leaves the point count to the caller.
+        """
         leaf, path = self._descend_to_leaf(n, vec, sq)
         sibling: Optional[CFNode] = None
         if leaf.size > 0:
@@ -784,7 +789,6 @@ class CFTree:
                 self._absorb(leaf, index, n, vec, sq)
                 for node, child_index in path:
                     self._absorb(node, child_index, n, vec, sq)
-                self._points += cf.n
                 return
         if leaf.size < leaf.capacity:
             leaf.append_row(n, vec, sq)
@@ -803,7 +807,6 @@ class CFTree:
                 self._merging_refinement(node, child_index, new_index)
             else:
                 sibling = self._split_node(node, row, sibling)
-        self._points += cf.n
         if sibling is not None:
             self._grow_root(sibling)
 
@@ -990,222 +993,6 @@ class CFTree:
                 0, self._points - int(round(stats["subtracted_n"]))
             )
         return stats
-
-    # -- bulk CF merge (the pairwise tree-merge hot path) ---------------------
-
-    def bulk_insert_cfs(
-        self,
-        ns: np.ndarray,
-        vecs: np.ndarray,
-        sqs: np.ndarray,
-        *,
-        start: int = 0,
-        stop_on_alloc: bool = False,
-    ) -> int:
-        """Insert a batch of subcluster CFs via batched descent.
-
-        The donor entries arrive as the struct-of-arrays triple a leaf
-        node stores — ``ns`` ``(m,)``, ``vecs`` ``(m, d)`` and ``sqs``
-        ``(m,)`` holding ``(N, LS, SS)`` rows on the classic backend and
-        ``(n, mean, SSD)`` rows on the stable one.  Rows from ``start``
-        onward are consumed in order.
-
-        A chunk of CFs is routed down the tree with one distance-matrix
-        kernel per visited node (:func:`cf_batch_distances`), then
-        applied *sequentially*: each CF re-tests the threshold against
-        its target entry's **current, evolved** state before absorbing
-        (so the leaf threshold invariant can never be violated by
-        within-chunk evolution), appends in place when the test fails
-        and the leaf has room, and falls back to the scalar
-        :meth:`insert_cf` when its routed path was invalidated by an
-        earlier split/merge or the leaf is full.  The result is
-        deterministic for a fixed input but — unlike
-        :meth:`bulk_insert` — is *not* byte-identical to a scalar
-        ``insert_cf`` loop: routing uses chunk-start states, which is
-        exactly the batching that makes merge folds cheap.
-
-        Parameters
-        ----------
-        start:
-            First row to consume (resumption cursor).
-        stop_on_alloc:
-            Return right after any insertion that changed the node
-            count, so the caller can re-check its memory budget —
-            absorb/append rows never allocate, only scalar-fallback
-            splits do.
-
-        Returns
-        -------
-        int
-            The new cursor: index of the first row *not* consumed
-            (``m`` when the whole batch went in).
-        """
-        if self.decay_half_life is not None:
-            raise RuntimeError(
-                "bulk_insert_cfs cannot replay fractional (decayed) "
-                "counts bitwise; a decay-enabled tree must ingest via "
-                "insert_cf"
-            )
-        ns = np.asarray(ns, dtype=np.float64)
-        vecs = np.asarray(vecs, dtype=np.float64)
-        sqs = np.asarray(sqs, dtype=np.float64)
-        total = ns.shape[0]
-        i = int(start)
-        rec = self.recorder
-        stable = self.cf_backend == "stable"
-        while i < total:
-            if self.root.size == 0:
-                # Empty tree: the first CF seeds the root (no
-                # allocation; the root page already exists).
-                self.insert_cf(self._row_cf(stable, ns, vecs, sqs, i))
-                i += 1
-                continue
-            w = min(_CF_BULK_CHUNK, total - i)
-            leaves, cols, paths = self._route_cfs(
-                ns[i : i + w], vecs[i : i + w], sqs[i : i + w]
-            )
-            root_at_route = self.root
-            absorbed = appended = fallbacks = 0
-            stop_at: Optional[int] = None
-            for r in range(w):
-                cf = self._row_cf(stable, ns, vecs, sqs, i)
-                leaf = leaves[r]
-                col = int(cols[r])
-                path = paths[r]
-                intact = (
-                    self.root is root_at_route
-                    and self._path_intact(path, leaf)
-                    and col < leaf.size
-                )
-                row = cf_row(cf)
-                if intact and self._fits_threshold(leaf, col, *row):
-                    self._absorb(leaf, col, *row)
-                    for node, idx in path:
-                        self._absorb(node, idx, *row)
-                    self._points += cf.n
-                    absorbed += 1
-                    i += 1
-                    continue
-                if intact and not leaf.is_full:
-                    leaf.append_row(*row)
-                    for node, idx in path:
-                        self._absorb(node, idx, *row)
-                    self._points += cf.n
-                    appended += 1
-                    i += 1
-                    continue
-                # Stale path or full leaf: the scalar path owns this CF
-                # (fresh descent, split propagation, refinement).
-                nodes_before = self._node_count
-                self.insert_cf(cf)
-                fallbacks += 1
-                i += 1
-                if stop_on_alloc and self._node_count != nodes_before:
-                    stop_at = i
-                    break
-            if rec.enabled:
-                rec.count("bulkcf.chunks")
-                rec.count("bulkcf.absorbed", absorbed)
-                rec.count("bulkcf.appended", appended)
-                rec.count("bulkcf.fallbacks", fallbacks)
-            if stop_at is not None:
-                return stop_at
-        return i
-
-    def _row_cf(
-        self,
-        stable: bool,
-        ns: np.ndarray,
-        vecs: np.ndarray,
-        sqs: np.ndarray,
-        i: int,
-    ) -> AnyCF:
-        """Materialise donor row ``i`` as a CF of the tree's backend."""
-        if stable:
-            # Raw float count: decayed donors carry fractional mass
-            # (StableCF normalises integral counts back to int).
-            return StableCF(float(ns[i]), vecs[i].copy(), float(sqs[i]))
-        return CF(int(ns[i]), vecs[i].copy(), float(sqs[i]))
-
-    def _route_cfs(
-        self, p_ns: np.ndarray, p_vec: np.ndarray, p_sq: np.ndarray
-    ) -> tuple[list[CFNode], np.ndarray, list[tuple[tuple[CFNode, int], ...]]]:
-        """Batched speculative descent for ``m`` CF probes.
-
-        Partitions the probes by argmin child at every level — one
-        distance-matrix kernel per *visited node*, not per probe — and
-        returns, per probe: the reached leaf, the argmin entry column
-        within it, and the root-to-leaf path as ``(node, child_idx)``
-        pairs.  All answers reflect the tree state at call time; the
-        caller re-validates against the evolved state before applying.
-        """
-        m = p_ns.shape[0]
-        stable = self.cf_backend == "stable"
-        out_leaf: list[CFNode] = [self.root] * m
-        out_col = np.zeros(m, dtype=np.int64)
-        empty_path: tuple[tuple[CFNode, int], ...] = ()
-        out_path: list[tuple[tuple[CFNode, int], ...]] = [empty_path] * m
-        pending: list[
-            tuple[CFNode, np.ndarray, tuple[tuple[CFNode, int], ...]]
-        ] = [(self.root, np.arange(m), empty_path)]
-        while pending:
-            node, idx, path = pending.pop()
-            k = node.size
-            if stable:
-                mat = stable_cf_batch_distances(
-                    p_ns[idx],
-                    p_vec[idx],
-                    p_sq[idx],
-                    node.ns,
-                    node._vec[:k],
-                    node._sq[:k],
-                    self.metric,
-                )
-            else:
-                mat = cf_batch_distances(
-                    p_ns[idx],
-                    p_vec[idx],
-                    p_sq[idx],
-                    node.ns,
-                    node._vec[:k],
-                    node._sq[:k],
-                    self.metric,
-                )
-            cols = np.argmin(mat, axis=1)
-            if node.is_leaf:
-                for pos in range(idx.shape[0]):
-                    r = int(idx[pos])
-                    out_leaf[r] = node
-                    out_col[r] = cols[pos]
-                    out_path[r] = path
-                continue
-            assert node.children is not None
-            for c in np.unique(cols):
-                c = int(c)
-                pending.append(
-                    (node.children[c], idx[cols == c], path + ((node, c),))
-                )
-        return out_leaf, out_col, out_path
-
-    def _path_intact(
-        self, path: tuple[tuple[CFNode, int], ...], leaf: CFNode
-    ) -> bool:
-        """Is a routed root-to-leaf path still live in the tree?
-
-        Splits, merges and re-splits rewrite ``children`` lists; a path
-        is applied blindly only when every link still points at the same
-        node object it did at routing time.
-        """
-        node = self.root
-        for parent, idx in path:
-            if (
-                parent is not node
-                or parent.children is None
-                or idx >= parent.size
-            ):
-                return False
-            node = parent.children[idx]
-        return node is leaf
 
     def nearest_entry(self, point: np.ndarray) -> tuple[AnyCF, float]:
         """The leaf entry greedily closest to ``point``, with distance.

@@ -19,10 +19,10 @@ picklable arrays describing one CF-tree —
     parent in deterministic dispatch order.
 
 ``build_shard`` produces a shard state from raw rows; ``merge_pair``
-folds two states into one via the bulk CF merge.  Shipping structure
-arrays instead of CF object lists is what lets the tournament reduction
-reconstruct each tree bit-for-bit in whichever worker process the next
-round lands on.
+folds two states into one via :func:`~repro.core.merge.merge_tree_pair`.
+Shipping structure arrays instead of CF object lists is what lets the
+tournament reduction reconstruct each tree bit-for-bit in whichever
+worker process the next round lands on.
 
 ``fit_member`` is the ensemble op (:mod:`repro.ensemble`): one complete
 single-process BIRCH fit over a perturbed view of the shared rows,
@@ -185,8 +185,9 @@ def merge_pair(task: dict[str, object]) -> dict[str, object]:
     arrays; the left one becomes the accumulator (under the *full*
     parent memory budget — intermediate merged trees must fit where the
     final tree will live) and the right one's leaf entries are folded
-    in through :func:`~repro.core.merge.merge_tree_pair`'s batched CF
-    descent, rebuilding coarser whenever the budget trips.  The
+    in through :func:`~repro.core.merge.merge_tree_pair` (the batched
+    insertion path raw points take), rebuilding coarser whenever the
+    budget trips.  The
     returned ``io``/``telemetry`` counters cover only *this fold* — the
     inputs' counters were already banked by the parent.
     """

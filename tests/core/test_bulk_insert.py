@@ -18,9 +18,9 @@ from repro.core.config import BirchConfig
 from repro.core.distances import (
     Metric,
     distances_to_set,
-    gathered_point_distances,
+    gathered_cf_distances,
     stable_distances_to_set,
-    stable_gathered_point_distances,
+    stable_gathered_cf_distances,
 )
 from repro.core.features import CF, StableCF
 from repro.core.tree import CFTree, ThresholdKind
@@ -278,22 +278,28 @@ class TestPathChooser:
 
 
 class TestGatheredKernels:
-    """The validation kernels must be bitwise equal to the scalar ones."""
+    """The validation kernels must be bitwise equal to the scalar ones,
+    for unit points and for probes of any weight."""
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_classic_gathered_matches_per_probe(self, metric):
         rng = np.random.default_rng(3)
         w, k, d = 17, 5, 3
         pts = rng.normal(size=(w, d))
-        norms = np.einsum("ij,ij->i", pts, pts)
+        # Unit points in the first half, weighted CF rows after.
+        p_ns = np.where(np.arange(w) < w // 2, 1.0, rng.integers(1, 9, size=w))
+        p_ls = pts * p_ns[:, None]
+        p_ss = np.einsum("ij,ij->i", p_ls, p_ls) / p_ns + rng.uniform(
+            0.0, 3.0, size=w
+        ) * (p_ns > 1)
         ns = rng.integers(1, 20, size=(w, k)).astype(np.float64)
         ls = rng.normal(size=(w, k, d)) * ns[:, :, None]
         ss = np.einsum("rkj,rkj->rk", ls, ls) / ns + rng.uniform(
             0.0, 5.0, size=(w, k)
         )
-        got = gathered_point_distances(pts, norms, ns, ls, ss, metric)
+        got = gathered_cf_distances(p_ns, p_ls, p_ss, ns, ls, ss, metric)
         for r in range(w):
-            probe = CF(1, pts[r], float(norms[r]))
+            probe = CF(int(p_ns[r]), p_ls[r], float(p_ss[r]))
             expect = distances_to_set(probe, ns[r], ls[r], ss[r], metric)
             assert np.array_equal(got[r], expect)
 
@@ -302,12 +308,18 @@ class TestGatheredKernels:
         rng = np.random.default_rng(4)
         w, k, d = 17, 5, 3
         pts = rng.normal(size=(w, d))
+        # Unit points, then fractional (decayed) counts with SSD > 0.
+        unit = np.arange(w) < w // 2
+        p_ns = np.where(unit, 1.0, rng.uniform(0.3, 9.0, size=w))
+        p_ssds = np.where(unit, 0.0, rng.uniform(0.0, 4.0, size=w))
         ns = rng.integers(1, 20, size=(w, k)).astype(np.float64)
         means = rng.normal(size=(w, k, d))
         ssds = rng.uniform(0.0, 5.0, size=(w, k))
-        got = stable_gathered_point_distances(pts, ns, means, ssds, metric)
+        got = stable_gathered_cf_distances(
+            p_ns, pts, p_ssds, ns, means, ssds, metric
+        )
         for r in range(w):
-            probe = StableCF(1, pts[r], 0.0)
+            probe = StableCF(p_ns[r], pts[r], float(p_ssds[r]))
             expect = stable_distances_to_set(
                 probe, ns[r], means[r], ssds[r], metric
             )
@@ -472,6 +484,24 @@ class TestChooserOnMemoryBoundedStream:
         estimator._rebuild = logged_rebuild
         return log
 
+    @staticmethod
+    def per_row(estimator: Birch) -> None:
+        """Swap the estimator's ingest loop for the guarded per-row path:
+        one ``_insert_one`` per point, a weight-``w`` point as ``w``
+        coincident points."""
+
+        def ingest(points, weights):
+            w = np.ones(points.shape[0], np.int64) if weights is None else weights
+            norms = np.einsum("ij,ij->i", points, points)
+            for row, norm, wt in zip(points, norms, w):
+                if estimator.config.cf_backend == "stable":
+                    cf = StableCF(int(wt), row.copy(), 0.0)
+                else:
+                    cf = CF(int(wt), wt * row, float(wt * norm))
+                estimator._insert_one(cf)
+
+        estimator._ingest = ingest
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_per_point_path(self, tmp_path, backend):
         points = ds1o(scale=0.03, seed=5).points
@@ -481,7 +511,7 @@ class TestChooserOnMemoryBoundedStream:
             )
         )
         oracle = Birch(self.config(tmp_path / "b.ckpt", cf_backend=backend))
-        oracle._bulk_ingest = oracle._scalar_ingest  # the per-point loop
+        self.per_row(oracle)
         chosen_log, oracle_log = self.spy(chosen), self.spy(oracle)
         self.stream(chosen, points)
         self.stream(oracle, points)
@@ -495,6 +525,52 @@ class TestChooserOnMemoryBoundedStream:
         a, b = chosen.finalize(), oracle.finalize()
         assert np.array_equal(a.centroids, b.centroids)
         assert a.telemetry.counter("bulk.scalar_runs") > 0
+
+    @pytest.mark.parametrize(
+        "backend, mode",
+        [("classic", "weighted"), ("stable", "weighted"), ("stable", "decayed")],
+    )
+    def test_weighted_and_decayed_match_per_row_path(self, tmp_path, backend, mode):
+        """Weighted and decayed batches take the same windows: the tree,
+        rebuilds, checkpoints (counted in points, not rows) and the
+        ledger are those of the per-row loop."""
+        data = ds1o(scale=0.03, seed=5).points
+        weights = extra = None
+        if mode == "weighted":
+            weights = np.random.default_rng(11).integers(1, 4, size=data.shape[0])
+        else:
+            extra = {"decay_half_life": 3.0, "epoch_buckets": 4}
+
+        def run(path, oracle):
+            est = Birch(self.config(path, cf_backend=backend, **(extra or {})))
+            if oracle:
+                self.per_row(est)
+            log = self.spy(est)
+            for lo in range(0, data.shape[0], 500):
+                est.partial_fit(
+                    data[lo : lo + 500],
+                    None if weights is None else weights[lo : lo + 500],
+                )
+            return est, log
+
+        chosen, chosen_log = run(tmp_path / "a.ckpt", oracle=False)
+        oracle, oracle_log = run(tmp_path / "b.ckpt", oracle=True)
+        assert chosen.rebuild_history == oracle.rebuild_history
+        assert len(chosen.rebuild_history) >= 2
+        assert chosen_log["checkpoints"] == oracle_log["checkpoints"]
+        assert len(chosen_log["checkpoints"]) >= 4
+        assert chosen.points_seen == oracle.points_seen
+        a = chosen.tree.export_structure()
+        b = oracle.tree.export_structure()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), key
+        assert chosen.tree.points == oracle.tree.points
+        ra, rb = chosen.finalize(), oracle.finalize()
+        assert np.array_equal(ra.centroids, rb.centroids)
+        assert ra.accounting() == rb.accounting()
+        # The resumed checkpoint continues the same stream.
+        resumed = Birch.resume(tmp_path / "a.ckpt")
+        assert resumed.points_seen == chosen_log["checkpoints"][-1]
 
     def test_resume_mid_run_continues_bit_for_bit(self, tmp_path):
         points = ds1o(scale=0.03, seed=5).points

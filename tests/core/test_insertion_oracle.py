@@ -1,7 +1,7 @@
-"""The scalar insertion path against its checked twin.
+"""The insertion paths against their oracles.
 
 ``CFTree.insert_cf`` and the helpers it shares with ``try_absorb_cf``,
-``bulk_insert_cfs`` and the merging refinement call unchecked kernel
+``bulk_insert``'s scalar runs and the merging refinement call unchecked kernel
 cores on raw ``(n, vector, scalar)`` rows.  Every such core has a
 public, validated counterpart that takes CF objects.  The oracle below
 is a ``CFTree`` whose hot helpers go back through that public API —
@@ -13,6 +13,13 @@ merges and re-absorption all happen) must build byte-identical trees
 and rebuild histories either way.  A helper that hands a core the wrong
 row, slice, metric or statistic, or that stops matching its checked
 twin by one bit, fails here.
+
+The second oracle is that scalar path itself: ``CFTree.bulk_insert`` on
+CF rows of any weight — unit points, integer weights, fractional
+(decayed) counts, rows with SSD > 0 — must build the tree a sequential
+``insert_cf`` loop over the same rows builds, byte for byte, however
+the rows are chunked and whether or not the caller caps or stops the
+calls.
 """
 
 import numpy as np
@@ -20,6 +27,7 @@ import pytest
 
 import repro.core.birch as birch_module
 import repro.core.rebuild as rebuild_module
+import repro.core.tree as tree_module
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.distances import (
@@ -29,9 +37,12 @@ from repro.core.distances import (
     stable_merged_diameter,
     stable_merged_radius,
 )
-from repro.core.features import CF, StableCF
+from repro.core.features import CF, StableCF, row_cf
 from repro.core.node import CFNode
 from repro.core.tree import CFTree, ThresholdKind
+from repro.observe.recorder import Recorder
+from repro.pagestore.iostats import IOStats
+from repro.pagestore.page import PageLayout
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -168,3 +179,109 @@ def test_insertion_path_matches_public_api_oracle(
         other = oracle_arrays[name]
         assert array.dtype == other.dtype and array.shape == other.shape, name
         assert array.tobytes() == other.tobytes(), name
+
+
+def cf_rows(backend: str, dimensions: int, n: int = 300, seed: int = 5):
+    """A mixed row stream: unit points, integer weights, multi-point
+    rows with SSD > 0 and (stable only) fractional counts."""
+    rng = np.random.default_rng(seed + 10 * dimensions)
+    centers = rng.uniform(-20.0, 20.0, size=(40, dimensions))
+    means = centers[rng.integers(0, 40, size=n)] + rng.normal(
+        scale=0.45 / np.sqrt(dimensions), size=(n, dimensions)
+    )
+    kind = rng.integers(0, 4, size=n)  # unit, weighted, spread, fractional
+    ns = np.where(kind == 0, 1.0, rng.integers(2, 6, size=n).astype(float))
+    ssd = np.where(kind >= 2, rng.uniform(0.0, 0.3, size=n) * ns, 0.0)
+    if backend == "stable":
+        ns = np.where(kind == 3, rng.uniform(0.2, 3.0, size=n), ns)
+        return ns, means, ssd
+    ls = ns[:, None] * means
+    return ns, ls, np.einsum("ij,ij->i", means, means) * ns + ssd
+
+
+def oracle_tree(backend, kind, metric, dimensions, recorder=None) -> CFTree:
+    tree = CFTree(
+        PageLayout(page_size=64 * (dimensions + 2), dimensions=dimensions),
+        threshold=1.0,
+        metric=metric,
+        threshold_kind=kind,
+        stats=IOStats(),
+        cf_backend=backend,
+        recorder=recorder,
+    )
+    if backend == "stable":
+        tree.set_decay(2.0, 0)
+    return tree
+
+
+ROW_CASES = [
+    (backend, kind, metric)
+    for backend in ("classic", "stable")
+    for kind in ThresholdKind
+    for metric in Metric
+]
+
+
+@pytest.mark.parametrize("dimensions", [2, 3, 8])
+@pytest.mark.parametrize(
+    "backend, kind, metric",
+    ROW_CASES,
+    ids=[f"{b}-{k.value}-{m.value}" for b, k, m in ROW_CASES],
+)
+def test_bulk_insert_rows_match_sequential_insert_cf(
+    backend, kind, metric, dimensions, monkeypatch
+):
+    ns, vecs, sqs = cf_rows(backend, dimensions)
+    epoch = 100  # stable trees decay between epochs: fractional entries
+
+    def feed(tree, insert):
+        for lo in range(0, ns.shape[0], epoch):
+            insert(tree, lo, min(lo + epoch, ns.shape[0]))
+            if backend == "stable":
+                tree.advance_decay_clock()
+        return tree
+
+    def sequential(tree, lo, hi):
+        for t in range(lo, hi):
+            tree.insert_cf(row_cf(ns[t], vecs[t], sqs[t], backend))
+
+    oracle = feed(oracle_tree(backend, kind, metric, dimensions), sequential)
+    assert oracle.stats.splits > 0
+    expect = oracle.export_structure()
+
+    for chunk in (1, 7, 4096):
+
+        def chunked(tree, lo, hi):
+            for i in range(lo, hi, chunk):
+                j = min(i + chunk, hi)
+                assert tree.bulk_insert(vecs[i:j], ns[i:j], sqs[i:j]) == j - i
+
+        def capped(tree, lo, hi):
+            # max_rows caps each call, stop_on_alloc ends it after any
+            # insertion that allocated or freed a node, and the path
+            # chooser never gives up on windows.
+            monkeypatch.setattr(tree_module, "_CHOOSER_BREAK_EVEN", 0)
+            i = lo
+            while i < hi:
+                took = tree.bulk_insert(
+                    vecs[i:hi], ns[i:hi], sqs[i:hi],
+                    max_rows=chunk, stop_on_alloc=True,
+                )
+                assert 1 <= took <= chunk
+                i += took
+
+        for insert in (chunked, capped):
+            rec = Recorder()
+            tree = feed(
+                oracle_tree(backend, kind, metric, dimensions, rec), insert
+            )
+            monkeypatch.undo()
+            if insert is capped and chunk > 1:
+                # Windows commit rows, not only scalar runs.
+                assert rec.counters["bulk.absorbed_rows"] > 0
+            got = tree.export_structure()
+            for name, array in expect.items():
+                assert got[name].tobytes() == array.tobytes(), (chunk, name)
+            assert tree.points == oracle.points
+            assert type(tree.points) is type(oracle.points)
+            assert tree.stats.summary() == oracle.stats.summary()

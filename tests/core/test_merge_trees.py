@@ -108,7 +108,7 @@ class TestValidation:
 
 
 class TestBulkCFMerge:
-    """The batched CF descent behind :func:`merge_tree_pair`."""
+    """The batched fold behind :func:`merge_tree_pair`."""
 
     @pytest.mark.parametrize("backend", ["classic", "stable"])
     @pytest.mark.parametrize(
@@ -143,39 +143,101 @@ class TestBulkCFMerge:
 
         assert run() == run()
 
-    def test_bulk_insert_cfs_matches_scalar_summary(self, rng):
-        donor = build(rng.normal(0, 3, size=(400, 2)))
-        ns = np.concatenate([leaf.ns.copy() for leaf in donor.leaves()])
+    @staticmethod
+    def _leaf_rows(tree):
+        ns = np.concatenate([leaf.ns.copy() for leaf in tree.leaves()])
         vecs = np.concatenate(
-            [leaf._vec[: leaf.size].copy() for leaf in donor.leaves()]
+            [leaf._vec[: leaf.size].copy() for leaf in tree.leaves()]
         )
         sqs = np.concatenate(
-            [leaf._sq[: leaf.size].copy() for leaf in donor.leaves()]
+            [leaf._sq[: leaf.size].copy() for leaf in tree.leaves()]
         )
+        return ns, vecs, sqs
+
+    def test_bulk_insert_cfs_matches_scalar_summary(self, rng):
+        """A donor's leaf entries go in as one batch of CF rows."""
+        donor = build(rng.normal(0, 3, size=(400, 2)))
+        ns, vecs, sqs = self._leaf_rows(donor)
         tree = build(rng.normal(0, 3, size=(100, 2)))
-        consumed = tree.bulk_insert_cfs(ns, vecs, sqs)
+        consumed = tree.bulk_insert(vecs, ns, sqs)
         assert consumed == ns.shape[0]
         tree.check_invariants()
         assert tree.summary_cf().n == 500
 
     def test_bulk_insert_cfs_stop_on_alloc_resumes(self, rng):
+        """A batch of CF rows paused by splits resumes where it stopped."""
         donor = build(rng.normal(0, 5, size=(600, 2)), threshold=0.1)
-        ns = np.concatenate([leaf.ns.copy() for leaf in donor.leaves()])
-        vecs = np.concatenate(
-            [leaf._vec[: leaf.size].copy() for leaf in donor.leaves()]
-        )
-        sqs = np.concatenate(
-            [leaf._sq[: leaf.size].copy() for leaf in donor.leaves()]
-        )
+        ns, vecs, sqs = self._leaf_rows(donor)
         tree = build(rng.normal(0, 5, size=(50, 2)), threshold=0.1)
         i = 0
         rounds = 0
         while i < ns.shape[0]:
-            i = tree.bulk_insert_cfs(ns, vecs, sqs, start=i, stop_on_alloc=True)
+            i += tree.bulk_insert(
+                vecs[i:], ns[i:], sqs[i:], stop_on_alloc=True
+            )
             rounds += 1
         assert rounds > 1  # splits actually paused the sweep
         tree.check_invariants()
         assert tree.summary_cf().n == 650
+
+    @pytest.mark.parametrize("backend", ["classic", "stable"])
+    @pytest.mark.parametrize(
+        "kind",
+        [ThresholdKind.DIAMETER, ThresholdKind.RADIUS],
+        ids=["diameter", "radius"],
+    )
+    def test_pair_merge_equals_sequential_insert_cf_fold(self, backend, kind):
+        """The fold goes through bulk_insert, and builds exactly what a
+        per-entry insert_cf loop with the same budget checks builds —
+        rebuilds, thresholds, ledger and every byte of the tree."""
+        from repro.core.merge import merge_tree_pair
+        from repro.core.rebuild import rebuild_tree
+        from repro.core.threshold import ThresholdPolicy
+        from repro.pagestore.iostats import IOStats
+
+        rng = np.random.default_rng(21)
+        acc_pts = rng.normal(0, 2, size=(60, 2))
+        donor_pts = np.concatenate(
+            [rng.normal(c, 1.5, size=(250, 2)) for c in (4.0, 9.0)]
+        )
+        layout = PageLayout(page_size=256, dimensions=2)
+
+        def trees():
+            acc = CFTree(
+                layout,
+                threshold=0.1,
+                budget=MemoryBudget(20 * 256, layout),
+                stats=IOStats(),
+                cf_backend=backend,
+                threshold_kind=kind,
+            )
+            acc.insert_points(acc_pts)
+            donor = build(
+                donor_pts, threshold=0.3, cf_backend=backend, threshold_kind=kind
+            )
+            return acc, donor
+
+        acc, donor = trees()
+        merged = merge_tree_pair(acc, donor, policy=ThresholdPolicy())
+
+        acc, donor = trees()
+        policy = ThresholdPolicy()
+        folded = rebuild_tree(acc, donor.threshold)
+        assert not folded.budget.over_budget
+        for cf in donor.leaf_entries():
+            folded.insert_cf(cf)
+            while folded.budget.over_budget:
+                folded = rebuild_tree(
+                    folded, policy.next_threshold(folded, folded.points)
+                )
+
+        assert folded.stats.tree_rebuilds >= 2  # the budget tripped
+        assert merged.threshold == folded.threshold
+        assert merged.points == folded.points == 560
+        assert merged.stats.summary() == folded.stats.summary()
+        a, b = merged.export_structure(), folded.export_structure()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), key
 
     def test_cf_backend_mismatch_rejected(self, rng):
         from repro.core.merge import merge_tree_pair

@@ -153,6 +153,46 @@ class TestFractionalMass:
         assert [cf.n for cf in load_cfs(tmp_path / "decayed")] == [2.5, 0.125]
 
 
+class TestTruncatedDecayedCounts:
+    """Older writers stored stable counts as int64, so the entries of a
+    decayed fit that held less than one point read back as 0."""
+
+    @staticmethod
+    def legacy_archive(tmp_path):
+        from repro.core.container import read as read_container
+        from tests.legacy_formats import write_npz_archive
+
+        rng = np.random.default_rng(8)
+        est = Birch(
+            BirchConfig(n_clusters=3, cf_backend="stable", decay_half_life=2.0)
+        )
+        for epoch in range(8):
+            est.partial_fit(rng.normal(3.0 * epoch, 1.0, size=(40, 2)))
+        sealed = tmp_path / "tree.bin"
+        save_tree(sealed, est.tree)
+        archive = read_container(sealed, "tree")
+        arrays = {name: array.copy() for name, array in archive.arrays.items()}
+        assert (arrays["ns"] < 1.0).any()  # mass decayed below one point
+        arrays["ns"] = arrays["ns"].astype(np.int64)
+        legacy = tmp_path / "tree.npz"
+        write_npz_archive(legacy, arrays, archive.metadata, 2)
+        return legacy
+
+    def test_load_tree_raises_archive_error(self, tmp_path):
+        legacy = self.legacy_archive(tmp_path)
+        with pytest.raises(ArchiveError, match="truncated integers") as info:
+            load_tree(legacy)
+        assert "tree.npz" in str(info.value)
+        assert "first: 0" in str(info.value)
+
+    def test_cli_exits_4(self, tmp_path, capsys):
+        from repro.cli import EXIT_ARCHIVE, main
+
+        legacy = self.legacy_archive(tmp_path)
+        assert main(["inspect", str(legacy)]) == EXIT_ARCHIVE
+        assert "truncated integers" in capsys.readouterr().err
+
+
 class TestVersioning:
     def test_future_version_rejected(self, cf_list, tmp_path):
         path = tmp_path / "cfs.npz"

@@ -228,10 +228,12 @@ class TestForeignTruncatedAndUnknown:
     @pytest.mark.parametrize("name", SEALED + LEGACY)
     def test_bad_magic(self, inputs, name, tmp_path):
         path, kind = inputs[name]
-        target = _flipped(path, tmp_path / "flip", 0, 1)
-        with pytest.raises(ArchiveError, match="magic") as info:
-            LOADERS[kind](target)
-        assert type(info.value) is ArchiveError
+        last = 3 if name.startswith("npz") else 7  # zip's magic is 4 bytes
+        for offset in (0, last):  # the magic's first and last byte
+            target = _flipped(path, tmp_path / "flip", offset, 1)
+            with pytest.raises(ArchiveError, match="magic") as info:
+                LOADERS[kind](target)
+            assert type(info.value) is ArchiveError
 
     @pytest.mark.parametrize("name", SEALED + ("birchfrz-v1-indexed",))
     def test_truncation(self, inputs, name, tmp_path, capsys):
