@@ -57,11 +57,7 @@ from repro.serve import FrozenModel
 
 
 def _base_config(args: argparse.Namespace) -> BirchConfig:
-    return BirchConfig(
-        n_clusters=args.k,
-        memory_bytes=args.memory_bytes,
-        cf_backend=args.backend,
-    )
+    return BirchConfig(n_clusters=args.k, memory_bytes=args.memory_bytes)
 
 
 def _forest_config(args: argparse.Namespace, members: int, seed: int):
@@ -111,10 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         help="CF-tree memory budget; tight on purpose (default 6144)",
     )
     parser.add_argument(
-        "--backend", choices=["classic", "stable"], default="classic",
-        help="CF arithmetic backend for every fit (default classic)",
-    )
-    parser.add_argument(
         "--members", type=int, nargs="*", default=[2, 4, 8],
         help="forest sizes K to sweep (default 2 4 8)",
     )
@@ -149,10 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     dataset = ds1(scale=args.scale)
     points, truth = dataset.points, dataset.labels
     n, d = points.shape
-    print(
-        f"DS1: N={n} d={d} k={args.k} memory={args.memory_bytes}B "
-        f"backend={args.backend}"
-    )
+    print(f"DS1: N={n} d={d} k={args.k} memory={args.memory_bytes}B")
 
     # Single-tree baseline: one fit per seeded shuffle.  ARI is scored
     # against the correspondingly shuffled truth.
@@ -237,7 +226,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "config": {
             "memory_bytes": args.memory_bytes,
-            "cf_backend": args.backend,
             "members_sweep": sorted(set(args.members)),
             "single_shuffles": args.single_shuffles,
             "forest_seeds": args.forest_seeds,

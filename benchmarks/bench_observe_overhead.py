@@ -24,8 +24,8 @@ is not a pytest module):
         --scale 1.0 --out BENCH_observe_overhead.json
 
 ``--assert-overhead X`` exits non-zero if the enabled tree-ingest
-overhead exceeds X percent on either backend (the acceptance run uses
-3.0 at scale 1.0, i.e. N = 100,000).
+overhead exceeds X percent (the acceptance run uses 3.0 at scale 1.0,
+i.e. N = 100,000).
 """
 
 from __future__ import annotations
@@ -51,18 +51,13 @@ from repro.pagestore.page import PageLayout
 
 def _ingest_once(
     points: np.ndarray,
-    backend: str,
     threshold: float,
     page_size: int,
     recorder: Recorder,
 ) -> tuple[float, CFTree]:
     layout = PageLayout(page_size=page_size, dimensions=points.shape[1])
     tree = CFTree(
-        layout,
-        threshold=threshold,
-        cf_backend=backend,
-        stats=IOStats(),
-        recorder=recorder,
+        layout, threshold=threshold, stats=IOStats(), recorder=recorder
     )
     start = time.perf_counter()
     consumed = 0
@@ -148,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--assert-overhead", type=float, default=None, metavar="X",
-        help="fail if enabled tree-ingest overhead > X%% on any backend",
+        help="fail if enabled tree-ingest overhead > X%%",
     )
     args = parser.parse_args(argv)
 
@@ -165,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
             "n": n,
             "d": d,
         },
-        "tree_ingest": {},
         "full_fit": {},
         "threshold": args.threshold,
         "page_size": args.page_size,
@@ -187,32 +181,28 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     ok = True
-    for backend in ("classic", "stable"):
-        rounds = _paired_rounds(
-            lambda enabled: _ingest_once(
-                points, backend, args.threshold, args.page_size,
-                Recorder([RingBufferSink(1024)]) if enabled else NULL_RECORDER,
-            ),
-            lambda off, on: _same_ingest(off, on, n),
-            args.repeats,
-        )
-        overhead_pct = rounds["overhead_pct"]
-        report["tree_ingest"][backend] = rounds
+    rounds = _paired_rounds(
+        lambda enabled: _ingest_once(
+            points, args.threshold, args.page_size,
+            Recorder([RingBufferSink(1024)]) if enabled else NULL_RECORDER,
+        ),
+        lambda off, on: _same_ingest(off, on, n),
+        args.repeats,
+    )
+    overhead_pct = rounds["overhead_pct"]
+    report["tree_ingest"] = rounds
+    print(
+        f"tree ingest: off {n / rounds['median_disabled_seconds']:9.0f} "
+        f"pts/s | on {n / rounds['median_enabled_seconds']:9.0f} pts/s | "
+        f"overhead {overhead_pct:+.2f}% (median of {args.repeats} pairs)"
+    )
+    if args.assert_overhead is not None and overhead_pct > args.assert_overhead:
         print(
-            f"{backend:>7}: off {n / rounds['median_disabled_seconds']:9.0f} "
-            f"pts/s | on {n / rounds['median_enabled_seconds']:9.0f} pts/s | "
-            f"overhead {overhead_pct:+.2f}% (median of {args.repeats} pairs)"
+            f"FAIL: telemetry overhead {overhead_pct:.2f}% "
+            f"> allowed {args.assert_overhead:.2f}%",
+            file=sys.stderr,
         )
-        if (
-            args.assert_overhead is not None
-            and overhead_pct > args.assert_overhead
-        ):
-            print(
-                f"FAIL: {backend} telemetry overhead {overhead_pct:.2f}% "
-                f"> allowed {args.assert_overhead:.2f}%",
-                file=sys.stderr,
-            )
-            ok = False
+        ok = False
 
     fit = _paired_rounds(
         lambda enabled: _fit_seconds(points, enabled, args.threshold),

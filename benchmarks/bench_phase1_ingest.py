@@ -23,9 +23,9 @@ standalone (this is not a pytest module):
     PYTHONPATH=src python benchmarks/bench_phase1_ingest.py \
         --scale 1.0 --out BENCH_phase1_ingest.json
 
-``--assert-speedup X`` exits non-zero unless bulk >= X * scalar on both
-backends in the ordered case (CI uses 1.0 on a small preset; the
-acceptance run uses 3.0 at scale 1.0, i.e. N = 100,000).
+``--assert-speedup X`` exits non-zero unless bulk >= X * scalar in the
+ordered case (CI uses 1.0 on a small preset; the acceptance run uses
+3.0 at scale 1.0, i.e. N = 100,000).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ REPEATS = 3
 
 
 def _make_tree(
-    backend: str,
     threshold: float,
     page_size: int,
     d: int,
@@ -61,20 +60,16 @@ def _make_tree(
 ) -> CFTree:
     layout = PageLayout(page_size=page_size, dimensions=d)
     return CFTree(
-        layout,
-        threshold=threshold,
-        cf_backend=backend,
-        stats=IOStats(),
-        recorder=recorder,
+        layout, threshold=threshold, stats=IOStats(), recorder=recorder
     )
 
 
 def _bulk_traffic(
-    points: np.ndarray, backend: str, threshold: float, page_size: int
+    points: np.ndarray, threshold: float, page_size: int
 ) -> dict[str, float]:
     """Window counters of one untimed, recorded bulk ingest."""
     rec = Recorder()
-    tree = _make_tree(backend, threshold, page_size, points.shape[1], rec)
+    tree = _make_tree(threshold, page_size, points.shape[1], rec)
     consumed = 0
     while consumed < points.shape[0]:
         consumed += tree.bulk_insert(points[consumed:])
@@ -91,12 +86,11 @@ def _bulk_traffic(
 
 def _time_tree_ingest(
     points: np.ndarray,
-    backend: str,
     threshold: float,
     page_size: int,
     mode: str,
 ) -> tuple[float, CFTree]:
-    tree = _make_tree(backend, threshold, page_size, points.shape[1])
+    tree = _make_tree(threshold, page_size, points.shape[1])
     start = time.perf_counter()
     if mode == "scalar":
         tree.insert_points(points)
@@ -109,7 +103,6 @@ def _time_tree_ingest(
 
 def _best_ingest_pair(
     points: np.ndarray,
-    backend: str,
     threshold: float,
     page_size: int,
 ) -> tuple[float, float]:
@@ -121,10 +114,10 @@ def _best_ingest_pair(
     best_scalar = best_bulk = float("inf")
     for _ in range(REPEATS):
         scalar_s, scalar_tree = _time_tree_ingest(
-            points, backend, threshold, page_size, "scalar"
+            points, threshold, page_size, "scalar"
         )
         bulk_s, bulk_tree = _time_tree_ingest(
-            points, backend, threshold, page_size, "bulk"
+            points, threshold, page_size, "bulk"
         )
         assert scalar_tree.points == bulk_tree.points == points.shape[0]
         assert scalar_tree.stats.summary() == bulk_tree.stats.summary(), (
@@ -182,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--assert-speedup", type=float, default=None, metavar="X",
-        help="fail unless bulk >= X * scalar on both backends",
+        help="fail unless bulk >= X * scalar on the ordered input",
     )
     args = parser.parse_args(argv)
 
@@ -200,8 +193,6 @@ def main(argv: list[str] | None = None) -> int:
             "n": n,
             "d": d,
         },
-        "tree_ingest": {},
-        "tree_ingest_shuffled": {},
         "sharded_fit": {},
         "threshold": args.threshold,
         "page_size": args.page_size,
@@ -225,36 +216,31 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = True
     for block, rows in (("tree_ingest", points), ("tree_ingest_shuffled", shuffled)):
-        for backend in ("classic", "stable"):
-            scalar_s, bulk_s = _best_ingest_pair(
-                rows, backend, args.threshold, args.page_size
-            )
-            speedup = scalar_s / bulk_s
-            report[block][backend] = {
-                "scalar_seconds": scalar_s,
-                "bulk_seconds": bulk_s,
-                "scalar_points_per_second": n / scalar_s,
-                "bulk_points_per_second": n / bulk_s,
-                "speedup": speedup,
-                "bulk_traffic": _bulk_traffic(
-                    rows, backend, args.threshold, args.page_size
-                ),
-            }
+        scalar_s, bulk_s = _best_ingest_pair(rows, args.threshold, args.page_size)
+        speedup = scalar_s / bulk_s
+        report[block] = {
+            "scalar_seconds": scalar_s,
+            "bulk_seconds": bulk_s,
+            "scalar_points_per_second": n / scalar_s,
+            "bulk_points_per_second": n / bulk_s,
+            "speedup": speedup,
+            "bulk_traffic": _bulk_traffic(rows, args.threshold, args.page_size),
+        }
+        print(
+            f"{block}: scalar {n / scalar_s:9.0f} pts/s | "
+            f"bulk {n / bulk_s:9.0f} pts/s | {speedup:.2f}x"
+        )
+        if (
+            block == "tree_ingest"
+            and args.assert_speedup is not None
+            and speedup < args.assert_speedup
+        ):
             print(
-                f"{block} {backend:>7}: scalar {n / scalar_s:9.0f} pts/s | "
-                f"bulk {n / bulk_s:9.0f} pts/s | {speedup:.2f}x"
+                f"FAIL: bulk speedup {speedup:.2f}x "
+                f"< required {args.assert_speedup:.2f}x",
+                file=sys.stderr,
             )
-            if (
-                block == "tree_ingest"
-                and args.assert_speedup is not None
-                and speedup < args.assert_speedup
-            ):
-                print(
-                    f"FAIL: {backend} bulk speedup {speedup:.2f}x "
-                    f"< required {args.assert_speedup:.2f}x",
-                    file=sys.stderr,
-                )
-                ok = False
+            ok = False
 
     base_seconds = None
     for jobs in args.jobs:

@@ -254,9 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     estimator = _fit(fit_points, threshold=1.5)
     result = estimator.result
     centroids = np.ascontiguousarray(result.centroids, dtype=np.float64)
-    frozen = FrozenModel.from_result(
-        result, cf_backend=estimator.config.cf_backend
-    )
+    frozen = FrozenModel.from_result(result)
     artifact = args.out.with_suffix(".frz.tmp")
     frozen.save(artifact)
     frozen = FrozenModel.load(artifact)  # measure the mmap'd form we ship
@@ -331,10 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             "d": d,
             "n_queries": args.queries,
         },
-        "model": {
-            "n_clusters": frozen.n_clusters,
-            "cf_backend": estimator.config.cf_backend,
-        },
+        "model": {"n_clusters": frozen.n_clusters},
         "sklearn_available": SKLEARN_AVAILABLE,
         "sklearn_baseline": {
             "kind": sk.kind,

@@ -53,9 +53,9 @@ class CLARA:
     n_clusters:
         ``k``.
     n_samples:
-        How many independent samples to try (classically 5).
+        How many independent samples to try (5 in the original CLARA).
     sample_size:
-        Points per sample; the classical recommendation is
+        Points per sample; the original recommendation is
         ``40 + 2k``, used when None.
     seed:
         RNG seed for sampling.

@@ -52,7 +52,7 @@ class KMedoids:
         ``k``.
     max_iter:
         Maximum swap rounds; each round applies the single best
-        improving swap (classic PAM).
+        improving swap (the original PAM).
     """
 
     def __init__(self, n_clusters: int, max_iter: int = 100) -> None:

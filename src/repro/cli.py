@@ -38,10 +38,9 @@ failures a stable mapping scripts can branch on — 3 invalid input point
 kind (``ArchiveError``), 5 integrity failure of any archive
 (``ChecksumMismatchError``), 6 parallel task unrecoverable
 (``WorkerCrashError``; only under ``--escalation raise`` — the default
-ladder finishes the task in-process instead), 7 feature needs the other
-CF backend (``UnsupportedBackendError``; e.g. ``--decay-half-life``
-with ``--backend classic``).  Each prints a one-line message to stderr
-instead of a traceback.
+ladder finishes the task in-process instead).  Exit code 7 is retired
+and not reused.  Each prints a one-line message to stderr instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from repro.errors import (
     ArchiveError,
     ChecksumMismatchError,
     InvalidPointError,
-    UnsupportedBackendError,
     WorkerCrashError,
 )
 from repro.datagen.generator import InputOrder
@@ -85,12 +83,10 @@ EXIT_INVALID_POINT = 3
 EXIT_ARCHIVE = 4
 EXIT_CHECKSUM = 5
 EXIT_WORKER_CRASH = 6
-EXIT_UNSUPPORTED_BACKEND = 7
 
 _ERROR_EXIT_CODES: list[tuple[type[Exception], int]] = [
     (ChecksumMismatchError, EXIT_CHECKSUM),
     (ArchiveError, EXIT_ARCHIVE),
-    (UnsupportedBackendError, EXIT_UNSUPPORTED_BACKEND),
     (InvalidPointError, EXIT_INVALID_POINT),
     (WorkerCrashError, EXIT_WORKER_CRASH),
 ]
@@ -214,13 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="per-phase wall-clock deadline (with --supervised)",
-    )
-    cluster.add_argument(
-        "--backend",
-        choices=["stable", "classic"],
-        default="stable",
-        help="CF backend; the evolving-stream flags below need 'stable' "
-        "(exit code 7 otherwise)",
     )
     cluster.add_argument(
         "--epoch-size",
@@ -404,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--memory-kb", type=int, default=80, help="per-member M in KB")
         p.add_argument(
-            "--backend", choices=["stable", "classic"], default="stable"
-        )
-        p.add_argument(
             "--no-shuffle",
             action="store_true",
             help="disable the per-member seeded order shuffle",
@@ -578,7 +564,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         metric=args.metric,
         phase4_passes=args.passes,
         total_points_hint=points.shape[0],
-        cf_backend=args.backend,
         decay_half_life=args.decay_half_life,
         epoch_buckets=args.epoch_buckets,
         drift_policy=args.drift_policy,
@@ -787,8 +772,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             print(f"compiled from {origin} (sha256 {digest[:16]}…)")
         else:
             print(f"compiled from {origin}")
-        if meta.get("cf_backend"):
-            print(f"cf backend: {meta['cf_backend']}")
         return 0
     if kind == "result":
         clusters, centroids, labels, header = load_result_arrays(args.archive)
@@ -1050,7 +1033,6 @@ def _fit_forest(args: argparse.Namespace, points: np.ndarray):
         n_clusters=args.clusters,
         memory_bytes=args.memory_kb * 1024,
         total_points_hint=points.shape[0],
-        cf_backend=args.backend,
         n_jobs=args.jobs,
         observe=(
             ObserveConfig(trace_path=str(args.trace))
@@ -1196,7 +1178,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         InvalidPointError,
         ArchiveError,
-        UnsupportedBackendError,
         WorkerCrashError,
     ) as exc:
         for cls, code in _ERROR_EXIT_CODES:

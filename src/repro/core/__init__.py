@@ -6,7 +6,7 @@ from repro.core.diagnostics import TreeDiagnostics, diagnose, render_outline
 from repro.core.config import BirchConfig
 from repro.core.distances import Metric
 from repro.core.merge import merge_trees
-from repro.core.features import CF, StableCF, coerce_backend
+from repro.core.features import CF, StableCF
 from repro.core.tree import CFTree
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "BirchResult",
     "CF",
     "StableCF",
-    "coerce_backend",
     "CFTree",
     "Metric",
     "merge_trees",

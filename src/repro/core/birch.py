@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.config import BirchConfig
 from repro.core.evolve import DriftMonitor, EpochBucket, EpochBuckets
-from repro.core.features import CF, AnyCF, StableCF, point_rows, row_cf
+from repro.core.features import StableCF, point_rows, row_cf
 from repro.core.global_clustering import (
     CFKMeans,
     CFMedoids,
@@ -207,11 +207,11 @@ class BirchResult:
     """
 
     centroids: np.ndarray
-    clusters: list[CF]
+    clusters: list[StableCF]
     labels: Optional[np.ndarray]
-    subclusters: list[CF]
+    subclusters: list[StableCF]
     entry_labels: np.ndarray
-    outliers: list[CF]
+    outliers: list[StableCF]
     timings: PhaseTimings
     io: dict[str, int]
     tree_stats: dict[str, float]
@@ -243,8 +243,8 @@ class BirchResult:
         """Where every ingested point ended up (the conservation ledger).
 
         The identity ``clustered + outliers + quarantined + dropped +
-        forgotten == fed`` holds exactly on every run — across CF
-        backends, fault injection, forgetting and checkpoint/resume —
+        forgotten == fed`` holds exactly on every run — across fault
+        injection, forgetting and checkpoint/resume —
         and is asserted by the guardrails and evolve test-suites.
         Decayed mass never appears here: decay scales *weights*, not
         point custody, and is reported separately as ``decayed_mass``.
@@ -320,7 +320,7 @@ class Birch:
         self._outlier_handler: Optional[OutlierHandler] = None
         # True outliers drained from the disk by the last end-of-scan
         # resolution, held until more data reopens the scan.
-        self._resolved_outliers: Optional[list[CF]] = None
+        self._resolved_outliers: Optional[list[StableCF]] = None
         self._policy: Optional[ThresholdPolicy] = None
         self._points_seen = 0
         self._delay_mode = False
@@ -571,7 +571,7 @@ class Birch:
         extra per-insert checks are the point.
         """
         assert self._tree is not None and self._budget is not None
-        ns, vecs, sqs = point_rows(points, self.config.cf_backend, weight_arr)
+        ns, vecs, sqs = point_rows(points, weight_arr)
         n = ns.shape[0]
         # fed[i]: raw points in rows 0..i-1, the ledger's unit.
         fed = (
@@ -585,9 +585,8 @@ class Birch:
             if self._delay_mode or (
                 self._watchdog is not None and self._watchdog.degraded
             ):
-                backend = self.config.cf_backend
                 for t in range(i, n):
-                    self._insert_one(row_cf(ns[t], vecs[t], sqs[t], backend))
+                    self._insert_one(row_cf(ns[t], vecs[t], sqs[t]))
                 return
             cap = n - i
             if every is not None:
@@ -754,7 +753,7 @@ class Birch:
         # shard order: merge-round states carry only their own fold's
         # counters, so nothing is double-counted and the totals do not
         # depend on the pairing tree.
-        pending_outliers: list[AnyCF] = []
+        pending_outliers: list[StableCF] = []
         for state in states:
             pending_outliers.extend(state["outliers"])  # type: ignore[arg-type]
             self.stats.merge_counts(state["io"])  # type: ignore[arg-type]
@@ -811,7 +810,6 @@ class Birch:
             budget=self._budget,
             stats=self.stats,
             merging_refinement=self.config.merging_refinement,
-            cf_backend=self.config.cf_backend,
             recorder=self._recorder,
         )
         self._points_seen = int(final["points"])  # type: ignore[arg-type]
@@ -837,7 +835,15 @@ class Birch:
             else:
                 self._insert_one(cf)
 
-    def _insert_one(self, cf: AnyCF) -> None:
+    def _insert_one(self, cf: StableCF) -> None:
+        """Insert one CF through the guarded per-row path.
+
+        Its callers try :meth:`CFTree.try_absorb_cf` first (the
+        delay-split branch below and :meth:`_insert_degraded` do it
+        themselves, the sharded fit's outlier re-resolution before the
+        call), so, as in :meth:`CFTree.bulk_insert`, the budget is
+        re-checked only after a row that did not absorb.
+        """
         assert self._tree is not None and self._budget is not None
         if self._watchdog is not None and self._watchdog.degraded:
             self._insert_degraded(cf)
@@ -865,7 +871,7 @@ class Birch:
                 self._rebuild()
         self._maybe_checkpoint()
 
-    def _insert_degraded(self, cf: AnyCF) -> None:
+    def _insert_degraded(self, cf: StableCF) -> None:
         """Degraded-mode insertion: no per-insert rebuilds.
 
         Once the memory watchdog has tripped, threshold growth has
@@ -1026,8 +1032,8 @@ class Birch:
     def _rebuild_tree_preserving_decay(
         self,
         new_threshold: float,
-        sink: Optional[Callable[[AnyCF], bool]],
-        predicate: Optional[Callable[[AnyCF, float], bool]],
+        sink: Optional[Callable[[StableCF], bool]],
+        predicate: Optional[Callable[[StableCF, float], bool]],
     ) -> CFTree:
         """Rebuild the tree, carrying the decay state across.
 
@@ -1072,7 +1078,6 @@ class Birch:
             budget=self._budget,
             stats=self.stats,
             merging_refinement=self.config.merging_refinement,
-            cf_backend=self.config.cf_backend,
             recorder=self._recorder,
         )
         if self.config.decay_half_life is not None:
@@ -1082,7 +1087,7 @@ class Birch:
         # the fractional mass a decayed entry holds, so decayed runs
         # keep every point in-tree (``result.outliers`` stays empty).
         if self.config.outlier_handling and self.config.decay_half_life is None:
-            disk: DiskStore[CF]
+            disk: DiskStore[StableCF]
             if self._outlier_injector is not None:
                 disk = FaultyDiskStore(
                     capacity_bytes=self.config.effective_disk_bytes,
@@ -1568,7 +1573,6 @@ class Birch:
                 "run.start",
                 mode="fit",
                 n_jobs=jobs,
-                cf_backend=self.config.cf_backend,
             )
 
         start = time.perf_counter()
@@ -1648,7 +1652,7 @@ class Birch:
         Optional[RefinementResult],
         Optional[np.ndarray],
         np.ndarray,
-        list[AnyCF],
+        list[StableCF],
     ]:
         """Run Phase 4 (if configured); returns (refinement, labels,
         centroids, clusters) with Phase 3 values passed through when
@@ -1667,7 +1671,6 @@ class Birch:
             discard_outliers=self.config.phase4_discard_outliers,
             outlier_factor=self.config.phase4_outlier_factor,
             stats=self.stats,
-            cf_backend=self.config.cf_backend,
             deadline=deadline,
         )
         return (
@@ -1682,11 +1685,11 @@ class Birch:
         *,
         timings: PhaseTimings,
         global_result: GlobalClustering,
-        outliers: list[CF],
+        outliers: list[StableCF],
         refinement: Optional[RefinementResult],
         labels: Optional[np.ndarray],
         centroids: np.ndarray,
-        clusters: list[AnyCF],
+        clusters: list[StableCF],
     ) -> BirchResult:
         """Assemble a :class:`BirchResult` from finished phase outputs."""
         assert self._tree is not None
@@ -1806,7 +1809,6 @@ class Birch:
             discard_outliers=self.config.phase4_discard_outliers,
             outlier_factor=self.config.phase4_outlier_factor,
             stats=self.stats,
-            cf_backend=self.config.cf_backend,
         )
         elapsed = time.perf_counter() - start
         old = self._result
@@ -1916,7 +1918,7 @@ class Birch:
             fields.update(drift=self._drift_monitor.summary())
         return fields
 
-    def _finish_phase1(self) -> list[CF]:
+    def _finish_phase1(self) -> list[StableCF]:
         """End-of-scan outlier resolution; returns the true outliers.
 
         Idempotent: resolution drains the outlier disk, so its result is

@@ -45,7 +45,7 @@ import numpy as np
 from repro.core import container
 from repro.core.config import BirchConfig
 from repro.core.evolve import EpochBuckets
-from repro.core.features import AnyCF, CF, StableCF
+from repro.core.features import CF, StableCF
 from repro.core.tree import CFTree, ThresholdKind
 from repro.errors import ArchiveError
 from repro.pagestore.faults import FaultInjector, retry_io
@@ -93,24 +93,16 @@ def _config_from_dict(data: dict) -> BirchConfig:
 # -- CF record packing --------------------------------------------------------
 
 
-def _cfs_to_arrays(cfs: list[AnyCF], backend: str, dimensions: int) -> dict:
-    # float64, not int64: stable-backend counts may carry fractional
-    # (decayed) mass.  Integer counts survive the round-trip exactly.
+def _cfs_to_arrays(cfs: list[StableCF], dimensions: int) -> dict:
+    # float64, not int64: counts may carry fractional (decayed) mass.
+    # Integer counts survive the round-trip exactly.
     ns = np.array([cf.n for cf in cfs], dtype=np.float64)
-    if backend == "stable":
-        vec = (
-            np.stack([cf.mean for cf in cfs])
-            if cfs
-            else np.zeros((0, dimensions), dtype=np.float64)
-        )
-        sq = np.array([cf.ssd for cf in cfs], dtype=np.float64)
-    else:
-        vec = (
-            np.stack([cf.ls for cf in cfs])
-            if cfs
-            else np.zeros((0, dimensions), dtype=np.float64)
-        )
-        sq = np.array([cf.ss for cf in cfs], dtype=np.float64)
+    vec = (
+        np.stack([cf.mean for cf in cfs])
+        if cfs
+        else np.zeros((0, dimensions), dtype=np.float64)
+    )
+    sq = np.array([cf.ssd for cf in cfs], dtype=np.float64)
     return {
         "ns": ns,
         "vec": vec.astype(np.float64),
@@ -119,14 +111,22 @@ def _cfs_to_arrays(cfs: list[AnyCF], backend: str, dimensions: int) -> dict:
 
 
 def _cfs_from_arrays(
-    ns: np.ndarray, vec: np.ndarray, sq: np.ndarray, backend: str
-) -> list[AnyCF]:
-    if backend == "stable":
-        return [
-            StableCF(float(n), row.copy(), float(s))
-            for n, row, s in zip(ns, vec, sq)
-        ]
-    return [CF(int(n), row.copy(), float(s)) for n, row, s in zip(ns, vec, sq)]
+    ns: np.ndarray, vec: np.ndarray, sq: np.ndarray
+) -> list[StableCF]:
+    return [
+        StableCF(float(n), row.copy(), float(s)) for n, row, s in zip(ns, vec, sq)
+    ]
+
+
+def _convert_legacy_rows(
+    ns: np.ndarray, vec: np.ndarray, sq: np.ndarray, dimensions: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(N, LS, SS)`` rows of an older checkpoint as ``(n, mean, SSD)``."""
+    cfs = [
+        CF(int(n), row, float(s)).to_stable() for n, row, s in zip(ns, vec, sq)
+    ]
+    arrays = _cfs_to_arrays(cfs, dimensions)
+    return arrays["ns"], arrays["vec"], arrays["sq"]
 
 
 # -- payload ------------------------------------------------------------------
@@ -198,9 +198,7 @@ def _snapshot(birch: "Birch") -> tuple[dict, dict]:
         if handler is not None
         else []
     )
-    for key, value in _cfs_to_arrays(
-        records, birch.config.cf_backend, birch._dimensions
-    ).items():
+    for key, value in _cfs_to_arrays(records, birch._dimensions).items():
         arrays[f"outlier_{key}"] = value
     if birch._quarantine is not None:
         quarantine_state = birch._quarantine.state_dict()
@@ -245,14 +243,24 @@ def _restore_birch(
         if key.startswith("evolve_")
     }
 
-    config = _config_from_dict(meta["config"])
+    stored = dict(meta["config"])
+    # Checkpoints written before the tree kept one representation name
+    # theirs; a "classic" one stores (N, LS, SS) rows, converted here.
+    legacy = stored.pop("cf_backend", "stable") == "classic"
+    config = _config_from_dict(stored)
+    dimensions = int(meta["dimensions"])
+    entry_keys = ("entry_ns", "entry_vec", "entry_sq")
+    if legacy:
+        converted = _convert_legacy_rows(
+            *(tree_arrays[key] for key in entry_keys), dimensions
+        )
+        tree_arrays.update(zip(entry_keys, converted))
     birch = Birch(
         config,
         outlier_injector=outlier_injector,
         quarantine_injector=quarantine_injector,
         sleep=sleep,
     )
-    dimensions = int(meta["dimensions"])
     birch._initialise(dimensions)
     assert birch._tree is not None and birch._budget is not None
     assert birch._policy is not None
@@ -270,7 +278,6 @@ def _restore_birch(
             budget=birch._budget,
             stats=birch.stats,
             merging_refinement=config.merging_refinement,
-            cf_backend=config.cf_backend,
         )
     except ValueError as exc:
         raise ArchiveError(f"corrupt tree structure in checkpoint {path}: {exc}")
@@ -283,13 +290,10 @@ def _restore_birch(
     ]
     birch.stats.load_state(meta["io"])
     if birch._outlier_handler is not None and meta["outliers"] is not None:
-        records = _cfs_from_arrays(
-            archive["outlier_ns"],
-            archive["outlier_vec"],
-            archive["outlier_sq"],
-            config.cf_backend,
-        )
-        birch._outlier_handler.disk.adopt(records)
+        rows = tuple(archive[f"outlier_{key}"] for key in ("ns", "vec", "sq"))
+        if legacy:
+            rows = _convert_legacy_rows(*rows, dimensions)
+        birch._outlier_handler.disk.adopt(_cfs_from_arrays(*rows))
         birch._outlier_handler.load_state(meta["outliers"])
     # Guardrails state is absent from pre-guardrails checkpoints; those
     # resume with fresh (zeroed) validation accounting.

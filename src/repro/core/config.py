@@ -15,7 +15,6 @@ from typing import Optional
 from repro.core.distances import Metric
 from repro.core.evolve import DRIFT_POLICIES
 from repro.core.tree import ThresholdKind
-from repro.errors import UnsupportedBackendError
 from repro.observe import ObserveConfig
 from repro.parallel.config import ParallelConfig
 
@@ -88,13 +87,6 @@ class BirchConfig:
     threshold_mode:
         Which next-threshold estimates to use ("full", "volume",
         "regression", "dmin"); exposed for ablation.
-    cf_backend:
-        Cluster-feature representation: ``"stable"`` (default) carries
-        ``(n, mean, SSD)`` with cancellation-free update/distance
-        formulas (the BETULA representation — robust to data far from
-        the origin); ``"classic"`` carries the paper's literal
-        ``(N, LS, SS)`` triple, preserving the seed implementation
-        bit-for-bit for A/B comparison.
     checkpoint_every_points:
         Automatic crash-safety checkpoints: snapshot the full Phase 1
         state to ``checkpoint_path`` every time this many more points
@@ -188,11 +180,7 @@ class BirchConfig:
         epochs, previously inserted mass halves.  Applied to every node
         at each clock advance; means (and hence routing) are
         decay-invariant.
-        Requires the weighted ``"stable"`` backend — the classic
-        ``(N, LS, SS)`` triple cannot carry fractional mass, so setting
-        this with ``cf_backend="classic"`` raises
-        :class:`~repro.errors.UnsupportedBackendError` — and a serial
-        stream (``n_jobs=1``); decayed runs also disable the outlier
+        Requires a serial stream (``n_jobs=1``); decayed runs also disable the outlier
         disk (weighted spill mass cannot be re-resolved exactly).
         ``None`` (default) disables decay.
     epoch_buckets:
@@ -200,7 +188,7 @@ class BirchConfig:
         of inserted mass as bounded buckets of CF deltas; recording
         past the window auto-retires the oldest bucket by guarded CF
         subtraction, and :meth:`~repro.core.birch.Birch.forget_before`
-        retires buckets on demand.  Requires the ``"stable"`` backend.
+        retires buckets on demand.
         ``None`` (default) disables the window (nothing is remembered
         or forgotten).
     epoch_bucket_entries:
@@ -245,7 +233,6 @@ class BirchConfig:
     random_seed: int = 0
     merging_refinement: bool = True
     threshold_mode: str = "full"
-    cf_backend: str = "stable"
     checkpoint_every_points: Optional[int] = None
     checkpoint_path: Optional[str] = None
     outlier_fault_policy: str = "raise"
@@ -306,11 +293,6 @@ class BirchConfig:
             raise ValueError(
                 "threshold_mode must be 'full', 'volume', 'regression' or "
                 f"'dmin', got {self.threshold_mode!r}"
-            )
-        if self.cf_backend not in ("classic", "stable"):
-            raise ValueError(
-                f"cf_backend must be 'classic' or 'stable', got "
-                f"{self.cf_backend!r}"
             )
         if self.checkpoint_every_points is not None:
             if self.checkpoint_every_points < 1:
@@ -381,12 +363,6 @@ class BirchConfig:
                     f"decay_half_life must be positive, "
                     f"got {self.decay_half_life}"
                 )
-            if self.cf_backend != "stable":
-                raise UnsupportedBackendError(
-                    "decay_half_life needs the weighted 'stable' backend; "
-                    "the classic (N, LS, SS) representation cannot carry "
-                    "fractional (decayed) mass"
-                )
             if self.n_jobs != 1:
                 raise ValueError(
                     "decay_half_life requires n_jobs=1: the decay clock is "
@@ -396,12 +372,6 @@ class BirchConfig:
             if self.epoch_buckets < 1:
                 raise ValueError(
                     f"epoch_buckets must be >= 1, got {self.epoch_buckets}"
-                )
-            if self.cf_backend != "stable":
-                raise UnsupportedBackendError(
-                    "epoch_buckets needs the weighted 'stable' backend; "
-                    "forgetting subtracts CF deltas, which can leave "
-                    "fractional remnants the classic triple cannot carry"
                 )
         if self.epoch_bucket_entries < 1:
             raise ValueError(

@@ -415,7 +415,7 @@ def _read_legacy_checkpoint(path: Path) -> Archive:
 
 
 def _read_legacy_npz(path: Path) -> Archive:
-    """v1 (classic) / v2 (stable) ``np.savez_compressed`` archives."""
+    """v1 (N, LS, SS) and v2 (n, mean, SSD) ``np.savez_compressed`` archives."""
     arrays = _npz_arrays(path, path)
     if "version" not in arrays:
         raise ArchiveError(f"{path} is an .npz file but no repro archive")

@@ -43,9 +43,6 @@ class TreeDiagnostics:
     threshold_headroom:
         ``1 - max(entry statistic) / T`` (0 means some entry sits right
         at the threshold; ``None`` when T == 0 or no multi-point entry).
-    cf_backend:
-        CF representation the tree stores (``"classic"`` or
-        ``"stable"``).
     """
 
     height: int
@@ -56,7 +53,6 @@ class TreeDiagnostics:
     entry_diameters: np.ndarray = field(repr=False)
     threshold: float = 0.0
     threshold_headroom: float | None = None
-    cf_backend: str = "classic"
 
     @property
     def total_nodes(self) -> int:
@@ -84,7 +80,6 @@ class TreeDiagnostics:
             f"{self.leaf_entry_count} leaf entries, "
             f"median {self.median_entry_points:.0f} points each",
             f"threshold T = {self.threshold:.4g}",
-            f"cf backend {self.cf_backend}",
         ]
         if self.threshold_headroom is not None:
             lines.append(f"threshold headroom {self.threshold_headroom:.1%}")
@@ -147,7 +142,6 @@ def diagnose(tree: CFTree) -> TreeDiagnostics:
         entry_diameters=np.array(entry_diameters, dtype=np.float64),
         threshold=tree.threshold,
         threshold_headroom=headroom,
-        cf_backend=tree.cf_backend,
     )
 
 

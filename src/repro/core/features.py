@@ -13,38 +13,37 @@ centroid, radius, diameter and all five inter-cluster distances D0-D4
 are closed-form functions of CFs, BIRCH never needs the raw points after
 absorbing them.
 
-This module provides the scalar :class:`CF` object used throughout the
-tree.  Hot loops operate on the struct-of-arrays views exposed by the
-tree nodes (see :mod:`repro.core.node`), but every formula lives here
-and in :mod:`repro.core.distances` in exact correspondence with the
-paper's equations (1)-(6).
+This module provides :class:`CF`, the paper's triple, kept as the
+reference algebra that the tests and the numeric-stability benchmark
+check against, in exact correspondence with equations (1)-(6).
 
 The literal ``(N, LS, SS)`` triple is numerically fragile: every
 radius/diameter/D2-D4 value is a small difference of the large
 quantities ``SS`` and ``||LS||^2/N``, so once data sits far from the
 origin the statistics lose all significant digits (catastrophic
-cancellation).  :class:`StableCF` is the numerically stable alternative
-— the BETULA cluster feature ``(n, mean, SSD)`` of Lang & Schubert
-(2020), updated with Welford/Chan-style incremental formulas — and is
-selectable throughout the pipeline via ``BirchConfig.cf_backend``.
-Both classes expose the same algebra/statistics interface, and
-:func:`coerce_backend` converts between them.
+cancellation).  The CF-tree, its kernels and every file the library
+writes therefore store :class:`StableCF` — the BETULA cluster feature
+``(n, mean, SSD)`` of Lang & Schubert (2020), updated with
+Welford/Chan-style incremental formulas.  Hot loops operate on the
+struct-of-arrays views exposed by the tree nodes (see
+:mod:`repro.core.node`).  Both classes expose the same
+algebra/statistics interface; :meth:`CF.to_stable` converts a
+reference CF (and a legacy ``(N, LS, SS)`` row read from an old file)
+into the stored representation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 __all__ = [
     "CF",
     "StableCF",
-    "AnyCF",
-    "CF_BACKENDS",
+    "as_stable",
     "cf_row",
-    "coerce_backend",
     "point_rows",
     "row_cf",
 ]
@@ -79,7 +78,7 @@ class CF:
         if not float(n).is_integer():
             raise ValueError(
                 f"classic CF counts are integral, got N={n}; fractional "
-                "(decayed) mass requires the stable backend"
+                "(decayed) mass requires StableCF"
             )
         self.n = int(n)
         self.ls = np.asarray(ls, dtype=np.float64)
@@ -249,10 +248,6 @@ class CF:
             return StableCF.empty(self.dimensions)
         return StableCF(self.n, self.centroid, self.sum_squared_deviation)
 
-    def to_classic(self) -> "CF":
-        """Identity, for symmetry with :meth:`StableCF.to_classic`."""
-        return self.copy()
-
     # -- comparison -----------------------------------------------------------
 
     def allclose(self, other: "CF", rtol: float = 1e-9, atol: float = 1e-9) -> bool:
@@ -295,13 +290,12 @@ class StableCF:
 
     The update additions involve only same-scale non-negative terms, so
     radii and distances keep full relative precision no matter how far
-    the data sits from the origin — exactly where the classic triple
-    collapses (see ``tests/core/test_numerics.py``).
+    the data sits from the origin — exactly where the ``(N, LS, SS)``
+    triple collapses (see ``tests/core/test_numerics.py``).
 
     The interface mirrors :class:`CF` (constructors, algebra, derived
-    statistics), so the two are interchangeable behind the
-    ``cf_backend`` switch; ``ls``/``ss`` are available as *computed*
-    properties for export paths that need the classic triple.
+    statistics); ``ls``/``ss`` are available as *computed* properties
+    for comparisons against the reference algebra.
     """
 
     __slots__ = ("n", "mean", "ssd")
@@ -309,9 +303,9 @@ class StableCF:
     def __init__(self, n: float, mean: np.ndarray, ssd: float) -> None:
         if n < 0:
             raise ValueError(f"N must be >= 0, got {n}")
-        # Exponential decay scales counts by a fractional factor, so the
-        # stable backend carries float mass; integral counts normalise
-        # back to int so undecayed trees keep exact integer semantics.
+        # Exponential decay scales counts by a fractional factor, so
+        # entries carry float mass; integral counts normalise back to
+        # int so undecayed trees keep exact integer semantics.
         n = float(n)
         self.n = int(n) if n.is_integer() else n
         self.mean = np.asarray(mean, dtype=np.float64)
@@ -443,8 +437,8 @@ class StableCF:
 
         Uniform exponential decay multiplies every member's weight by
         the same factor, which scales ``n`` and ``SSD`` and leaves the
-        mean invariant.  Only the stable backend supports fractional
-        mass; classic CFs have no counterpart.
+        mean invariant.  The reference :class:`CF` keeps integral
+        counts and has no counterpart.
         """
         if not (math.isfinite(factor) and factor >= 0.0):
             raise ValueError(f"scale factor must be finite and >= 0, got {factor}")
@@ -504,26 +498,22 @@ class StableCF:
         """``SSD`` itself — the quantity this representation carries."""
         return max(self.ssd, 0.0)
 
-    # -- classic exports ------------------------------------------------------
+    # -- (N, LS, SS) views -----------------------------------------------------
 
     @property
     def ls(self) -> np.ndarray:
-        """Classic linear sum ``LS = n * mean`` (computed, lossy export)."""
+        """Linear sum ``LS = n * mean`` (computed, lossy export)."""
         return self.n * self.mean
 
     @property
     def ss(self) -> float:
-        """Classic square sum ``SS = SSD + n ||mean||^2`` (computed).
+        """Square sum ``SS = SSD + n ||mean||^2`` (computed).
 
-        Feeding this back into the classic cancellation formulas
+        Feeding this back into the ``(N, LS, SS)`` cancellation formulas
         reintroduces the instability this class exists to avoid; use it
-        only for interchange/serialisation.
+        only for comparisons.
         """
         return self.ssd + self.n * float(self.mean @ self.mean)
-
-    def to_classic(self) -> "CF":
-        """This cluster as a classic :class:`CF` ``(N, LS, SS)``."""
-        return CF(self.n, self.ls, self.ss)
 
     def to_stable(self) -> "StableCF":
         """Identity, for symmetry with :meth:`CF.to_stable`."""
@@ -551,7 +541,7 @@ class StableCF:
         if not isinstance(other, StableCF):
             raise TypeError(
                 f"expected StableCF, got {type(other).__name__}; convert "
-                "with .to_stable() before mixing backends"
+                "with .to_stable() before mixing the two classes"
             )
         if self.dimensions != other.dimensions:
             raise ValueError(
@@ -563,72 +553,46 @@ class StableCF:
         return f"StableCF(n={self.n}, mean={mean_repr}, ssd={self.ssd:.3f})"
 
 
-AnyCF = Union[CF, StableCF]
+def as_stable(cf: CF | StableCF) -> StableCF:
+    """``cf`` itself if it is a :class:`StableCF`, else its conversion.
 
-#: Backend name -> CF class; the ``cf_backend`` switch resolves here.
-CF_BACKENDS: dict[str, type] = {"classic": CF, "stable": StableCF}
-
-
-def coerce_backend(cf: AnyCF, backend: str) -> AnyCF:
-    """Return ``cf`` in the representation named by ``backend``.
-
-    No-op (the same object) when the representation already matches;
-    otherwise a lossless-in-count, precision-preserving-as-possible
-    conversion (see :meth:`CF.to_stable` on what "possible" means).
+    The one place a reference :class:`CF` handed to the tree becomes
+    the stored representation (see :meth:`CF.to_stable`).
     """
-    cls = CF_BACKENDS.get(backend)
-    if cls is None:
-        raise ValueError(
-            f"unknown cf_backend {backend!r}; expected one of "
-            f"{sorted(CF_BACKENDS)}"
-        )
-    if isinstance(cf, cls):
-        return cf
-    return cf.to_stable() if backend == "stable" else cf.to_classic()
+    return cf if isinstance(cf, StableCF) else cf.to_stable()
 
 
-def cf_row(cf: AnyCF) -> tuple[float, np.ndarray, float]:
-    """``cf`` as the raw ``(n, vector, scalar)`` row a tree node stores.
+def cf_row(cf: CF | StableCF) -> tuple[float, np.ndarray, float]:
+    """``cf`` as the raw ``(n, mean, SSD)`` row a tree node stores.
 
-    ``(N, LS, SS)`` for a classic CF, ``(n, mean, SSD)`` for a stable
-    one; the arrays are the CF's own, not copies.
+    A :class:`StableCF` gives its own arrays, not copies.
     """
-    if isinstance(cf, StableCF):
-        return cf.n, cf.mean, cf.ssd
-    return cf.n, cf.ls, cf.ss
+    cf = as_stable(cf)
+    return cf.n, cf.mean, cf.ssd
 
 
-def row_cf(n: float, vec: np.ndarray, sq: float, backend: str) -> AnyCF:
-    """The inverse of :func:`cf_row`: a raw row as a CF of ``backend``.
+def row_cf(n: float, vec: np.ndarray, sq: float) -> StableCF:
+    """The inverse of :func:`cf_row`: a raw row as a :class:`StableCF`.
 
-    The vector is copied.  A stable row keeps its raw float count
-    (decayed entries carry fractional mass; :class:`StableCF`
-    normalises integral counts back to int).
+    The vector is copied.  The raw float count is kept (decayed entries
+    carry fractional mass; :class:`StableCF` normalises integral counts
+    back to int).
     """
-    if backend == "stable":
-        return StableCF(float(n), vec.copy(), float(sq))
-    return CF(int(n), vec.copy(), float(sq))
+    return StableCF(float(n), vec.copy(), float(sq))
 
 
 def point_rows(
-    points: np.ndarray, backend: str, weights: np.ndarray | None = None
+    points: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A batch of points as the raw ``(ns, vecs, sqs)`` rows of ``backend``.
+    """A batch of points as raw ``(ns, means, SSDs)`` rows.
 
     A point of integer weight ``w`` (default 1) is ``w`` coincident
-    points: the classic row is ``(w, w x, w ||x||^2)`` and the stable
-    row ``(w, x, 0)``.  The square norms come from one einsum over the
-    batch, which is bitwise what a per-point loop over the same rows
-    computes.  Unweighted rows share ``points`` as their vectors.
+    points, the row ``(w, x, 0)``.  The rows share ``points`` as their
+    means.
     """
     m = points.shape[0]
     ns = np.ones(m) if weights is None else weights.astype(np.float64)
-    if backend == "stable":
-        return ns, points, np.zeros(m)
-    norms = np.einsum("ij,ij->i", points, points)
-    if weights is None:
-        return ns, points, norms
-    return ns, weights[:, None] * points, weights * norms
+    return ns, points, np.zeros(m)
 
 
 def _validate_point(point: np.ndarray, dimensions: int | None = None) -> np.ndarray:

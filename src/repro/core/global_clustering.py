@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.distances import Metric, distances_to_set, stable_distances_to_set
-from repro.core.features import CF, AnyCF, StableCF
+from repro.core.distances import Metric, stable_distances_to_set
+from repro.core.features import CF, StableCF, cf_row
 from repro.core.lloyd import weighted_lloyd_step
 from repro.errors import PhaseTimeoutError
 from repro.serve.kernel import nearest_centroids
@@ -72,7 +72,7 @@ class GlobalClustering:
     """
 
     labels: np.ndarray
-    clusters: list[AnyCF]
+    clusters: list[StableCF]
     history: list[MergeStep] = field(default_factory=list)
 
     @property
@@ -85,7 +85,7 @@ class GlobalClustering:
         """Cluster centroids, shape ``(k, d)``."""
         return np.stack([cf.centroid for cf in self.clusters])
 
-    def check_conservation(self, entries: list[AnyCF]) -> None:
+    def check_conservation(self, entries: list[StableCF]) -> None:
         """Assert cluster CFs sum to the input entries (test helper)."""
         total_in = sum((cf.n for cf in entries), 0)
         total_out = sum((cf.n for cf in self.clusters), 0)
@@ -96,7 +96,7 @@ class GlobalClustering:
 
 
 def agglomerative_cf(
-    entries: list[AnyCF],
+    entries: list[CF | StableCF],
     n_clusters: int = 1,
     metric: Metric = Metric.D2_AVG_INTERCLUSTER,
     stop_diameter: Optional[float] = None,
@@ -119,7 +119,9 @@ def agglomerative_cf(
     Parameters
     ----------
     entries:
-        The subcluster CFs (Phase 1/2 leaf entries).
+        The subcluster CFs (Phase 1/2 leaf entries); reference
+        :class:`~repro.core.features.CF` entries are converted to
+        ``(n, mean, SSD)`` first.
     n_clusters:
         Target number of clusters ``K`` (lower bound on the output).
     metric:
@@ -149,17 +151,12 @@ def agglomerative_cf(
         labels = np.arange(m)
         return GlobalClustering(labels=labels, clusters=[cf.copy() for cf in entries])
 
-    # The SoA state mirrors the entry backend: classic rows are
-    # (N, LS, SS); stable rows are (n, mean, SSD) and all merge/distance
+    # The SoA state holds (n, mean, SSD) rows, and all merge/distance
     # arithmetic below goes through the cancellation-free kernels.
-    stable = isinstance(entries[0], StableCF)
-    ns = np.array([cf.n for cf in entries], dtype=np.float64)
-    if stable:
-        vec = np.stack([cf.mean for cf in entries]).astype(np.float64)
-        sq = np.array([cf.ssd for cf in entries], dtype=np.float64)
-    else:
-        vec = np.stack([cf.ls for cf in entries]).astype(np.float64)
-        sq = np.array([cf.ss for cf in entries], dtype=np.float64)
+    rows = [cf_row(cf) for cf in entries]
+    ns = np.array([n for n, _, _ in rows], dtype=np.float64)
+    vec = np.stack([mean for _, mean, _ in rows]).astype(np.float64)
+    sq = np.array([ssd for _, _, ssd in rows], dtype=np.float64)
     active = np.ones(m, dtype=bool)
     # Union-find-ish parent map: every original entry tracks its cluster.
     labels = np.arange(m)
@@ -172,14 +169,10 @@ def agglomerative_cf(
     forbidden: dict[int, set[int]] = {}
 
     def row_distances(i: int) -> np.ndarray:
-        if stable:
-            # float n: stable rows may carry fractional (decayed) mass,
-            # which int() would truncate to an empty probe.
-            probe = StableCF(float(ns[i]), vec[i], float(sq[i]))
-            dist = stable_distances_to_set(probe, ns, vec, sq, metric)
-        else:
-            probe = CF(int(ns[i]), vec[i], float(sq[i]))
-            dist = distances_to_set(probe, ns, vec, sq, metric)
+        # float n: rows may carry fractional (decayed) mass, which int()
+        # would truncate to an empty probe.
+        probe = StableCF(float(ns[i]), vec[i], float(sq[i]))
+        dist = stable_distances_to_set(probe, ns, vec, sq, metric)
         dist[~active] = np.inf
         dist[i] = np.inf
         blocked = forbidden.get(i)
@@ -206,11 +199,8 @@ def agglomerative_cf(
                 peers.discard(i)
 
     def merged_diameter_of(i: int, j: int) -> float:
-        if stable:
-            a = StableCF(float(ns[i]), vec[i], float(sq[i]))
-            return a.merge(StableCF(float(ns[j]), vec[j], float(sq[j]))).diameter
-        merged = CF(int(ns[i] + ns[j]), vec[i] + vec[j], float(sq[i] + sq[j]))
-        return merged.diameter
+        a = StableCF(float(ns[i]), vec[i], float(sq[i]))
+        return a.merge(StableCF(float(ns[j]), vec[j], float(sq[j]))).diameter
 
     history: list[MergeStep] = []
 
@@ -247,17 +237,12 @@ def agglomerative_cf(
                 merged_points=int(ns[i] + ns[j]),
             )
         )
-        if stable:
-            # Chan pairwise update on the (n, mean, SSD) row.
-            n_new = ns[i] + ns[j]
-            delta = vec[j] - vec[i]
-            vec[i] += (ns[j] / n_new) * delta
-            sq[i] += sq[j] + (ns[i] * ns[j] / n_new) * float(delta @ delta)
-            ns[i] = n_new
-        else:
-            ns[i] += ns[j]
-            vec[i] += vec[j]
-            sq[i] += sq[j]
+        # Chan pairwise update on the (n, mean, SSD) row.
+        n_new = ns[i] + ns[j]
+        delta = vec[j] - vec[i]
+        vec[i] += (ns[j] / n_new) * delta
+        sq[i] += sq[j] + (ns[i] * ns[j] / n_new) * float(delta @ delta)
+        ns[i] = n_new
         active[j] = False
         nn_dist[j] = np.inf
         labels[labels == j] = i
@@ -271,7 +256,7 @@ def agglomerative_cf(
         for k in np.nonzero(stale)[0]:
             refresh_nn(int(k))
 
-    return _package(labels, active, ns, vec, sq, history, stable)
+    return _package(labels, active, ns, vec, sq, history)
 
 
 def _package(
@@ -281,18 +266,13 @@ def _package(
     vec: np.ndarray,
     sq: np.ndarray,
     history: list[MergeStep],
-    stable: bool,
 ) -> GlobalClustering:
     """Compact merged-cluster state into a GlobalClustering."""
     cluster_ids = np.nonzero(active)[0]
     id_to_compact = {int(cid): pos for pos, cid in enumerate(cluster_ids)}
     compact_labels = np.array([id_to_compact[int(c)] for c in labels], dtype=np.int64)
     clusters = [
-        (
-            StableCF(float(ns[cid]), vec[cid].copy(), float(sq[cid]))
-            if stable
-            else CF(int(ns[cid]), vec[cid].copy(), float(sq[cid]))
-        )
+        StableCF(float(ns[cid]), vec[cid].copy(), float(sq[cid]))
         for cid in cluster_ids
     ]
     return GlobalClustering(labels=compact_labels, clusters=clusters, history=history)
@@ -333,7 +313,7 @@ class CFKMeans:
         self.tol = tol
         self.seed = seed
 
-    def fit(self, entries: list[AnyCF]) -> GlobalClustering:
+    def fit(self, entries: list[StableCF]) -> GlobalClustering:
         """Cluster the entries; returns labels and exact cluster CFs."""
         m = len(entries)
         if m == 0:
@@ -358,7 +338,7 @@ class CFKMeans:
                 break
 
         labels = nearest_centroids(centroids_in, centers)
-        clusters: list[AnyCF] = []
+        clusters: list[StableCF] = []
         final_labels = np.full(m, -1, dtype=np.int64)
         next_id = 0
         for c in range(k):
@@ -418,7 +398,7 @@ class CFMedoids:
         self.n_clusters = n_clusters
         self.max_iter = max_iter
 
-    def fit(self, entries: list[AnyCF]) -> GlobalClustering:
+    def fit(self, entries: list[StableCF]) -> GlobalClustering:
         """Cluster the entries; returns labels and exact cluster CFs."""
         from repro.baselines.kmedoids import KMedoids
 
@@ -432,7 +412,7 @@ class CFMedoids:
             centroids, weights=weights
         )
 
-        clusters: list[AnyCF] = []
+        clusters: list[StableCF] = []
         final_labels = np.full(m, -1, dtype=np.int64)
         next_id = 0
         for c in range(k):

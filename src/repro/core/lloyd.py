@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.features import CF, AnyCF, CF_BACKENDS, StableCF
+from repro.core.features import StableCF
 from repro.serve.kernel import nearest_centroids
 
 __all__ = ["LloydStep", "group_cfs", "group_means", "weighted_lloyd_step"]
@@ -92,20 +92,14 @@ def group_means(
     return mass, means
 
 
-def group_cfs(
-    points: np.ndarray, labels: np.ndarray, k: int, cf_backend: str = "classic"
-) -> list[AnyCF]:
+def group_cfs(points: np.ndarray, labels: np.ndarray, k: int) -> list[StableCF]:
     """Exact CF of each of the ``k`` clusters (``-1`` rows excluded).
 
-    Counts are exact; means and SSDs are two-pass.  A classic CF keeps
-    the raw linear sum and derives ``SS = SSD + LS . mean``.  Empty
-    clusters get an empty CF.
+    Counts are exact; means and SSDs are two-pass.  Empty clusters get
+    an empty CF.
     """
-    stable = CF_BACKENDS[cf_backend] is StableCF
     order, counts, present, starts = _sorted_groups(labels, k)
-    clusters: list[AnyCF] = [
-        CF_BACKENDS[cf_backend].empty(points.shape[1]) for _ in range(k)
-    ]
+    clusters = [StableCF.empty(points.shape[1]) for _ in range(k)]
     if not present.size:
         return clusters
     rows = np.take(points, order, axis=0)
@@ -114,10 +108,8 @@ def group_cfs(
     means = sums / sizes[:, None]
     rows -= np.repeat(means, sizes, axis=0)
     ssds = np.add.reduceat(np.einsum("ij,ij->i", rows, rows), starts)
-    for c, n, ls, mean, ssd in zip(present, sizes, sums, means, ssds):
-        clusters[c] = (
-            StableCF(n, mean, ssd) if stable else CF(n, ls, ssd + float(ls @ mean))
-        )
+    for c, n, mean, ssd in zip(present, sizes, means, ssds):
+        clusters[c] = StableCF(n, mean, ssd)
     return clusters
 
 

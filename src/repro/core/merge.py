@@ -10,10 +10,9 @@ merged tree is a valid Phase 1 output for the union of the shards.
 
 :func:`merge_tree_pair` is the unit of work: one donor tree's leaf
 entries folded into one accumulator through the same batched insertion
-path as raw points (:meth:`~repro.core.tree.CFTree.bulk_insert`, which
-is byte-identical to a per-entry ``insert_cf`` fold), growing the
-threshold with the standard policy whenever the merged tree would
-exceed its memory budget.  :func:`merge_trees` keeps the historical
+path as raw points (:meth:`~repro.core.tree.CFTree.bulk_insert`),
+growing the threshold with the standard policy whenever the merged tree
+would exceed its memory budget.  :func:`merge_trees` keeps the historical
 N-ary API as a sequential fold over pairs; the sharded build reduces
 pairs in parallel rounds instead (see :mod:`repro.parallel.worker`).
 """
@@ -42,11 +41,6 @@ def _check_compatible(first: CFTree, other: CFTree) -> None:
         raise ValueError("metric mismatch between trees")
     if other.threshold_kind is not first.threshold_kind:
         raise ValueError("threshold-kind mismatch between trees")
-    if other.cf_backend != first.cf_backend:
-        raise ValueError(
-            f"cf-backend mismatch between trees: {other.cf_backend!r} vs "
-            f"{first.cf_backend!r}"
-        )
 
 
 def _donor_arrays(
@@ -90,13 +84,16 @@ def merge_tree_pair(
 
     ``acc`` is the accumulator (consumed and returned, possibly
     rebuilt coarser); ``donor`` is read but not freed.  Entries move in
-    leaf-chain order through :meth:`~repro.core.tree.CFTree.bulk_insert`,
-    pausing to re-check the memory budget after any insertion that
-    allocated a node and rebuilding at the policy's next threshold
-    whenever the budget trips — the same grow-until-it-fits loop Phase 1
-    applies to raw points, lifted to subclusters.  The result is
-    byte-identical to a per-entry ``insert_cf`` fold with the same
-    budget checks.
+    leaf-chain order through :meth:`~repro.core.tree.CFTree.bulk_insert`
+    under Phase 1's budget rule, lifted to subclusters: while the tree
+    is over its memory budget, rebuild at the policy's next threshold,
+    but only after an entry that did not absorb into an existing leaf
+    entry (it appended one, maybe splitting).  An entry that absorbs
+    never changes the node count, so it never checks the budget, even
+    when the accumulator starts the fold over budget.  The result is
+    byte-identical to a per-entry fold that tries
+    :meth:`~repro.core.tree.CFTree.try_absorb_cf` first and, when that
+    fails, calls ``insert_cf`` and rebuilds while over budget.
 
     Returns a tree whose summary CF is the exact sum of both inputs'
     (CF additivity, Theorem 4.1) and whose threshold is at least the

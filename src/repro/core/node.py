@@ -8,17 +8,12 @@ pointers chaining all leaves together for efficient scans.
 
 Entries are stored struct-of-arrays — parallel arrays pre-allocated to
 the node's page capacity — so the insertion descent can evaluate D0-D4
-against a whole node with one vectorised call.  The array semantics
-follow the node's ``cf_backend``:
-
-* ``"classic"`` — ``N``/``LS``/``SS`` (paper Definition 4.1), served by
-  :func:`repro.core.distances.distances_to_set`;
-* ``"stable"`` — ``N``/``mean``/``SSD`` (the BETULA representation, see
-  :class:`repro.core.features.StableCF`), served by
-  :func:`repro.core.distances.stable_distances_to_set`.
-
-Either way a CF costs the same ``1 + d + 1`` floats, so the page model
-charges identically.  Node capacities come from a
+against a whole node with one vectorised call.  Each entry is an
+``(n, mean, SSD)`` row (the BETULA representation, see
+:class:`repro.core.features.StableCF`), served by
+:func:`repro.core.distances.stable_distances_to_set`.  A row costs the
+same ``1 + d + 1`` floats as the paper's ``(N, LS, SS)`` triple, so the
+page model charges as the paper does.  Node capacities come from a
 :class:`repro.pagestore.PageLayout`; every node corresponds to exactly
 one simulated page.
 """
@@ -31,20 +26,10 @@ import numpy as np
 
 from repro.core.distances import (
     Metric,
-    cf_batch_distances,
-    distances_to_set,
     stable_cf_batch_distances,
     stable_distances_to_set,
 )
-from repro.core.features import (
-    CF,
-    AnyCF,
-    CF_BACKENDS,
-    StableCF,
-    cf_row,
-    coerce_backend,
-    row_cf,
-)
+from repro.core.features import CF, StableCF, as_stable, cf_row, row_cf
 from repro.pagestore.page import PageLayout
 
 __all__ = ["CFNode"]
@@ -60,15 +45,11 @@ class CFNode:
     is_leaf:
         Leaf nodes store subcluster entries and chain pointers; nonleaf
         nodes store child pointers parallel to their entries.
-    cf_backend:
-        ``"classic"`` stores ``(N, LS, SS)`` rows; ``"stable"`` stores
-        ``(n, mean, SSD)`` rows and uses the cancellation-free kernels.
     """
 
     __slots__ = (
         "layout",
         "is_leaf",
-        "cf_backend",
         "size",
         "_ns",
         "_vec",
@@ -78,17 +59,9 @@ class CFNode:
         "next_leaf",
     )
 
-    def __init__(
-        self, layout: PageLayout, is_leaf: bool, cf_backend: str = "classic"
-    ) -> None:
-        if cf_backend not in CF_BACKENDS:
-            raise ValueError(
-                f"unknown cf_backend {cf_backend!r}; expected one of "
-                f"{sorted(CF_BACKENDS)}"
-            )
+    def __init__(self, layout: PageLayout, is_leaf: bool) -> None:
         self.layout = layout
         self.is_leaf = is_leaf
-        self.cf_backend = cf_backend
         capacity = layout.leaf_capacity if is_leaf else layout.branching_factor
         self.size = 0
         self._ns = np.zeros(capacity, dtype=np.float64)
@@ -116,79 +89,47 @@ class CFNode:
         return self._ns[: self.size]
 
     @property
-    def ls(self) -> np.ndarray:
-        """View of the live linear sums, shape ``(size, d)`` (classic only)."""
-        self._require_backend("classic", "ls")
-        return self._vec[: self.size]
-
-    @property
-    def ss(self) -> np.ndarray:
-        """View of the live square sums, shape ``(size,)`` (classic only)."""
-        self._require_backend("classic", "ss")
-        return self._sq[: self.size]
-
-    @property
     def means(self) -> np.ndarray:
-        """View of the live entry means, shape ``(size, d)`` (stable only)."""
-        self._require_backend("stable", "means")
+        """View of the live entry means, shape ``(size, d)``."""
         return self._vec[: self.size]
 
     @property
     def ssds(self) -> np.ndarray:
-        """View of the live entry SSDs, shape ``(size,)`` (stable only)."""
-        self._require_backend("stable", "ssds")
+        """View of the live entry SSDs, shape ``(size,)``."""
         return self._sq[: self.size]
 
-    def _require_backend(self, backend: str, view: str) -> None:
-        if self.cf_backend != backend:
-            raise AttributeError(
-                f"node uses the {self.cf_backend!r} backend; the {view!r} "
-                f"view exists only on {backend!r} nodes"
-            )
-
-    def entry_cf(self, index: int) -> AnyCF:
-        """Entry ``index`` as an independent CF object (backend class)."""
+    def entry_cf(self, index: int) -> StableCF:
+        """Entry ``index`` as an independent :class:`StableCF`."""
         self._check_index(index)
-        return row_cf(
-            self._ns[index], self._vec[index], self._sq[index], self.cf_backend
-        )
+        return row_cf(self._ns[index], self._vec[index], self._sq[index])
 
-    def iter_entry_cfs(self) -> Iterator[AnyCF]:
+    def iter_entry_cfs(self) -> Iterator[StableCF]:
         """All live entries as CF objects (copies)."""
         for i in range(self.size):
             yield self.entry_cf(i)
 
-    def summary_cf(self) -> AnyCF:
+    def summary_cf(self) -> StableCF:
         """CF of everything stored under this node (sum of entries)."""
-        n, vec, sq = self.summary_row()
-        if self.cf_backend == "stable":
-            return StableCF(n, vec, sq)
-        return CF(int(n), vec, sq)
+        return StableCF(*self.summary_row())
 
     def summary_row(self) -> tuple[float, np.ndarray, float]:
-        """:meth:`summary_cf` as a raw ``(n, vector, scalar)`` row."""
-        if self.cf_backend == "stable":
-            if self.size == 0:
-                return 0.0, np.zeros(self.layout.dimensions, dtype=np.float64), 0.0
-            ns = self.ns
-            n_total = float(ns.sum())
-            mean = (ns[:, None] * self.means).sum(axis=0) / n_total
-            # SSD decomposes as within-entry + between-entry parts; both
-            # are sums of non-negative same-scale terms (no cancellation).
-            diff = self.means - mean
-            between = float(ns @ np.einsum("ij,ij->i", diff, diff))
-            return n_total, mean, float(self.ssds.sum()) + between
-        return (
-            float(self.ns.sum()),
-            self._vec[: self.size].sum(axis=0)
-            if self.size
-            else np.zeros(self.layout.dimensions, dtype=np.float64),
-            float(self._sq[: self.size].sum()),
-        )
+        """:meth:`summary_cf` as a raw ``(n, mean, SSD)`` row."""
+        if self.size == 0:
+            return 0.0, np.zeros(self.layout.dimensions, dtype=np.float64), 0.0
+        ns = self.ns
+        n_total = float(ns.sum())
+        mean = (ns[:, None] * self.means).sum(axis=0) / n_total
+        # SSD decomposes as within-entry + between-entry parts; both are
+        # sums of non-negative same-scale terms (no cancellation).
+        diff = self.means - mean
+        between = float(ns @ np.einsum("ij,ij->i", diff, diff))
+        return n_total, mean, float(self.ssds.sum()) + between
 
     # -- entry mutation ---------------------------------------------------------
 
-    def append_entry(self, cf: AnyCF, child: Optional["CFNode"] = None) -> int:
+    def append_entry(
+        self, cf: CF | StableCF, child: Optional["CFNode"] = None
+    ) -> int:
         """Add an entry; returns its index.
 
         Raises
@@ -202,22 +143,22 @@ class CFNode:
         if self.is_leaf != (child is None):
             kind = "leaf" if self.is_leaf else "nonleaf"
             raise ValueError(f"{kind} node entry child mismatch")
-        return self.append_row(*cf_row(coerce_backend(cf, self.cf_backend)), child)
+        return self.append_row(*cf_row(cf), child)
 
-    def set_entry(self, index: int, cf: AnyCF) -> None:
+    def set_entry(self, index: int, cf: CF | StableCF) -> None:
         """Overwrite the summary of entry ``index``."""
         self._check_index(index)
-        self.set_row(index, *cf_row(coerce_backend(cf, self.cf_backend)))
+        self.set_row(index, *cf_row(cf))
 
-    def add_to_entry(self, index: int, cf: AnyCF) -> None:
+    def add_to_entry(self, index: int, cf: CF | StableCF) -> None:
         """Absorb ``cf`` into entry ``index`` (CF additivity)."""
         self._check_index(index)
-        self.add_row(index, *cf_row(coerce_backend(cf, self.cf_backend)))
+        self.add_row(index, *cf_row(cf))
 
     # Unchecked row primitives.  The CF-tree's insertion path calls them
-    # with a CF already in this node's backend, split into its raw
-    # ``(n, vector, scalar)`` row; the CF-object methods above check
-    # their arguments and delegate here, so each update exists once.
+    # with a raw ``(n, mean, SSD)`` row; the CF-object methods above
+    # check their arguments and delegate here, so each update exists
+    # once.
 
     def append_row(
         self, n: float, vec: np.ndarray, sq: float, child: Optional["CFNode"] = None
@@ -239,24 +180,21 @@ class CFNode:
         self._sq[index] = sq
 
     def add_row(self, index: int, n: float, vec: np.ndarray, sq: float) -> None:
-        """Absorb a raw row into entry ``index`` (unchecked)."""
-        if self.cf_backend == "stable":
-            # Pairwise Chan update on the stored (n, mean, SSD) row.
-            n_old = self._ns[index]
-            n_new = n_old + n
-            delta = vec - self._vec[index]
-            self._vec[index] += (n / n_new) * delta
-            # einsum, not ``delta @ delta``: the fused bulk-ingest update
-            # must reproduce this value bitwise and BLAS dot products are
-            # not shape-consistent.
-            self._sq[index] += sq + (n_old * n / n_new) * float(
-                np.einsum("j,j->", delta, delta)
-            )
-            self._ns[index] = n_new
-        else:
-            self._ns[index] += n
-            self._vec[index] += vec
-            self._sq[index] += sq
+        """Absorb a raw row into entry ``index`` (unchecked).
+
+        The pairwise Chan update on the stored ``(n, mean, SSD)`` row.
+        """
+        n_old = self._ns[index]
+        n_new = n_old + n
+        delta = vec - self._vec[index]
+        self._vec[index] += (n / n_new) * delta
+        # einsum, not ``delta @ delta``: the fused bulk-ingest update must
+        # reproduce this value bitwise and BLAS dot products are not
+        # shape-consistent.
+        self._sq[index] += sq + (n_old * n / n_new) * float(
+            np.einsum("j,j->", delta, delta)
+        )
+        self._ns[index] = n_new
 
     def fill_rows(
         self,
@@ -311,7 +249,9 @@ class CFNode:
 
     # -- searching ----------------------------------------------------------------
 
-    def closest_entry(self, probe: AnyCF, metric: Metric) -> tuple[int, float]:
+    def closest_entry(
+        self, probe: CF | StableCF, metric: Metric
+    ) -> tuple[int, float]:
         """Index and distance of the entry closest to ``probe``.
 
         Raises
@@ -325,15 +265,10 @@ class CFNode:
         index = int(np.argmin(dists))
         return index, float(dists[index])
 
-    def entry_distances(self, probe: AnyCF, metric: Metric) -> np.ndarray:
+    def entry_distances(self, probe: CF | StableCF, metric: Metric) -> np.ndarray:
         """Distances from ``probe`` to every live entry."""
-        probe = coerce_backend(probe, self.cf_backend)
-        if self.cf_backend == "stable":
-            return stable_distances_to_set(
-                probe, self.ns, self._vec[: self.size], self._sq[: self.size], metric
-            )
-        return distances_to_set(
-            probe, self.ns, self._vec[: self.size], self._sq[: self.size], metric
+        return stable_distances_to_set(
+            as_stable(probe), self.ns, self.means, self.ssds, metric
         )
 
     def pairwise_entry_distances(self, metric: Metric) -> np.ndarray:
@@ -344,13 +279,8 @@ class CFNode:
         """
         k = self.size
         ns, vec, sq = self._ns[:k], self._vec[:k], self._sq[:k]
-        kernel = (
-            stable_cf_batch_distances
-            if self.cf_backend == "stable"
-            else cf_batch_distances
-        )
         # Row i equals entry_distances(entry_cf(i), metric) bitwise.
-        out = kernel(ns, vec, sq, ns, vec, sq, metric)
+        out = stable_cf_batch_distances(ns, vec, sq, ns, vec, sq, metric)
         np.fill_diagonal(out, 0.0)
         return out
 
@@ -378,7 +308,4 @@ class CFNode:
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "nonleaf"
-        return (
-            f"CFNode({kind}, {self.size}/{self.capacity} entries, "
-            f"{self.cf_backend})"
-        )
+        return f"CFNode({kind}, {self.size}/{self.capacity} entries)"

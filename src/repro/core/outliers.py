@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.features import CF
+from repro.core.features import StableCF
 from repro.core.tree import CFTree
 from repro.errors import PermanentIOError, TransientIOError
 from repro.observe.recorder import NULL_RECORDER, Recorder
@@ -113,7 +113,7 @@ class OutlierHandler:
 
     def __init__(
         self,
-        disk: DiskStore[CF],
+        disk: DiskStore[StableCF],
         fraction: float = 0.25,
         *,
         fault_policy: str = "raise",
@@ -146,7 +146,7 @@ class OutlierHandler:
 
     # -- classification -----------------------------------------------------
 
-    def is_potential_outlier(self, cf: CF, mean_entry_points: float) -> bool:
+    def is_potential_outlier(self, cf: StableCF, mean_entry_points: float) -> bool:
         """The "far fewer points than average" rule.
 
         Entries of a single point never dominate the mean, so the rule
@@ -181,7 +181,7 @@ class OutlierHandler:
                 during=where,
             )
 
-    def _drop(self, entries: list[CF]) -> None:
+    def _drop(self, entries: list[StableCF]) -> None:
         self.stats.dropped_entries += len(entries)
         self.stats.dropped_points += sum(cf.n for cf in entries)
         if self.recorder.enabled and entries:
@@ -191,7 +191,7 @@ class OutlierHandler:
 
     # -- spilling -------------------------------------------------------------
 
-    def spill(self, cf: CF) -> bool:
+    def spill(self, cf: StableCF) -> bool:
         """Write a potential outlier to disk; False if the caller keeps it.
 
         Returns True when the entry is off the caller's hands (stored,
@@ -263,7 +263,7 @@ class OutlierHandler:
             self.stats.reabsorption_cycles += 1
             return 0, 0
         absorbed = 0
-        kept: list[CF] = []
+        kept: list[StableCF] = []
         for cf in pending:
             if tree.try_absorb_cf(cf):
                 absorbed += 1
@@ -291,7 +291,7 @@ class OutlierHandler:
             return absorbed, 0
         return absorbed, 0
 
-    def final_outliers(self, tree: CFTree) -> list[CF]:
+    def final_outliers(self, tree: CFTree) -> list[StableCF]:
         """End-of-scan pass: absorb what fits, return the true outliers.
 
         Called when all data has been scanned; entries that still cannot

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.features import AnyCF, row_cf
+from repro.core.features import StableCF, row_cf
 from repro.core.node import CFNode
 from repro.core.tree import CFTree
 
@@ -45,8 +45,8 @@ __all__ = ["rebuild_tree"]
 def rebuild_tree(
     old: CFTree,
     new_threshold: float,
-    outlier_sink: Optional[Callable[[AnyCF], bool]] = None,
-    outlier_predicate: Optional[Callable[[AnyCF, float], bool]] = None,
+    outlier_sink: Optional[Callable[[StableCF], bool]] = None,
+    outlier_predicate: Optional[Callable[[StableCF, float], bool]] = None,
 ) -> CFTree:
     """Rebuild ``old`` into a new tree with ``new_threshold``.
 
@@ -107,7 +107,6 @@ def rebuild_tree(
         budget=budget,
         stats=old.stats,
         merging_refinement=old.merging_refinement,
-        cf_backend=old.cf_backend,
     )
 
     # Collect the chain up front (cheap: one pointer per leaf page); the
@@ -135,7 +134,7 @@ def rebuild_tree(
         keep = np.ones(size, dtype=bool)
         if divert:
             for i in range(size):
-                cf = row_cf(ns[i], vecs[i], sqs[i], old.cf_backend)
+                cf = row_cf(ns[i], vecs[i], sqs[i])
                 if outlier_predicate(cf, mean_entry_points) and outlier_sink(cf):
                     keep[i] = False
                     n_diverted += 1

@@ -5,7 +5,7 @@ entry (input-order artifacts) can end up mislabelled, and a point
 inserted twice can have copies in different clusters.  Phase 4 repairs
 this with additional scans of the original data: use the Phase 3
 centroids as seeds, reassign every point to its closest seed, and
-recompute the clusters — a step of the classic centroid-based
+recompute the clusters — a step of the standard centroid-based
 redistribution that "can be proved to converge to a minimum".
 
 Options implemented, as in the paper:
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.features import CF, CF_BACKENDS
+from repro.core.features import StableCF
 from repro.core.lloyd import LloydStep, group_cfs, weighted_lloyd_step
 from repro.pagestore.iostats import IOStats
 
@@ -66,7 +66,7 @@ class RefinementResult:
 
     centroids: np.ndarray
     labels: np.ndarray
-    clusters: list[CF]
+    clusters: list[StableCF]
     passes_run: int
     discarded: int
     converged: bool
@@ -83,7 +83,6 @@ def refine(
     discard_outliers: bool = False,
     outlier_factor: float = 2.0,
     stats: Optional[IOStats] = None,
-    cf_backend: str = "classic",
     deadline: Optional[float] = None,
 ) -> RefinementResult:
     """Run Phase 4 refinement.
@@ -105,10 +104,6 @@ def refine(
         exceeds ``outlier_factor * radius`` of that seed's cluster.
     stats:
         Optional I/O ledger; each pass records one data scan.
-    cf_backend:
-        Representation of the returned cluster CFs (``"classic"`` or
-        ``"stable"``); with ``"stable"`` the cluster radii used by the
-        outlier rule are computed cancellation-free.
     deadline:
         Optional ``time.monotonic()`` instant checked between passes:
         once it is exceeded, no further pass starts and the result
@@ -116,11 +111,6 @@ def refine(
         never raises on a budget).  ``None`` never checks the clock, so
         untimed runs are byte-identical to before.
     """
-    if cf_backend not in CF_BACKENDS:
-        raise ValueError(
-            f"unknown cf_backend {cf_backend!r}; expected one of "
-            f"{sorted(CF_BACKENDS)}"
-        )
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be (n, d), got shape {points.shape}")
@@ -166,13 +156,13 @@ def refine(
             break
 
     start = time.perf_counter()
-    clusters = group_cfs(points, labels, centroids.shape[0], cf_backend)
+    clusters = group_cfs(points, labels, centroids.shape[0])
     discarded = 0
     if discard_outliers:
         labels, discarded = _discard(
             points, labels, clusters, centroids, outlier_factor
         )
-        clusters = group_cfs(points, labels, centroids.shape[0], cf_backend)
+        clusters = group_cfs(points, labels, centroids.shape[0])
     layer_seconds["cf_seconds"] = time.perf_counter() - start
 
     return RefinementResult(
@@ -190,7 +180,7 @@ def refine(
 def _discard(
     points: np.ndarray,
     labels: np.ndarray,
-    clusters: list[CF],
+    clusters: list[StableCF],
     centroids: np.ndarray,
     factor: float,
 ) -> tuple[np.ndarray, int]:

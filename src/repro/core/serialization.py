@@ -6,7 +6,7 @@ requires the summaries to outlive the process, so this module provides
 round-trip serialisation:
 
 * :func:`save_cfs` / :func:`load_cfs` — a list of CF entries (three
-  arrays, exactly the ``(N, LS, SS)`` layout the page model charges
+  arrays, the ``1 + d + 1`` floats per entry the page model charges
   for);
 * :func:`save_tree` / :func:`load_tree` — a CF-tree's leaf entries plus
   its parameters; loading re-inserts the entries (one
@@ -19,13 +19,15 @@ round-trip serialisation:
 
 Each is a ``cfs``/``tree``/``result`` file of the sealed container
 (:mod:`repro.core.container`), written to exactly the path given; no
-pickle, so archives are safe to exchange.  Classic CFs are stored as
-``ns``/``ls``/``ss``, stable CFs in their own ``(n, mean, SSD)``
-representation as ``ns``/``means``/``ssds``: converting to ``(LS, SS)``
-would reintroduce exactly the catastrophic cancellation the stable
-backend exists to avoid.  The layout, what is verified on load and the
-older ``.npz`` archives that still load are described in
-``docs/robustness.md`` ("On-disk formats").
+pickle, so archives are safe to exchange.  CFs are stored in their
+``(n, mean, SSD)`` representation as ``ns``/``means``/``ssds``:
+converting to ``(LS, SS)`` would reintroduce exactly the catastrophic
+cancellation that representation exists to avoid.  Legacy files that
+store the paper's ``(N, LS, SS)`` triple as ``ns``/``ls``/``ss`` are
+converted on read (:meth:`~repro.core.features.CF.to_stable`).  The
+layout, what is verified on load and the older ``.npz`` archives that
+still load are described in ``docs/robustness.md`` ("On-disk
+formats").
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from repro.core import container
 from repro.core.birch import BirchResult
 from repro.core.distances import Metric
-from repro.core.features import AnyCF, CF, StableCF, coerce_backend
+from repro.core.features import CF, StableCF, as_stable
 from repro.core.tree import CFTree, ThresholdKind
 from repro.errors import ArchiveError
 from repro.pagestore.page import PageLayout
@@ -53,30 +55,24 @@ __all__ = [
 ]
 
 
-def _cfs_to_arrays(cfs: list[AnyCF]) -> dict[str, np.ndarray]:
-    """Pack CFs into named arrays (classic or stable layout)."""
+def _cfs_to_arrays(cfs: list[CF | StableCF]) -> dict[str, np.ndarray]:
+    """Pack CFs into named ``(n, mean, SSD)`` arrays."""
     if not cfs:
         raise ValueError("cannot serialise an empty CF list")
-    stable = isinstance(cfs[0], StableCF)
-    mixed = any(isinstance(cf, StableCF) != stable for cf in cfs)
-    if mixed:
-        raise TypeError("cannot serialise a mix of classic and stable CFs")
-    if stable:
-        # float64 counts: decayed stable CFs carry fractional mass.
-        return {
-            "ns": np.array([cf.n for cf in cfs], dtype=np.float64),
-            "means": np.stack([cf.mean for cf in cfs]).astype(np.float64),
-            "ssds": np.array([cf.ssd for cf in cfs], dtype=np.float64),
-        }
+    cfs = [as_stable(cf) for cf in cfs]
+    # float64 counts: decayed CFs carry fractional mass.
     return {
-        "ns": np.array([cf.n for cf in cfs], dtype=np.int64),
-        "ls": np.stack([cf.ls for cf in cfs]).astype(np.float64),
-        "ss": np.array([cf.ss for cf in cfs], dtype=np.float64),
+        "ns": np.array([cf.n for cf in cfs], dtype=np.float64),
+        "means": np.stack([cf.mean for cf in cfs]).astype(np.float64),
+        "ssds": np.array([cf.ssd for cf in cfs], dtype=np.float64),
     }
 
 
-def _arrays_to_cfs(archive: container.Archive) -> list[AnyCF]:
-    """Unpack a loaded archive's CF arrays (either layout).
+def _arrays_to_cfs(archive: container.Archive) -> list[StableCF]:
+    """Unpack a loaded archive's CF arrays as :class:`StableCF`.
+
+    A legacy archive's ``(N, LS, SS)`` rows are converted here, the one
+    place such rows are read.
 
     Every stored count must be finite and positive — zero only for a
     result's clusters, which Phase 4 refinement can empty.  Legacy
@@ -103,17 +99,17 @@ def _arrays_to_cfs(archive: container.Archive) -> list[AnyCF]:
             )
         ]
     return [
-        CF(int(n), ls_row.copy(), float(s))
+        CF(int(n), ls_row, float(s)).to_stable()
         for n, ls_row, s in zip(archive["ns"], archive["ls"], archive["ss"])
     ]
 
 
-def save_cfs(path: str | Path, cfs: list[AnyCF]) -> None:
+def save_cfs(path: str | Path, cfs: list[CF | StableCF]) -> None:
     """Write CF entries to a sealed ``cfs`` archive at ``path``."""
     container.write(path, "cfs", _cfs_to_arrays(cfs), {})
 
 
-def load_cfs(path: str | Path) -> list[AnyCF]:
+def load_cfs(path: str | Path) -> list[StableCF]:
     """Read CF entries written by :func:`save_cfs` (or a legacy ``.npz``).
 
     Raises :class:`~repro.errors.ArchiveError` (a ``ValueError``) when
@@ -137,7 +133,6 @@ def save_tree(path: str | Path, tree: CFTree) -> None:
         "threshold": tree.threshold,
         "metric": tree.metric.value,
         "threshold_kind": tree.threshold_kind.value,
-        "cf_backend": tree.cf_backend,
     }
     container.write(path, "tree", _cfs_to_arrays(tree.leaf_entries()), header)
 
@@ -150,10 +145,7 @@ def load_tree(path: str | Path) -> CFTree:
     """
     archive = container.read(path, "tree")
     header = archive.metadata
-    backend = header.get("cf_backend", "classic")
-    rows = _cfs_to_arrays(
-        [coerce_backend(cf, backend) for cf in _arrays_to_cfs(archive)]
-    )
+    rows = _cfs_to_arrays(_arrays_to_cfs(archive))
     layout = PageLayout(
         page_size=int(header["page_size"]), dimensions=int(header["dimensions"])
     )
@@ -162,13 +154,8 @@ def load_tree(path: str | Path) -> CFTree:
         threshold=float(header["threshold"]),
         metric=Metric.from_name(header["metric"]),
         threshold_kind=ThresholdKind(header["threshold_kind"]),
-        cf_backend=backend,
     )
-    ns = rows["ns"].astype(np.float64)
-    if "means" in rows:
-        tree.bulk_insert(rows["means"], ns, rows["ssds"])
-    else:
-        tree.bulk_insert(rows["ls"], ns, rows["ss"])
+    tree.bulk_insert(rows["means"], rows["ns"], rows["ssds"])
     return tree
 
 
@@ -190,7 +177,7 @@ def save_result(path: str | Path, result: BirchResult) -> None:
 
 def load_result_arrays(
     path: str | Path,
-) -> tuple[list[AnyCF], np.ndarray, Optional[np.ndarray], dict]:
+) -> tuple[list[StableCF], np.ndarray, Optional[np.ndarray], dict]:
     """Read a :func:`save_result` archive.
 
     Returns ``(clusters, centroids, labels_or_None, header)`` — the

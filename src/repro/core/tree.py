@@ -33,27 +33,14 @@ import numpy as np
 
 from repro.core.distances import (
     Metric,
-    cf_batch_distances,
-    classic_distances_core,
-    classic_merged_radius_core,
-    gathered_cf_distances,
-    paired_cf_merged_stat,
     stable_cf_batch_distances,
     stable_distances_core,
     stable_gathered_cf_distances,
     stable_merged_radius_core,
     stable_paired_cf_merged_stat,
 )
-from repro.core.features import (
-    AnyCF,
-    CF_BACKENDS,
-    StableCF,
-    cf_row,
-    coerce_backend,
-    point_rows,
-)
+from repro.core.features import CF, StableCF, as_stable, cf_row, point_rows
 from repro.core.node import CFNode
-from repro.errors import UnsupportedBackendError
 from repro.observe.recorder import NULL_RECORDER, Recorder
 from repro.pagestore.iostats import IOStats
 from repro.pagestore.memory import MemoryBudget
@@ -140,12 +127,10 @@ class CFTree:
         Enables the post-split closest-pair merge of Section 4.3.  On
         by default; the ablation benchmarks switch it off to measure
         its contribution to space utilisation and order robustness.
-    cf_backend:
-        ``"classic"`` (default) keeps the paper's literal ``(N, LS, SS)``
-        arithmetic bit-for-bit; ``"stable"`` stores ``(n, mean, SSD)``
-        entries and evaluates every threshold test and distance with the
-        cancellation-free kernels (see
-        :class:`~repro.core.features.StableCF`).
+
+    Every entry is an ``(n, mean, SSD)`` row (see
+    :class:`~repro.core.features.StableCF`), and every threshold test
+    and distance uses the cancellation-free kernels.
     """
 
     def __init__(
@@ -157,31 +142,15 @@ class CFTree:
         budget: Optional[MemoryBudget] = None,
         stats: Optional[IOStats] = None,
         merging_refinement: bool = True,
-        cf_backend: str = "classic",
         recorder: Optional[Recorder] = None,
     ) -> None:
         if threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
-        if cf_backend not in CF_BACKENDS:
-            raise ValueError(
-                f"unknown cf_backend {cf_backend!r}; expected one of "
-                f"{sorted(CF_BACKENDS)}"
-            )
         self.layout = layout
         self.threshold = float(threshold)
         self.metric = Metric.from_name(metric)
         self.threshold_kind = threshold_kind
         self.merging_refinement = merging_refinement
-        self.cf_backend = cf_backend
-        self._cf_class = CF_BACKENDS[cf_backend]
-        self._stable = cf_backend == "stable"
-        # The unchecked per-probe kernels of the insertion path.
-        if self._stable:
-            self._distances_core = stable_distances_core
-            self._radius_core = stable_merged_radius_core
-        else:
-            self._distances_core = classic_distances_core
-            self._radius_core = classic_merged_radius_core
         self.budget = budget
         self.stats = stats
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -209,7 +178,7 @@ class CFTree:
         if self.budget is not None:
             self.budget.allocate(1)
         self._node_count += 1
-        return CFNode(self.layout, is_leaf, cf_backend=self.cf_backend)
+        return CFNode(self.layout, is_leaf)
 
     def _free_node(self, node: CFNode) -> None:
         if node.is_leaf:
@@ -292,7 +261,7 @@ class CFTree:
 
     def insert_point(self, point: np.ndarray) -> None:
         """Insert one raw data point."""
-        self.insert_cf(self._cf_class.from_point(point))
+        self.insert_cf(StableCF.from_point(point))
 
     def _coerce_points(self, points: np.ndarray) -> np.ndarray:
         """Validate a point batch; a single ``(d,)`` point becomes ``(1, d)``."""
@@ -313,14 +282,14 @@ class CFTree:
 
         Semantically identical to calling :meth:`insert_point` per row;
         the per-point oracle that :meth:`bulk_insert` is checked against.
-        The rows come from :func:`~repro.core.features.point_rows` (one
-        vectorised square-norm pass; a stable singleton carries
-        ``SSD = 0``).  A single ``(d,)`` point is promoted to ``(1, d)``.
+        The rows come from :func:`~repro.core.features.point_rows` (a
+        singleton carries ``SSD = 0``).  A single ``(d,)`` point is
+        promoted to ``(1, d)``.
         """
         points = self._coerce_points(points)
         if self.recorder.enabled:
             self.recorder.count("scalar.rows", points.shape[0])
-        rows = point_rows(points, self.cf_backend)
+        rows = point_rows(points)
         self._insert_rows(*rows, 0, points.shape[0], stop_on_alloc=False)
 
     def _insert_rows(
@@ -376,11 +345,10 @@ class CFTree:
     ) -> int:
         """Insert a batch of CF rows via the Phase-1 fast path.
 
-        The rows are ``(ns[i], vecs[i], sqs[i])`` in this tree's backend
-        — ``(N, LS, SS)`` classic, ``(n, mean, SSD)`` stable — of any
-        positive, possibly fractional, count: points, weighted points,
-        decayed-stream points, a rebuilt tree's old leaf entries or a
-        donor tree's entries.  Without ``ns`` and ``sqs``, ``vecs``
+        The rows are ``(n, mean, SSD)`` triples ``(ns[i], vecs[i],
+        sqs[i])`` of any positive, possibly fractional, count: points,
+        weighted points, decayed-stream points, a rebuilt tree's old
+        leaf entries or a donor tree's entries.  Without ``ns`` and ``sqs``, ``vecs``
         holds points, each a CF with ``n = 1``.
 
         Produces a tree **byte-identical** to a sequential
@@ -444,7 +412,7 @@ class CFTree:
         if limit <= 0:
             return 0
         if ns is None:
-            ns, vecs, sqs = point_rows(vecs[:limit], self.cf_backend)
+            ns, vecs, sqs = point_rows(vecs[:limit])
         stat_kind = (
             "diameter"
             if self.threshold_kind is ThresholdKind.DIAMETER
@@ -575,19 +543,10 @@ class CFTree:
         """
         if self.root.size == 0:
             return 0, False
-        stable = self._stable
         stop = start + w
         p_ns, rows, p_sq = ns[start:stop], vecs[start:stop], sqs[start:stop]
         d = self.layout.dimensions
         threshold_sq = self.threshold**2
-        if stable:
-            route = stable_cf_batch_distances
-            gathered = stable_gathered_cf_distances
-            merged_stat = stable_paired_cf_merged_stat
-        else:
-            route = cf_batch_distances
-            gathered = gathered_cf_distances
-            merged_stat = paired_cf_merged_stat
 
         # -- 1. speculative routing --------------------------------------
         # visits: (node, row indices routed here (ascending), their
@@ -599,7 +558,7 @@ class CFTree:
             node, idx = pending.pop()
             k = node.size
             probes = (p_ns[idx], rows[idx], p_sq[idx])
-            mat = route(
+            mat = stable_cf_batch_distances(
                 *probes,
                 node._ns[:k],
                 node._vec[:k],
@@ -658,58 +617,48 @@ class CFTree:
                 h_sq = np.empty(m + 1, dtype=np.float64)
                 h_vec[0] = node._vec[c]
                 h_sq[0] = node._sq[c]
-                if stable:
-                    # Chan recurrence, bitwise equal to the scalar
-                    # add_row update: the precomputed coefficients are
-                    # the same elementwise IEEE operations it performs,
-                    # ``n / n_new`` and ``n_old * n / n_new``, and each
-                    # step adds the row's own SSD before the
-                    # between-means term.
-                    inv = a_ns / h_ns[1:]
-                    coef = h_ns[:m] * a_ns / h_ns[1:]
-                    if d <= 2:
-                        # Pure-float inner loop.  Safe only for d <= 2:
-                        # the scalar path's einsum dot reduces one or
-                        # two products, and a two-term IEEE sum is
-                        # order-independent, so plain Python floats
-                        # reproduce it bitwise.  (For d >= 3 einsum
-                        # uses SIMD partial sums with a different
-                        # reduction order.)
-                        xs = rows[assigned].tolist()
-                        ssds = p_sq[assigned].tolist()
-                        inv_l = inv.tolist()
-                        coef_l = coef.tolist()
-                        mean = node._vec[c].tolist()
-                        sq = float(node._sq[c])
-                        for t in range(m):
-                            x = xs[t]
-                            iv = inv_l[t]
-                            dd = 0.0
-                            for j in range(d):
-                                dj = x[j] - mean[j]
-                                mean[j] += iv * dj
-                                dd += dj * dj
-                            sq += ssds[t] + coef_l[t] * dd
-                            h_vec[t + 1] = mean
-                            h_sq[t + 1] = sq
-                    else:
-                        assigned_rows = rows[assigned]
-                        assigned_sq = p_sq[assigned]
-                        for t in range(m):
-                            delta = assigned_rows[t] - h_vec[t]
-                            h_vec[t + 1] = h_vec[t] + inv[t] * delta
-                            h_sq[t + 1] = h_sq[t] + (
-                                assigned_sq[t]
-                                + coef[t] * float(np.einsum("j,j->", delta, delta))
-                            )
+                # Chan recurrence, bitwise equal to the scalar add_row
+                # update: the precomputed coefficients are the same
+                # elementwise IEEE operations it performs, ``n / n_new``
+                # and ``n_old * n / n_new``, and each step adds the
+                # row's own SSD before the between-means term.
+                inv = a_ns / h_ns[1:]
+                coef = h_ns[:m] * a_ns / h_ns[1:]
+                if d <= 2:
+                    # Pure-float inner loop.  Safe only for d <= 2: the
+                    # scalar path's einsum dot reduces one or two
+                    # products, and a two-term IEEE sum is
+                    # order-independent, so plain Python floats
+                    # reproduce it bitwise.  (For d >= 3 einsum uses
+                    # SIMD partial sums with a different reduction
+                    # order.)
+                    xs = rows[assigned].tolist()
+                    ssds = p_sq[assigned].tolist()
+                    inv_l = inv.tolist()
+                    coef_l = coef.tolist()
+                    mean = node._vec[c].tolist()
+                    sq = float(node._sq[c])
+                    for t in range(m):
+                        x = xs[t]
+                        iv = inv_l[t]
+                        dd = 0.0
+                        for j in range(d):
+                            dj = x[j] - mean[j]
+                            mean[j] += iv * dj
+                            dd += dj * dj
+                        sq += ssds[t] + coef_l[t] * dd
+                        h_vec[t + 1] = mean
+                        h_sq[t + 1] = sq
                 else:
-                    # Classic additivity is a left fold of +=, which
-                    # cumsum reproduces bitwise when the base state
-                    # seeds the scan.
-                    h_vec[1:] = rows[assigned]
-                    h_vec = np.cumsum(h_vec, axis=0)
-                    h_sq[1:] = p_sq[assigned]
-                    h_sq = np.cumsum(h_sq)
+                    assigned_rows = rows[assigned]
+                    assigned_sq = p_sq[assigned]
+                    for t in range(m):
+                        delta = assigned_rows[t] - h_vec[t]
+                        h_vec[t + 1] = h_vec[t] + inv[t] * delta
+                        h_sq[t + 1] = h_sq[t] + (
+                            assigned_sq[t]
+                            + coef[t] * float(np.einsum("j,j->", delta, delta))
+                        )
                 # State index each visiting row would have seen: the
                 # number of assigned rows ordered strictly before it.
                 t_of = np.searchsorted(assigned, idx)
@@ -717,7 +666,9 @@ class CFTree:
                 g_vec[:, c] = h_vec[t_of]
                 g_sq[:, c] = h_sq[t_of]
                 writes.append((node, c, assigned, h_ns, h_vec, h_sq))
-            dists = gathered(q_ns, q_vec, q_sq, g_ns, g_vec, g_sq, self.metric)
+            dists = stable_gathered_cf_distances(
+                q_ns, q_vec, q_sq, g_ns, g_vec, g_sq, self.metric
+            )
             route_bad = np.argmin(dists, axis=1) != cols
             bad = route_bad
             if node.is_leaf:
@@ -728,18 +679,12 @@ class CFTree:
                 own_ns = g_ns[rn, cols]
                 own_vec = g_vec[rn, cols]
                 own_sq = g_sq[rn, cols]
-                value = merged_stat(
+                value = stable_paired_cf_merged_stat(
                     q_ns, q_vec, q_sq, own_ns, own_vec, own_sq, stat_kind
                 )
-                if stable:
-                    n_merged = own_ns + q_ns
-                    mean_sq = np.einsum("rj,rj->r", own_vec, own_vec)
-                    slack_sq = 64.0 * _EPS * (
-                        value * value + _EPS * n_merged * mean_sq
-                    )
-                else:
-                    merged_ss = own_sq + q_sq
-                    slack_sq = 64.0 * _EPS * np.maximum(merged_ss, 1.0)
+                n_merged = own_ns + q_ns
+                mean_sq = np.einsum("rj,rj->r", own_vec, own_vec)
+                slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
                 bad = route_bad | ~(value * value <= threshold_sq + slack_sq)
             if bad.any():
                 j = int(np.argmax(bad))
@@ -758,13 +703,14 @@ class CFTree:
         self._add_points(p_ns[:cut])
         return cut, flipped
 
-    def insert_cf(self, cf: AnyCF) -> None:
+    def insert_cf(self, cf: CF | StableCF) -> None:
         """Insert a subcluster CF (a point, an old leaf entry, an outlier).
 
-        A CF of the other backend is converted on the way in.  One
-        iterative pass (Section 4.3): descend to the closest leaf,
-        recording ``(node, entry)`` along the path; absorb, append or
-        split at the leaf; then walk the path back up.  Above a level
+        A reference :class:`~repro.core.features.CF` is converted to
+        ``(n, mean, SSD)`` on the way in.  One iterative pass (Section
+        4.3): descend to the closest leaf, recording ``(node, entry)``
+        along the path; absorb, append or split at the leaf; then walk
+        the path back up.  Above a level
         where nothing split, updating the path is a plain add of the
         CF; a split is pushed into its parent, which appends the new
         sibling (running merging refinement there) or splits in turn,
@@ -772,12 +718,12 @@ class CFTree:
         """
         if cf.n <= 0:
             raise ValueError("cannot insert an empty CF")
-        cf = coerce_backend(cf, self.cf_backend)
-        self._insert_row(*cf_row(cf))
-        self._points += cf.n
+        n, vec, sq = cf_row(cf)
+        self._insert_row(n, vec, sq)
+        self._points += n
 
     def _insert_row(self, n: float, vec: np.ndarray, sq: float) -> None:
-        """:meth:`insert_cf`'s pass on a raw row of this tree's backend.
+        """:meth:`insert_cf`'s pass on a raw ``(n, mean, SSD)`` row.
 
         Leaves the point count to the caller.
         """
@@ -810,7 +756,7 @@ class CFTree:
         if sibling is not None:
             self._grow_root(sibling)
 
-    def try_absorb_cf(self, cf: AnyCF) -> bool:
+    def try_absorb_cf(self, cf: CF | StableCF) -> bool:
         """Absorb ``cf`` only if it fits an existing leaf entry.
 
         Implements the re-absorption test for potential outliers
@@ -820,7 +766,6 @@ class CFTree:
         """
         if cf.n <= 0:
             raise ValueError("cannot absorb an empty CF")
-        cf = coerce_backend(cf, self.cf_backend)
         n, vec, sq = cf_row(cf)
         leaf, path = self._descend_to_leaf(n, vec, sq)
         if leaf.size == 0:
@@ -831,14 +776,14 @@ class CFTree:
         self._absorb(leaf, index, n, vec, sq)
         for node, child_idx in path:
             self._absorb(node, child_idx, n, vec, sq)
-        self._points += cf.n
+        self._points += n
         return True
 
     # -- forgetting (guarded CF subtraction) ----------------------------------
 
     def subtract_cf(
         self,
-        cf: AnyCF,
+        cf: CF | StableCF,
         *,
         account_points: bool = True,
         max_probes: int = 8,
@@ -883,19 +828,7 @@ class CFTree:
             ``clamped`` / ``clamped_mass`` (round-off guards that fired),
             ``mismatched`` (pro-rata fallbacks for deltas whose geometry
             did not match any entry), ``pruned_nodes`` and ``probes``.
-
-        Raises
-        ------
-        UnsupportedBackendError
-            On the classic backend: ``(N, LS, SS)`` rows cannot carry
-            the fractional remnants partial forgetting produces.
         """
-        if self.cf_backend != "stable":
-            raise UnsupportedBackendError(
-                "subtract_cf needs the weighted stable backend; the "
-                "classic (N, LS, SS) representation cannot carry the "
-                "fractional remnants partial forgetting produces"
-            )
         stats: dict[str, float] = {
             "subtracted_n": 0.0,
             "removed_entries": 0,
@@ -912,7 +845,7 @@ class CFTree:
             if on_clamp is not None:
                 on_clamp(mag)
 
-        remaining = coerce_backend(cf, self.cf_backend)
+        remaining = as_stable(cf)
         while (
             remaining.n > 1e-9
             and stats["probes"] < max_probes
@@ -994,7 +927,7 @@ class CFTree:
             )
         return stats
 
-    def nearest_entry(self, point: np.ndarray) -> tuple[AnyCF, float]:
+    def nearest_entry(self, point: np.ndarray) -> tuple[StableCF, float]:
         """The leaf entry greedily closest to ``point``, with distance.
 
         Descends the tree like an insertion would and returns the
@@ -1012,8 +945,7 @@ class CFTree:
         """
         if self.root.size == 0:
             raise ValueError("nearest_entry on an empty tree")
-        probe = self._cf_class.from_point(np.asarray(point, dtype=np.float64))
-        row = cf_row(probe)
+        row = cf_row(StableCF.from_point(np.asarray(point, dtype=np.float64)))
         leaf, _ = self._descend_to_leaf(*row)
         index, dist = self._closest(leaf, *row)
         return leaf.entry_cf(index), dist
@@ -1029,17 +961,17 @@ class CFTree:
             yield node
             node = node.next_leaf
 
-    def leaf_entries(self) -> list[AnyCF]:
+    def leaf_entries(self) -> list[StableCF]:
         """Every leaf entry (subcluster) as CF objects, in chain order."""
-        entries: list[AnyCF] = []
+        entries: list[StableCF] = []
         for leaf in self.leaves():
             entries.extend(leaf.iter_entry_cfs())
         return entries
 
-    def summary_cf(self) -> AnyCF:
+    def summary_cf(self) -> StableCF:
         """CF of the whole dataset held in the tree."""
         if self.root.size == 0:
-            return self._cf_class.empty(self.layout.dimensions)
+            return StableCF.empty(self.layout.dimensions)
         return self.root.summary_cf()
 
     def tree_stats(self) -> TreeStats:
@@ -1076,10 +1008,10 @@ class CFTree:
         """Index and distance of ``node``'s entry closest to a raw row.
 
         The unchecked twin of :meth:`CFNode.closest_entry`: the node is
-        non-empty and the row is in this tree's backend.
+        non-empty.
         """
         k = node.size
-        dists = self._distances_core(
+        dists = stable_distances_core(
             n, vec, sq, node._ns[:k], node._vec[:k], node._sq[:k], self.metric
         )
         index = int(dists.argmin())
@@ -1109,36 +1041,26 @@ class CFTree:
     ) -> bool:
         """Would merging a raw row into ``leaf`` entry ``index`` satisfy T?
 
-        Classic backend: the squared statistic is a cancellation against
-        SS, so it carries an absolute float error of order ``eps * SS``;
-        the comparison allows exactly that slack, which is what lets
-        exact duplicates keep merging at T = 0 (their true merged
-        diameter is zero but the computed one is a rounding residue).
-        Stable backend: the statistic keeps full relative precision, so
-        the slack shrinks to a relative term plus the tiny absolute
-        error inherited from rounding the means themselves
-        (``~(eps * ||mean||)^2`` per point).
+        The statistic keeps full relative precision, so the comparison
+        allows a relative slack plus the tiny absolute error inherited
+        from rounding the means themselves (``~(eps * ||mean||)^2`` per
+        point).  That last term is what lets near-duplicates far from
+        the origin keep merging at T = 0: their true merged diameter is
+        zero but the computed one is a rounding residue of the means.
         """
         end = index + 1
         ns = leaf._ns[index:end]
         vecs = leaf._vec[index:end]
         sqs = leaf._sq[index:end]
         if self.threshold_kind is ThresholdKind.DIAMETER:
-            value = self._distances_core(
+            value = stable_distances_core(
                 n, vec, sq, ns, vecs, sqs, Metric.D3_AVG_INTRACLUSTER
             )[0]
         else:
-            value = self._radius_core(n, vec, sq, ns, vecs, sqs)[0]
-        if self._stable:
-            n_merged = float(ns[0]) + n
-            mean_sq = float(np.einsum("j,j->", vecs[0], vecs[0]))
-            slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
-        else:
-            merged_ss = float(sqs[0]) + sq
-            # Error accumulates linearly over the N additions that built
-            # SS, so the squared-statistic uncertainty is O(eps * SS),
-            # not O(eps * SS / N).
-            slack_sq = 64.0 * _EPS * max(merged_ss, 1.0)
+            value = stable_merged_radius_core(n, vec, sq, ns, vecs, sqs)[0]
+        n_merged = float(ns[0]) + n
+        mean_sq = float(np.einsum("j,j->", vecs[0], vecs[0]))
+        slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
         return bool(value * value <= self.threshold**2 + slack_sq)
 
     def _split_node(
@@ -1178,23 +1100,22 @@ class CFTree:
     ) -> None:
         """Seed a split of the given rows and fill ``left`` and ``right``.
 
-        Seeds are the rows whose centroids lie farthest apart (D0); the
+        Seeds are the rows whose means lie farthest apart (D0); the
         paper does not fix the seeding metric, and centroid Euclidean
         distance is the conventional choice, well-defined for every
         entry size.  Every other row goes to the closer seed, closest
         margin first, so that when one side fills up the rows forced to
         the other side are the ones with the least preference.
         """
-        centroids = vecs if self._stable else vecs / ns[:, None]
-        k = centroids.shape[0]
+        k = vecs.shape[0]
         # k is at most B+1 (a page worth of entries), so O(k^2) is cheap.
-        diffs = centroids[:, None, :] - centroids[None, :, :]
+        diffs = vecs[:, None, :] - vecs[None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
         flat = int(np.argmax(dist2))
         seed_a, seed_b = flat // k, flat % k
 
-        da = np.linalg.norm(centroids - centroids[seed_a], axis=1)
-        db = np.linalg.norm(centroids - centroids[seed_b], axis=1)
+        da = np.linalg.norm(vecs - vecs[seed_a], axis=1)
+        db = np.linalg.norm(vecs - vecs[seed_b], axis=1)
         preference = np.where(da <= db, 0, 1)
         margin = np.abs(da - db)
         capacity = left.capacity
@@ -1364,7 +1285,6 @@ class CFTree:
         budget: Optional[MemoryBudget] = None,
         stats: Optional[IOStats] = None,
         merging_refinement: bool = True,
-        cf_backend: str = "classic",
         recorder: Optional[Recorder] = None,
     ) -> "CFTree":
         """Rebuild the exact tree captured by :meth:`export_structure`.
@@ -1410,7 +1330,6 @@ class CFTree:
             budget=budget,
             stats=stats,
             merging_refinement=merging_refinement,
-            cf_backend=cf_backend,
             recorder=recorder,
         )
         tree._free_node(tree.root)  # discard the fresh empty root
@@ -1479,7 +1398,7 @@ class CFTree:
         leaf_depths: set[int] = set()
         leaves_via_tree: list[CFNode] = []
 
-        def visit(node: CFNode, depth: int) -> AnyCF:
+        def visit(node: CFNode, depth: int) -> StableCF:
             node.check_consistency()
             if node.is_leaf:
                 leaf_depths.add(depth)
@@ -1519,19 +1438,11 @@ class CFTree:
                 if self.threshold_kind is ThresholdKind.DIAMETER
                 else cf.radius
             )
-            if self.cf_backend == "stable":
-                # The stable statistic is exact up to relative rounding
-                # plus the mean-representation residue (mirrors the
-                # slack of _fits_threshold).
-                mean_sq = float(cf.mean @ cf.mean)
-                slack_sq = 64.0 * eps * (value * value + eps * cf.n * mean_sq)
-            else:
-                # The squared statistic is computed by cancellation
-                # against SS whose rounding error accumulated over N
-                # additions, so its absolute float error scales with
-                # eps * SS (e.g. points at coordinate 1e8 make D^2
-                # uncertain to ~1e0).
-                slack_sq = 64.0 * eps * max(cf.ss, 1.0)
+            # The statistic is exact up to relative rounding plus the
+            # mean-representation residue (mirrors the slack of
+            # _fits_threshold).
+            mean_sq = float(cf.mean @ cf.mean)
+            slack_sq = 64.0 * eps * (value * value + eps * cf.n * mean_sq)
             limit = math.sqrt(self.threshold**2 + slack_sq)
             if value > limit * (1 + 1e-9) + 1e-12:
                 raise AssertionError(
@@ -1542,6 +1453,6 @@ class CFTree:
     def __repr__(self) -> str:
         return (
             f"CFTree(T={self.threshold:.4g}, metric={self.metric.value}, "
-            f"backend={self.cf_backend}, nodes={self._node_count}, "
+            f"nodes={self._node_count}, "
             f"points={self._points})"
         )

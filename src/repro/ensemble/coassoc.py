@@ -1,6 +1,6 @@
 """Weighted co-association over leaf-CF anchors.
 
-The classical co-association matrix of ensemble clustering (Cluster
+The standard co-association matrix of ensemble clustering (Cluster
 Forests, PAPERS.md) is built over *points*: entry ``(i, j)`` is the
 fraction of ensemble members that put points ``i`` and ``j`` in the
 same cluster — an ``O(N^2)`` object that is hopeless at BIRCH scale.

@@ -60,7 +60,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.config import BirchConfig
-from repro.core.features import AnyCF, CF, StableCF
+from repro.core.features import StableCF
 from repro.core.global_clustering import agglomerative_cf
 from repro.ensemble.coassoc import coassociation, member_votes
 from repro.ensemble.consensus import (
@@ -191,9 +191,9 @@ class ForestResult:
     """
 
     centroids: np.ndarray
-    clusters: list[AnyCF]
+    clusters: list[StableCF]
     labels: Optional[np.ndarray]
-    anchors: list[AnyCF]
+    anchors: list[StableCF]
     entry_labels: np.ndarray
     coassoc: np.ndarray
     n_members: int
@@ -401,19 +401,14 @@ class BirchForest:
             )
         return points
 
-    def _rebuild_entries(self, state: dict) -> list[AnyCF]:
+    def _rebuild_entries(self, state: dict) -> list[StableCF]:
         """Anchor CFs from a member state's component arrays."""
-        backend = self.config.base.cf_backend
         ns = state["entry_ns"]
         vec = state["entry_vec"]
         sq = state["entry_sq"]
-        if backend == "stable":
-            return [
-                StableCF(int(n), row.copy(), float(s))
-                for n, row, s in zip(ns, vec, sq)
-            ]
         return [
-            CF(int(n), row.copy(), float(s)) for n, row, s in zip(ns, vec, sq)
+            StableCF(int(n), row.copy(), float(s))
+            for n, row, s in zip(ns, vec, sq)
         ]
 
     def fit(
@@ -588,7 +583,7 @@ class BirchForest:
             # Consensus clusters: exact CF merges of their anchors, in
             # lowest-anchor-index order (dense ids by construction).
             n_found = int(entry_labels.max()) + 1
-            clusters: list[AnyCF] = []
+            clusters: list[StableCF] = []
             for label in range(n_found):
                 group = [
                     anchors[i]

@@ -17,7 +17,6 @@ The hierarchy::
     ├── ArchiveError            (also ValueError)
     │   └── ChecksumMismatchError
     ├── InvalidPointError       (also ValueError)
-    ├── UnsupportedBackendError (also ValueError)
     ├── IOFaultError            (also OSError)
     │   ├── TransientIOError
     │   └── PermanentIOError
@@ -47,7 +46,6 @@ __all__ = [
     "PhaseTimeoutError",
     "ReproError",
     "TransientIOError",
-    "UnsupportedBackendError",
     "WorkerCrashError",
 ]
 
@@ -93,17 +91,6 @@ class InvalidPointError(ReproError, ValueError):
         super().__init__(message)
         self.row = row
         self.reason = reason
-
-
-class UnsupportedBackendError(ReproError, ValueError):
-    """A requested feature does not exist on the configured CF backend.
-
-    Exponential CF decay needs fractional per-entry mass, which only the
-    weighted stable ``(n, mean, SSD)`` representation carries; asking
-    for ``decay_half_life`` on the classic ``(N, LS, SS)`` backend
-    raises this at config-validation time instead of silently truncating
-    counts mid-stream.
-    """
 
 
 class ArchiveError(ReproError, ValueError):

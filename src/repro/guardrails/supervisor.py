@@ -351,7 +351,6 @@ def run_supervised(
             "run.start",
             mode="supervised",
             n_jobs=config.n_jobs,
-            cf_backend=config.cf_backend,
         )
 
     # ---- Phase 1: screened scan under an optional deadline -------------

@@ -116,8 +116,8 @@ def fit_member(task: dict[str, object]) -> dict[str, object]:
         the member's final cluster centroids (in its own feature
         subspace) and fit accounting;
     ``entry_ns`` / ``entry_vec`` / ``entry_sq``
-        leaf-CF component arrays (``(n, LS, SS)`` classic or
-        ``(n, mean, SSD)`` stable), shipped only when the parent asked
+        leaf-CF ``(n, mean, SSD)`` component arrays, shipped only when
+        the parent asked
         for them (``want_entries`` — the anchor member);
     ``telemetry``
         the member's own additive counters, merged by the parent in
@@ -156,20 +156,12 @@ def fit_member(task: dict[str, object]) -> dict[str, object]:
                 state["entry_ns"] = np.array(
                     [cf.n for cf in entries], dtype=np.float64
                 )
-                if config.cf_backend == "stable":
-                    state["entry_vec"] = np.stack(
-                        [cf.mean for cf in entries]
-                    ).astype(np.float64)
-                    state["entry_sq"] = np.array(
-                        [cf.ssd for cf in entries], dtype=np.float64
-                    )
-                else:
-                    state["entry_vec"] = np.stack(
-                        [cf.ls for cf in entries]
-                    ).astype(np.float64)
-                    state["entry_sq"] = np.array(
-                        [cf.ss for cf in entries], dtype=np.float64
-                    )
+                state["entry_vec"] = np.stack(
+                    [cf.mean for cf in entries]
+                ).astype(np.float64)
+                state["entry_sq"] = np.array(
+                    [cf.ssd for cf in entries], dtype=np.float64
+                )
             return state
         finally:
             member.close()
@@ -219,7 +211,6 @@ def merge_pair(task: dict[str, object]) -> dict[str, object]:
             budget=budget,
             stats=stats if budget is not None else None,
             merging_refinement=config.merging_refinement,
-            cf_backend=config.cf_backend,
             recorder=recorder if budget is not None else None,
         )
 

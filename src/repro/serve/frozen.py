@@ -11,7 +11,7 @@ freezes that output into flat structure-of-arrays form:
   kernel (never recomputed per batch);
 * ``radii``           ``(K,)`` cluster radius ``R`` (paper eq. (2));
 * ``weights``         ``(K,)`` per-cluster mass ``N`` (float — decayed
-  stable-backend clusters carry fractional mass);
+  clusters carry fractional mass);
 * ``label_remap``     ``(K,)`` int64 mapping from internal centroid row
   to the public label (identity over the *compacted* rows: clusters
   that Phase 4 refinement emptied are dropped at compile time, so a
@@ -216,20 +216,17 @@ class FrozenModel:
         cls,
         result: "BirchResult",
         *,
-        cf_backend: Optional[str] = None,
         source_digest: Optional[str] = None,
         recorder: Optional["Recorder"] = None,
     ) -> "FrozenModel":
         """Compile a fitted :class:`~repro.core.birch.BirchResult`.
 
         Radii and weights come from the exact final-cluster CFs; decayed
-        stable-backend clusters keep their fractional mass.  Clusters
+        clusters keep their fractional mass.  Clusters
         that refinement emptied are compacted away so the served label
         space is dense (see :func:`_compact_clusters`).
         """
         metadata: dict = {"source": {"kind": "result"}}
-        if cf_backend is not None:
-            metadata["cf_backend"] = cf_backend
         if source_digest is not None:
             metadata["source"]["sha256"] = source_digest
         return cls._from_clusters(
@@ -249,11 +246,7 @@ class FrozenModel:
         estimator) when no result exists yet.
         """
         result = birch.result  # raises NotFittedError when unfitted
-        model = cls.from_result(
-            result,
-            cf_backend=birch.config.cf_backend,
-            recorder=recorder,
-        )
+        model = cls.from_result(result, recorder=recorder)
         model.metadata["source"] = {"kind": "estimator"}
         return model
 
@@ -476,7 +469,6 @@ def compile_model(
             result = estimator.finalize()
             model = FrozenModel.from_result(
                 result,
-                cf_backend=estimator.config.cf_backend,
                 source_digest=digest,
                 recorder=recorder,
             )

@@ -9,7 +9,7 @@ exact scan over all ``K`` centroids; no candidate index sits in front of
 it (one was measured slower at every ``K`` up to 8192, see
 ``docs/performance.md``).
 
-The kernel uses the classic squared-distance decomposition
+The kernel uses the standard squared-distance decomposition
 
     ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2
 

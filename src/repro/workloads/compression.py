@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.features import CF
+from repro.core.features import StableCF
 from repro.core.global_clustering import agglomerative_cf
 from repro.core.tree import CFTree
 from repro.datagen.generator import Dataset
@@ -101,7 +101,7 @@ def compression_sweep(
     return points
 
 
-def _weighted_entry_radius(entries: list[CF]) -> float:
+def _weighted_entry_radius(entries: list[StableCF]) -> float:
     """Point-weighted mean entry radius (0 for all-singleton summaries)."""
     total = sum(cf.n for cf in entries)
     if total == 0:

@@ -2,8 +2,8 @@
 
 ``CFTree.bulk_insert`` promises a tree **byte-identical** to the
 per-point ``insert_points`` loop — same structure export, same leaf
-chain, same I/O ledger — on both CF backends, both threshold kinds,
-and any chunking of the input.  These tests are the enforcement of
+chain, same I/O ledger — on both threshold kinds and any chunking of
+the input.  These tests are the enforcement of
 that promise, plus the sharded ``fit(n_jobs=N)`` parity checks (same
 cluster count, deterministic, conservation ledger balanced — sharded
 builds change insertion order, so they claim quality parity rather
@@ -17,12 +17,10 @@ from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.distances import (
     Metric,
-    distances_to_set,
-    gathered_cf_distances,
     stable_distances_to_set,
     stable_gathered_cf_distances,
 )
-from repro.core.features import CF, StableCF
+from repro.core.features import StableCF
 from repro.core.tree import CFTree, ThresholdKind
 from repro.datagen.presets import ds1, ds1o
 from repro.observe import ObserveConfig
@@ -31,7 +29,8 @@ from repro.pagestore.iostats import IOStats
 from repro.pagestore.memory import MemoryBudget
 from repro.pagestore.page import PageLayout
 
-BACKENDS = ("classic", "stable")
+#: Every tree stores (n, mean, SSD); the parameter keeps the case ids.
+BACKENDS = ("stable",)
 KINDS = (ThresholdKind.DIAMETER, ThresholdKind.RADIUS)
 CHUNKS = (1, 7, 4096)
 
@@ -41,7 +40,6 @@ def make_tree(
     dimensions: int = 2,
     threshold: float = 0.5,
     page_size: int = 128,
-    cf_backend: str = "classic",
     threshold_kind: ThresholdKind = ThresholdKind.DIAMETER,
     recorder: Recorder | None = None,
 ) -> CFTree:
@@ -49,7 +47,6 @@ def make_tree(
     return CFTree(
         layout,
         threshold=threshold,
-        cf_backend=cf_backend,
         threshold_kind=threshold_kind,
         stats=IOStats(),
         recorder=recorder,
@@ -84,8 +81,8 @@ class TestBulkByteIdentity:
     def test_bulk_equals_scalar_on_clustered_stream(self, backend, kind, chunk):
         rng = np.random.default_rng(hash((backend, kind.value, chunk)) % 2**32)
         points = clustered_points(rng, 600, 2)
-        scalar = make_tree(cf_backend=backend, threshold_kind=kind)
-        bulk = make_tree(cf_backend=backend, threshold_kind=kind)
+        scalar = make_tree(threshold_kind=kind)
+        bulk = make_tree(threshold_kind=kind)
         scalar.insert_points(points)
         for start in range(0, points.shape[0], chunk):
             took = 0
@@ -98,7 +95,7 @@ class TestBulkByteIdentity:
     @pytest.mark.parametrize("trial", range(3))
     def test_bulk_equals_scalar_random_geometry(self, backend, trial):
         """Random d, threshold and page size (hence random B and L)."""
-        rng = np.random.default_rng(1000 * trial + (backend == "stable"))
+        rng = np.random.default_rng(1000 * trial + 1)
         d = int(rng.integers(1, 6))
         threshold = float(rng.uniform(0.05, 2.0))
         page_size = int(rng.choice([96, 160, 256, 512]))
@@ -107,13 +104,11 @@ class TestBulkByteIdentity:
             dimensions=d,
             threshold=threshold,
             page_size=page_size,
-            cf_backend=backend,
         )
         bulk = make_tree(
             dimensions=d,
             threshold=threshold,
             page_size=page_size,
-            cf_backend=backend,
         )
         scalar.insert_points(points)
         consumed = 0
@@ -126,18 +121,15 @@ class TestBulkByteIdentity:
     @pytest.mark.parametrize("d", (3, 8))
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_bulk_equals_scalar_pinned_dimension(self, backend, kind, d, chunk):
-        """d >= 3 leaves the pure-float replay loop, and classic norms
-        come from window-local einsums that must match the chunk norms
-        of ``insert_points`` bit for bit."""
-        rng = np.random.default_rng(7919 * d + 31 * chunk + (backend == "stable"))
+        """d >= 3 leaves the pure-float replay loop: the einsum replay
+        must match ``insert_points`` bit for bit."""
+        rng = np.random.default_rng(7919 * d + 31 * chunk + 1)
         points = clustered_points(rng, 500, d)
         scalar = make_tree(
-            dimensions=d, threshold=0.8, page_size=256,
-            cf_backend=backend, threshold_kind=kind,
+            dimensions=d, threshold=0.8, page_size=256, threshold_kind=kind,
         )
         bulk = make_tree(
-            dimensions=d, threshold=0.8, page_size=256,
-            cf_backend=backend, threshold_kind=kind,
+            dimensions=d, threshold=0.8, page_size=256, threshold_kind=kind,
         )
         for start in range(0, points.shape[0], chunk):
             block = points[start : start + chunk]
@@ -157,9 +149,9 @@ class TestBulkByteIdentity:
         back to the scalar path."""
         seeds = np.array([[0.0, 0.0], [2.0, 0.0]])
         stream = np.array([[0.9, 0.0]] * 5 + [[1.05, 0.0]] * 10)
-        scalar = make_tree(cf_backend=backend, threshold=1.9)
+        scalar = make_tree(threshold=1.9)
         rec = Recorder()
-        bulk = make_tree(cf_backend=backend, threshold=1.9, recorder=rec)
+        bulk = make_tree(threshold=1.9, recorder=rec)
         for tree in (scalar, bulk):
             tree.insert_points(seeds)
         assert bulk.root.size == 2
@@ -176,13 +168,13 @@ class TestBulkByteIdentity:
     def test_stop_on_alloc_consumes_prefix_only(self, backend):
         rng = np.random.default_rng(7)
         points = clustered_points(rng, 300, 2)
-        tree = make_tree(cf_backend=backend, threshold=0.2)
+        tree = make_tree(threshold=0.2)
         took = tree.bulk_insert(points, stop_on_alloc=True)
         assert 0 < took < points.shape[0]
         assert tree.points == took
         # It stopped right after the first insertion that allocated a
         # node (the root leaf split).
-        reference = make_tree(cf_backend=backend, threshold=0.2)
+        reference = make_tree(threshold=0.2)
         reference.insert_points(points[: took - 1])
         assert reference.node_count == 1
         assert tree.node_count > 1
@@ -191,7 +183,7 @@ class TestBulkByteIdentity:
     def test_max_rows_cap(self, backend):
         rng = np.random.default_rng(8)
         points = clustered_points(rng, 200, 2)
-        tree = make_tree(cf_backend=backend)
+        tree = make_tree()
         took = tree.bulk_insert(points, max_rows=57)
         assert took == 57
         assert tree.points == 57
@@ -218,12 +210,12 @@ class TestPathChooser:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_scalar_runs_match_insert_points(self, backend, kind, chunk):
-        rng = np.random.default_rng(4099 * chunk + (backend == "stable"))
+        rng = np.random.default_rng(4099 * chunk + 1)
         points = shuffled_repeat_stream(rng)
-        scalar = make_tree(cf_backend=backend, threshold=0.0, threshold_kind=kind)
+        scalar = make_tree(threshold=0.0, threshold_kind=kind)
         rec = Recorder()
         bulk = make_tree(
-            cf_backend=backend, threshold=0.0, threshold_kind=kind, recorder=rec
+            threshold=0.0, threshold_kind=kind, recorder=rec
         )
         for start in range(0, points.shape[0], chunk):
             block = points[start : start + chunk]
@@ -248,8 +240,7 @@ class TestPathChooser:
         base = clustered_points(rng, 120, 2)
 
         def build(budget=None):
-            tree = CFTree(layout, threshold=0.5, cf_backend=backend,
-                          budget=budget, stats=IOStats())
+            tree = CFTree(layout, threshold=0.5, budget=budget, stats=IOStats())
             tree.insert_points(base)
             return tree
 
@@ -280,28 +271,6 @@ class TestPathChooser:
 class TestGatheredKernels:
     """The validation kernels must be bitwise equal to the scalar ones,
     for unit points and for probes of any weight."""
-
-    @pytest.mark.parametrize("metric", list(Metric))
-    def test_classic_gathered_matches_per_probe(self, metric):
-        rng = np.random.default_rng(3)
-        w, k, d = 17, 5, 3
-        pts = rng.normal(size=(w, d))
-        # Unit points in the first half, weighted CF rows after.
-        p_ns = np.where(np.arange(w) < w // 2, 1.0, rng.integers(1, 9, size=w))
-        p_ls = pts * p_ns[:, None]
-        p_ss = np.einsum("ij,ij->i", p_ls, p_ls) / p_ns + rng.uniform(
-            0.0, 3.0, size=w
-        ) * (p_ns > 1)
-        ns = rng.integers(1, 20, size=(w, k)).astype(np.float64)
-        ls = rng.normal(size=(w, k, d)) * ns[:, :, None]
-        ss = np.einsum("rkj,rkj->rk", ls, ls) / ns + rng.uniform(
-            0.0, 5.0, size=(w, k)
-        )
-        got = gathered_cf_distances(p_ns, p_ls, p_ss, ns, ls, ss, metric)
-        for r in range(w):
-            probe = CF(int(p_ns[r]), p_ls[r], float(p_ss[r]))
-            expect = distances_to_set(probe, ns[r], ls[r], ss[r], metric)
-            assert np.array_equal(got[r], expect)
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_stable_gathered_matches_per_probe(self, metric):
@@ -492,13 +461,8 @@ class TestChooserOnMemoryBoundedStream:
 
         def ingest(points, weights):
             w = np.ones(points.shape[0], np.int64) if weights is None else weights
-            norms = np.einsum("ij,ij->i", points, points)
-            for row, norm, wt in zip(points, norms, w):
-                if estimator.config.cf_backend == "stable":
-                    cf = StableCF(int(wt), row.copy(), 0.0)
-                else:
-                    cf = CF(int(wt), wt * row, float(wt * norm))
-                estimator._insert_one(cf)
+            for row, wt in zip(points, w):
+                estimator._insert_one(StableCF(int(wt), row.copy(), 0.0))
 
         estimator._ingest = ingest
 
@@ -507,10 +471,10 @@ class TestChooserOnMemoryBoundedStream:
         points = ds1o(scale=0.03, seed=5).points
         chosen = Birch(
             self.config(
-                tmp_path / "a.ckpt", cf_backend=backend, observe=ObserveConfig()
+                tmp_path / "a.ckpt", observe=ObserveConfig()
             )
         )
-        oracle = Birch(self.config(tmp_path / "b.ckpt", cf_backend=backend))
+        oracle = Birch(self.config(tmp_path / "b.ckpt"))
         self.per_row(oracle)
         chosen_log, oracle_log = self.spy(chosen), self.spy(oracle)
         self.stream(chosen, points)
@@ -528,7 +492,7 @@ class TestChooserOnMemoryBoundedStream:
 
     @pytest.mark.parametrize(
         "backend, mode",
-        [("classic", "weighted"), ("stable", "weighted"), ("stable", "decayed")],
+        [("stable", "weighted"), ("stable", "decayed")],
     )
     def test_weighted_and_decayed_match_per_row_path(self, tmp_path, backend, mode):
         """Weighted and decayed batches take the same windows: the tree,
@@ -542,7 +506,7 @@ class TestChooserOnMemoryBoundedStream:
             extra = {"decay_half_life": 3.0, "epoch_buckets": 4}
 
         def run(path, oracle):
-            est = Birch(self.config(path, cf_backend=backend, **(extra or {})))
+            est = Birch(self.config(path, **(extra or {})))
             if oracle:
                 self.per_row(est)
             log = self.spy(est)

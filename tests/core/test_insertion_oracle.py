@@ -2,11 +2,11 @@
 
 ``CFTree.insert_cf`` and the helpers it shares with ``try_absorb_cf``,
 ``bulk_insert``'s scalar runs and the merging refinement call unchecked kernel
-cores on raw ``(n, vector, scalar)`` rows.  Every such core has a
-public, validated counterpart that takes CF objects.  The oracle below
-is a ``CFTree`` whose hot helpers go back through that public API —
-``CFNode.closest_entry``, ``merged_diameter`` / ``merged_radius`` and
-their stable twins, ``CFNode.add_to_entry`` and a per-entry
+cores on raw ``(n, mean, SSD)`` rows.  Every such core has a public,
+validated counterpart that takes CF objects.  The oracle below is a
+``CFTree`` whose hot helpers go back through that public API —
+``CFNode.closest_entry``, ``stable_merged_diameter`` /
+``stable_merged_radius``, ``CFNode.add_to_entry`` and a per-entry
 ``entry_distances`` loop for the pairwise matrix — and a memory-bounded
 stream (small pages, T0 = 0, outlier handling on, so rebuilds, splits,
 merges and re-absorption all happen) must build byte-identical trees
@@ -19,7 +19,11 @@ CF rows of any weight — unit points, integer weights, fractional
 (decayed) counts, rows with SSD > 0 — must build the tree a sequential
 ``insert_cf`` loop over the same rows builds, byte for byte, however
 the rows are chunked and whether or not the caller caps or stops the
-calls.
+calls.  With windows forced on, the rows the bulk path sends to the
+scalar path are exactly those the loop does not absorb, so a window
+threshold test stricter than ``insert_cf``'s is caught too.  At T = 0
+with rows one ulp apart far from the origin, the slack term for the
+rounding of the means is what decides absorption.
 """
 
 import numpy as np
@@ -32,12 +36,10 @@ from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.distances import (
     Metric,
-    merged_diameter,
-    merged_radius,
     stable_merged_diameter,
     stable_merged_radius,
 )
-from repro.core.features import CF, StableCF, row_cf
+from repro.core.features import StableCF, row_cf
 from repro.core.node import CFNode
 from repro.core.tree import CFTree, ThresholdKind
 from repro.observe.recorder import Recorder
@@ -70,9 +72,7 @@ class OracleTree(CFTree):
         OracleTree.calls[name] = OracleTree.calls.get(name, 0) + 1
 
     def _cf(self, n, vec, sq):
-        if self.cf_backend == "stable":
-            return StableCF(n, np.array(vec), sq)
-        return CF(n, np.array(vec), sq)
+        return StableCF(n, np.array(vec), sq)
 
     def _new_node(self, is_leaf: bool) -> CFNode:
         node = super()._new_node(is_leaf)
@@ -92,20 +92,13 @@ class OracleTree(CFTree):
         cf = self._cf(n, vec, sq)
         ns = leaf.ns[index : index + 1]
         diameter = self.threshold_kind is ThresholdKind.DIAMETER
-        if self.cf_backend == "stable":
-            means = leaf.means[index : index + 1]
-            ssds = leaf.ssds[index : index + 1]
-            kernel = stable_merged_diameter if diameter else stable_merged_radius
-            value = kernel(cf, ns, means, ssds)[0]
-            n_merged = float(ns[0]) + cf.n
-            mean_sq = float(np.einsum("j,j->", means[0], means[0]))
-            slack_sq = 64.0 * EPS * (value * value + EPS * n_merged * mean_sq)
-        else:
-            ls = leaf.ls[index : index + 1]
-            ss = leaf.ss[index : index + 1]
-            kernel = merged_diameter if diameter else merged_radius
-            value = kernel(cf, ns, ls, ss)[0]
-            slack_sq = 64.0 * EPS * max(float(ss[0]) + cf.ss, 1.0)
+        means = leaf.means[index : index + 1]
+        ssds = leaf.ssds[index : index + 1]
+        kernel = stable_merged_diameter if diameter else stable_merged_radius
+        value = kernel(cf, ns, means, ssds)[0]
+        n_merged = float(ns[0]) + cf.n
+        mean_sq = float(np.einsum("j,j->", means[0], means[0]))
+        slack_sq = 64.0 * EPS * (value * value + EPS * n_merged * mean_sq)
         return bool(value * value <= self.threshold**2 + slack_sq)
 
 
@@ -131,22 +124,24 @@ def run_stream(points, config, tree_class, monkeypatch):
 
 
 CASES = [
-    (backend, kind, metric, decay)
-    for backend in ("classic", "stable")
+    (kind, metric, decay)
     for kind in ThresholdKind
     for metric in Metric
-    for decay in ((False, True) if backend == "stable" else (False,))
+    for decay in (False, True)
 ]
 
 
 @pytest.mark.parametrize("dimensions", [2, 8])
 @pytest.mark.parametrize(
-    "backend, kind, metric, decay",
+    "kind, metric, decay",
     CASES,
-    ids=[f"{b}-{k.value}-{m.value}-{'decay' if d else 'plain'}" for b, k, m, d in CASES],
+    ids=[
+        f"stable-{k.value}-{m.value}-{'decay' if d else 'plain'}"
+        for k, m, d in CASES
+    ],
 )
 def test_insertion_path_matches_public_api_oracle(
-    backend, kind, metric, decay, dimensions, monkeypatch
+    kind, metric, decay, dimensions, monkeypatch
 ):
     config = BirchConfig(
         n_clusters=12,
@@ -154,7 +149,6 @@ def test_insertion_path_matches_public_api_oracle(
         page_size=256 if dimensions == 2 else 512,
         initial_threshold=0.0,
         outlier_handling=True,
-        cf_backend=backend,
         threshold_kind=kind,
         metric=metric,
         decay_half_life=4.0 if decay else None,
@@ -181,9 +175,9 @@ def test_insertion_path_matches_public_api_oracle(
         assert array.tobytes() == other.tobytes(), name
 
 
-def cf_rows(backend: str, dimensions: int, n: int = 300, seed: int = 5):
+def cf_rows(dimensions: int, n: int = 300, seed: int = 5):
     """A mixed row stream: unit points, integer weights, multi-point
-    rows with SSD > 0 and (stable only) fractional counts."""
+    rows with SSD > 0 and fractional counts."""
     rng = np.random.default_rng(seed + 10 * dimensions)
     centers = rng.uniform(-20.0, 20.0, size=(40, dimensions))
     means = centers[rng.integers(0, 40, size=n)] + rng.normal(
@@ -192,60 +186,62 @@ def cf_rows(backend: str, dimensions: int, n: int = 300, seed: int = 5):
     kind = rng.integers(0, 4, size=n)  # unit, weighted, spread, fractional
     ns = np.where(kind == 0, 1.0, rng.integers(2, 6, size=n).astype(float))
     ssd = np.where(kind >= 2, rng.uniform(0.0, 0.3, size=n) * ns, 0.0)
-    if backend == "stable":
-        ns = np.where(kind == 3, rng.uniform(0.2, 3.0, size=n), ns)
-        return ns, means, ssd
-    ls = ns[:, None] * means
-    return ns, ls, np.einsum("ij,ij->i", means, means) * ns + ssd
+    ns = np.where(kind == 3, rng.uniform(0.2, 3.0, size=n), ns)
+    return ns, means, ssd
 
 
-def oracle_tree(backend, kind, metric, dimensions, recorder=None) -> CFTree:
+def ulp_rows(dimensions: int, n: int = 300, seed: int = 6):
+    """Repeats of 40 points at an offset of 1e4, each coordinate moved
+    by at most one ulp, with unit, integer and fractional counts and no
+    spread: at T = 0 only the slack for rounded means lets them merge."""
+    rng = np.random.default_rng(seed + 10 * dimensions)
+    centers = 1e4 + rng.uniform(-20.0, 20.0, size=(40, dimensions))
+    means = centers[rng.integers(0, 40, size=n)]
+    step = rng.integers(-1, 2, size=(n, dimensions))
+    means = np.where(step > 0, np.nextafter(means, np.inf), means)
+    means = np.where(step < 0, np.nextafter(means, -np.inf), means)
+    kind = rng.integers(0, 3, size=n)  # unit, weighted, fractional
+    ns = np.where(kind == 0, 1.0, rng.integers(2, 6, size=n).astype(float))
+    ns = np.where(kind == 2, rng.uniform(0.2, 3.0, size=n), ns)
+    return ns, means, np.zeros(n)
+
+
+def oracle_tree(kind, metric, dimensions, threshold, recorder=None) -> CFTree:
     tree = CFTree(
         PageLayout(page_size=64 * (dimensions + 2), dimensions=dimensions),
-        threshold=1.0,
+        threshold=threshold,
         metric=metric,
         threshold_kind=kind,
         stats=IOStats(),
-        cf_backend=backend,
         recorder=recorder,
     )
-    if backend == "stable":
-        tree.set_decay(2.0, 0)
+    tree.set_decay(2.0, 0)
     return tree
 
 
-ROW_CASES = [
-    (backend, kind, metric)
-    for backend in ("classic", "stable")
-    for kind in ThresholdKind
-    for metric in Metric
-]
-
-
-@pytest.mark.parametrize("dimensions", [2, 3, 8])
-@pytest.mark.parametrize(
-    "backend, kind, metric",
-    ROW_CASES,
-    ids=[f"{b}-{k.value}-{m.value}" for b, k, m in ROW_CASES],
-)
-def test_bulk_insert_rows_match_sequential_insert_cf(
-    backend, kind, metric, dimensions, monkeypatch
+def check_rows_against_sequential_insert_cf(
+    rows, kind, metric, dimensions, threshold, monkeypatch
 ):
-    ns, vecs, sqs = cf_rows(backend, dimensions)
-    epoch = 100  # stable trees decay between epochs: fractional entries
+    ns, vecs, sqs = rows
+    epoch = 100  # the trees decay between epochs: fractional entries
 
     def feed(tree, insert):
         for lo in range(0, ns.shape[0], epoch):
             insert(tree, lo, min(lo + epoch, ns.shape[0]))
-            if backend == "stable":
-                tree.advance_decay_clock()
+            tree.advance_decay_clock()
         return tree
 
-    def sequential(tree, lo, hi):
-        for t in range(lo, hi):
-            tree.insert_cf(row_cf(ns[t], vecs[t], sqs[t], backend))
+    not_absorbed = 0
 
-    oracle = feed(oracle_tree(backend, kind, metric, dimensions), sequential)
+    def sequential(tree, lo, hi):
+        nonlocal not_absorbed
+        for t in range(lo, hi):
+            cf = row_cf(ns[t], vecs[t], sqs[t])
+            if not tree.try_absorb_cf(cf):
+                tree.insert_cf(cf)
+                not_absorbed += 1
+
+    oracle = feed(oracle_tree(kind, metric, dimensions, threshold), sequential)
     assert oracle.stats.splits > 0
     expect = oracle.export_structure()
 
@@ -273,15 +269,49 @@ def test_bulk_insert_rows_match_sequential_insert_cf(
         for insert in (chunked, capped):
             rec = Recorder()
             tree = feed(
-                oracle_tree(backend, kind, metric, dimensions, rec), insert
+                oracle_tree(kind, metric, dimensions, threshold, rec), insert
             )
             monkeypatch.undo()
-            if insert is capped and chunk > 1:
-                # Windows commit rows, not only scalar runs.
-                assert rec.counters["bulk.absorbed_rows"] > 0
+            if insert is capped:
+                # Only rows the loop does not absorb leave the windows.
+                assert rec.counters.get("bulk.fallback_rows", 0) == not_absorbed
+                if chunk > 1:
+                    assert rec.counters["bulk.absorbed_rows"] > 0
             got = tree.export_structure()
             for name, array in expect.items():
                 assert got[name].tobytes() == array.tobytes(), (chunk, name)
             assert tree.points == oracle.points
             assert type(tree.points) is type(oracle.points)
             assert tree.stats.summary() == oracle.stats.summary()
+    return not_absorbed
+
+
+ROW_CASES = [(kind, metric) for kind in ThresholdKind for metric in Metric]
+
+
+@pytest.mark.parametrize("dimensions", [2, 3, 8])
+@pytest.mark.parametrize(
+    "kind, metric",
+    ROW_CASES,
+    ids=[f"stable-{k.value}-{m.value}" for k, m in ROW_CASES],
+)
+def test_bulk_insert_rows_match_sequential_insert_cf(
+    kind, metric, dimensions, monkeypatch
+):
+    check_rows_against_sequential_insert_cf(
+        cf_rows(dimensions), kind, metric, dimensions, 1.0, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("dimensions", [2, 3, 8])
+@pytest.mark.parametrize("kind", list(ThresholdKind), ids=lambda k: k.value)
+def test_bulk_insert_ulp_repeats_at_zero_threshold(kind, dimensions, monkeypatch):
+    not_absorbed = check_rows_against_sequential_insert_cf(
+        ulp_rows(dimensions),
+        kind,
+        Metric.D2_AVG_INTERCLUSTER,
+        dimensions,
+        0.0,
+        monkeypatch,
+    )
+    assert not_absorbed < 100  # most repeats merge into their point's entry

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.features import CF_BACKENDS
+from repro.core.features import StableCF
 from repro.core.lloyd import group_cfs, group_means, weighted_lloyd_step
 
-BACKENDS = sorted(CF_BACKENDS)
+#: Clusters are (n, mean, SSD); the parameter keeps the case ids.
+BACKENDS = ("stable",)
 
 
 def _labelled(rng, n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -24,8 +25,8 @@ class TestGroupCFsParity:
     def test_matches_from_points_per_cluster(self, rng, backend, d):
         k = 7
         points, labels = _labelled(rng, 3000, d, k)
-        clusters = group_cfs(points, labels, k, backend)
-        cf_class = CF_BACKENDS[backend]
+        clusters = group_cfs(points, labels, k)
+        cf_class = StableCF
         assert len(clusters) == k
         for c, cf in enumerate(clusters):
             assert isinstance(cf, cf_class)
@@ -45,20 +46,20 @@ class TestGroupCFsParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_minus_one_rows_are_dropped(self, backend):
         points = np.array([[0.0], [100.0], [2.0]])
-        (cf,) = group_cfs(points, np.array([0, -1, 0]), 1, backend)
+        (cf,) = group_cfs(points, np.array([0, -1, 0]), 1)
         assert cf.n == 2
         assert cf.centroid[0] == 1.0
         assert cf.sum_squared_deviation == pytest.approx(2.0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_rows_gives_empty_clusters(self, backend):
-        clusters = group_cfs(np.empty((0, 3)), np.empty(0, np.int64), 4, backend)
+        clusters = group_cfs(np.empty((0, 3)), np.empty(0, np.int64), 4)
         assert [cf.n for cf in clusters] == [0, 0, 0, 0]
 
     def test_far_offset_ssd_is_two_pass(self):
-        # Classic one-pass SS - LS^2/N loses everything at this offset.
+        # A one-pass SS - LS^2/N loses everything at this offset.
         points = 1e8 + np.array([[0.0], [1.0], [2.0], [3.0]])
-        (cf,) = group_cfs(points, np.zeros(4, np.int64), 1, "stable")
+        (cf,) = group_cfs(points, np.zeros(4, np.int64), 1)
         assert cf.sum_squared_deviation == pytest.approx(5.0, rel=1e-12)
 
 

@@ -110,7 +110,7 @@ class TestValidation:
 class TestBulkCFMerge:
     """The batched fold behind :func:`merge_tree_pair`."""
 
-    @pytest.mark.parametrize("backend", ["classic", "stable"])
+    @pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
     @pytest.mark.parametrize(
         "kind",
         [ThresholdKind.DIAMETER, ThresholdKind.RADIUS],
@@ -121,8 +121,8 @@ class TestBulkCFMerge:
 
         a_pts = rng.normal(0, 1, size=(200, 2))
         b_pts = rng.normal(6, 1, size=(200, 2))
-        acc = build(a_pts, cf_backend=backend, threshold_kind=kind)
-        donor = build(b_pts, cf_backend=backend, threshold_kind=kind)
+        acc = build(a_pts, threshold_kind=kind)
+        donor = build(b_pts, threshold_kind=kind)
         merged = merge_tree_pair(acc, donor)
         merged.check_invariants()
         summary = merged.summary_cf()
@@ -180,7 +180,7 @@ class TestBulkCFMerge:
         tree.check_invariants()
         assert tree.summary_cf().n == 650
 
-    @pytest.mark.parametrize("backend", ["classic", "stable"])
+    @pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
     @pytest.mark.parametrize(
         "kind",
         [ThresholdKind.DIAMETER, ThresholdKind.RADIUS],
@@ -208,13 +208,10 @@ class TestBulkCFMerge:
                 threshold=0.1,
                 budget=MemoryBudget(20 * 256, layout),
                 stats=IOStats(),
-                cf_backend=backend,
                 threshold_kind=kind,
             )
             acc.insert_points(acc_pts)
-            donor = build(
-                donor_pts, threshold=0.3, cf_backend=backend, threshold_kind=kind
-            )
+            donor = build(donor_pts, threshold=0.3, threshold_kind=kind)
             return acc, donor
 
         acc, donor = trees()
@@ -239,10 +236,67 @@ class TestBulkCFMerge:
         for key in a:
             assert a[key].tobytes() == b[key].tobytes(), key
 
-    def test_cf_backend_mismatch_rejected(self, rng):
+    @pytest.mark.parametrize(
+        "kind",
+        [ThresholdKind.DIAMETER, ThresholdKind.RADIUS],
+        ids=["diameter", "radius"],
+    )
+    def test_fold_entered_over_budget_follows_the_bulk_rule(self, kind):
+        """An accumulator already over its budget: while over, the fold
+        rebuilds only after an entry that did not absorb, exactly as a
+        per-entry loop that tries try_absorb_cf first and rebuilds after
+        each insert_cf that leaves the tree over budget."""
         from repro.core.merge import merge_tree_pair
+        from repro.core.rebuild import rebuild_tree
+        from repro.core.threshold import ThresholdPolicy
+        from repro.pagestore.iostats import IOStats
 
-        a = build(rng.normal(size=(10, 2)), cf_backend="classic")
-        b = build(rng.normal(size=(10, 2)), cf_backend="stable")
-        with pytest.raises(ValueError, match="backend"):
-            merge_tree_pair(a, b)
+        rng = np.random.default_rng(22)
+        acc_pts = np.concatenate(
+            [rng.normal(c, 1.0, size=(150, 2)) for c in (0.0, 6.0)]
+        )
+        # Repeats of the accumulator's points absorb; the far cluster
+        # needs new entries.
+        donor_pts = np.concatenate([acc_pts, rng.normal(12.0, 1.0, (200, 2))])
+        layout = PageLayout(page_size=256, dimensions=2)
+
+        def trees():
+            acc = CFTree(
+                layout,
+                threshold=0.4,
+                budget=MemoryBudget(64 * 256, layout),
+                stats=IOStats(),
+                threshold_kind=kind,
+            )
+            acc.insert_points(acc_pts)
+            acc.budget.limit_bytes = (acc.node_count - 3) * 256
+            assert acc.budget.over_budget
+            donor = build(donor_pts, threshold=0.0, threshold_kind=kind)
+            return acc, donor
+
+        acc, donor = trees()
+        merged = merge_tree_pair(acc, donor, policy=ThresholdPolicy())
+
+        acc, donor = trees()
+        policy = ThresholdPolicy()
+        folded = acc
+        absorbed_while_over = 0
+        for cf in donor.leaf_entries():
+            over = folded.budget.over_budget
+            if folded.try_absorb_cf(cf):
+                absorbed_while_over += over
+                continue
+            folded.insert_cf(cf)
+            while folded.budget.over_budget:
+                folded = rebuild_tree(
+                    folded, policy.next_threshold(folded, folded.points)
+                )
+
+        assert absorbed_while_over > 0  # the rule decided something
+        assert folded.stats.tree_rebuilds >= 1
+        assert merged.threshold == folded.threshold
+        assert merged.points == folded.points == 800
+        assert merged.stats.summary() == folded.stats.summary()
+        a, b = merged.export_structure(), folded.export_structure()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), key

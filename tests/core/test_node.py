@@ -19,9 +19,9 @@ def nonleaf(layout_2d: PageLayout) -> CFNode:
     return CFNode(layout_2d, is_leaf=False)
 
 
-def cf_at(x: float, y: float, n: int = 1) -> CF:
+def cf_at(x: float, y: float, n: int = 1) -> StableCF:
     pts = np.tile([x, y], (n, 1))
-    return CF.from_points(pts)
+    return StableCF.from_points(pts)
 
 
 class TestCapacity:
@@ -70,7 +70,7 @@ class TestEntryMutation:
             leaf.append_entry(cf_at(float(i), 0.0))
         leaf.remove_entry(1)
         assert leaf.size == 3
-        xs = sorted(float(leaf.entry_cf(i).ls[0]) for i in range(3))
+        xs = sorted(float(leaf.entry_cf(i).mean[0]) for i in range(3))
         assert xs == [0.0, 2.0, 3.0]
 
     def test_remove_entry_keeps_children_aligned(self, nonleaf, layout_2d):
@@ -82,7 +82,7 @@ class TestEntryMutation:
         assert len(nonleaf.children) == 2
         # Last child swapped into slot 0.
         assert nonleaf.children[0] is children[2]
-        assert float(nonleaf.entry_cf(0).ls[0]) == 2.0
+        assert float(nonleaf.entry_cf(0).mean[0]) == 2.0
 
     def test_clear(self, leaf):
         leaf.append_entry(cf_at(1.0, 1.0))
@@ -100,7 +100,7 @@ class TestEntryMutation:
 
 class TestSummary:
     def test_summary_is_sum_of_entries(self, leaf, rng):
-        cfs = [CF.from_points(rng.normal(size=(3, 2))) for _ in range(5)]
+        cfs = [StableCF.from_points(rng.normal(size=(3, 2))) for _ in range(5)]
         for cf in cfs:
             leaf.append_entry(cf)
         total = cfs[0].copy()
@@ -112,8 +112,8 @@ class TestSummary:
         leaf.append_entry(cf_at(1.0, 2.0))
         leaf.append_entry(cf_at(3.0, 4.0))
         assert leaf.ns.shape == (2,)
-        assert leaf.ls.shape == (2, 2)
-        assert leaf.ss.shape == (2,)
+        assert leaf.means.shape == (2, 2)
+        assert leaf.ssds.shape == (2,)
 
 
 class TestSearch:
@@ -146,17 +146,18 @@ class TestPairwiseMatchesPerEntryLoop:
     heuristics' merge sizes would drift from a per-entry evaluation."""
 
     @staticmethod
-    def _node(backend: str, dimensions: int, fractional: bool) -> CFNode:
+    def _node(dimensions: int, fractional: bool) -> CFNode:
         rng = np.random.default_rng(100 + dimensions)
         layout = PageLayout(page_size=4096, dimensions=dimensions)
-        node = CFNode(layout, is_leaf=True, cf_backend=backend)
-        cls = StableCF if backend == "stable" else CF
+        node = CFNode(layout, is_leaf=True)
         for _ in range(min(node.capacity, 12)):
             size = int(rng.integers(1, 6))
             offset = rng.normal(size=dimensions) * 50.0
-            cf = cls.from_points(rng.normal(size=(size, dimensions)) * 3.0 + offset)
+            cf = StableCF.from_points(
+                rng.normal(size=(size, dimensions)) * 3.0 + offset
+            )
             if fractional:
-                # Decayed entries carry fractional mass (stable only).
+                # Decayed entries carry fractional mass.
                 cf = cf.scaled(float(rng.uniform(0.2, 0.9)))
             node.append_entry(cf)
         # Two identical entries exercise exact ties and zero distances.
@@ -167,12 +168,12 @@ class TestPairwiseMatchesPerEntryLoop:
     @pytest.mark.parametrize("dimensions", [1, 2, 3, 8])
     @pytest.mark.parametrize(
         "backend, fractional",
-        [("classic", False), ("stable", False), ("stable", True)],
+        [("stable", False), ("stable", True)],
     )
     def test_rows_equal_entry_distances_bitwise(
         self, backend, fractional, dimensions, metric
     ):
-        node = self._node(backend, dimensions, fractional)
+        node = self._node(dimensions, fractional)
         k = node.size
         loop = np.zeros((k, k))
         for i in range(k):

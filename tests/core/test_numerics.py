@@ -1,12 +1,13 @@
 """Numerical-stability tests across the CF algebra and tree.
 
-In the classic backend every radius/diameter/D2-D4 value is computed by
-cancellation against SS; these tests pin the behaviour at the regimes
-where that matters: large coordinate offsets, massive duplicate
-accumulation, and very small scales.  The stable ``(n, mean, SSD)``
-backend is exercised over the same regimes and must reproduce the
-origin-centered statistics to ~1e-6 relative error even where the
-classic triple has lost every significant digit.
+In the paper's ``(N, LS, SS)`` algebra (the reference ``CF``) every
+radius/diameter/D2-D4 value is computed by cancellation against SS;
+these tests pin the behaviour at the regimes where that matters: large
+coordinate offsets, massive duplicate accumulation, and very small
+scales.  The ``(n, mean, SSD)`` representation the tree stores is
+exercised over the same regimes and must reproduce the origin-centered
+statistics to ~1e-6 relative error even where the paper's triple has
+lost every significant digit.
 """
 
 import math
@@ -166,7 +167,7 @@ class TestStableBackendAtOffset:
         layout = PageLayout(page_size=256, dimensions=2)
 
         def build(data):
-            tree = CFTree(layout, threshold=1.0, cf_backend="stable")
+            tree = CFTree(layout, threshold=1.0)
             tree.insert_points(data)
             tree.check_invariants()
             return tree.leaf_entries()
@@ -180,8 +181,8 @@ class TestStableBackendAtOffset:
             np.testing.assert_allclose(got.mean - offset, want.mean, atol=1e-6)
 
     def test_default_pipeline_recovers_offset_clusters(self, rng):
-        """End-to-end: BirchConfig defaults to the stable backend, so
-        two unit-variance blobs 10 apart are separated even at 1e8."""
+        """End-to-end: the pipeline stores (n, mean, SSD), so two
+        unit-variance blobs 10 apart are separated even at 1e8."""
         from repro.core.birch import Birch
         from repro.core.config import BirchConfig
 
@@ -192,7 +193,6 @@ class TestStableBackendAtOffset:
             ]
         )
         config = BirchConfig(n_clusters=2, phase4_passes=0)
-        assert config.cf_backend == "stable"
         result = Birch(config).fit(pts)
         assert result.n_clusters == 2
         xs = sorted(float(c[0]) for c in result.centroids)

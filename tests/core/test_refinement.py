@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
-from repro.core.features import CF_BACKENDS
+from repro.core.features import StableCF
 from repro.core.refinement import refine
 from repro.datagen.presets import ds1, ds2, ds3
 from repro.evaluation.labels import adjusted_rand_index
@@ -156,10 +156,10 @@ class TestTieRule:
         np.testing.assert_array_equal(result.centroids[1], [0.5, 0.0])
 
 
-def _oracle_refine(points, seeds, passes, backend, factor=2.0):
+def _oracle_refine(points, seeds, passes, factor=2.0):
     """The pre-kernel Phase 4: (B, K, d) broadcast argmin and one boolean
     mask per cluster, with the outlier rule on the final labels."""
-    cf_class = CF_BACKENDS[backend]
+    cf_class = StableCF
 
     def assign(centroids):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -196,13 +196,12 @@ class TestKernelParityWithBroadcastOracle:
     """Phase 4 on the shared kernel and grouped reducer labels the paper
     datasets as the old broadcast/masked formulation did."""
 
-    @pytest.mark.parametrize("backend", sorted(CF_BACKENDS))
+    @pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
     @pytest.mark.parametrize("make", [ds1, ds2, ds3], ids=["DS1", "DS2", "DS3"])
     def test_labels_match_oracle(self, make, backend):
         data = make(scale=0.03)
         config = BirchConfig(
             n_clusters=100,
-            cf_backend=backend,
             initial_threshold=1.0,
             phase4_passes=0,
         )
@@ -213,8 +212,7 @@ class TestKernelParityWithBroadcastOracle:
                 seeds,
                 passes=passes,
                 discard_outliers=True,
-                cf_backend=backend,
             ).labels
-            want = _oracle_refine(data.points, seeds, passes, backend)
+            want = _oracle_refine(data.points, seeds, passes)
             if not np.array_equal(got, want):
                 assert adjusted_rand_index(got, want) >= 0.999

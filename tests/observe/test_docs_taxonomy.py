@@ -106,7 +106,6 @@ def emitted(tmp_path_factory) -> Emitted:
         fit_config(
             "stream",
             outlier_handling=False,
-            cf_backend="stable",
             decay_half_life=4.0,
             epoch_buckets=3,
             drift_policy="auto_decay",

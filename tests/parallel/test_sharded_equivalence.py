@@ -10,8 +10,8 @@ Two distinct promises, tested separately:
 * **quality parity and exact conservation across n_jobs** — different
   shard counts legitimately change insertion order, so across
   ``n_jobs`` the contract is cluster-count equality, centroid
-  agreement and an exactly balanced conservation ledger, on both CF
-  backends and both threshold kinds, outlier-heavy data included.
+  agreement and an exactly balanced conservation ledger, on both
+  threshold kinds, outlier-heavy data included.
 """
 
 import numpy as np
@@ -26,7 +26,8 @@ from repro.parallel.pool import FORCE_SERIAL_ENV
 
 pytestmark = pytest.mark.parallel
 
-BACKENDS = ("classic", "stable")
+#: Trees store (n, mean, SSD); the parameter keeps the case ids.
+BACKENDS = ("stable",)
 KINDS = (ThresholdKind.DIAMETER, ThresholdKind.RADIUS)
 JOBS = (1, 2, 4, 8)
 
@@ -72,7 +73,7 @@ class TestPoolVsSerialByteIdentity:
     @pytest.mark.parametrize("kind", KINDS, ids=["diameter", "radius"])
     @pytest.mark.parametrize("jobs", JOBS)
     def test_matrix(self, grid_points, backend, kind, jobs, monkeypatch):
-        config = _config(cf_backend=backend, threshold_kind=kind)
+        config = _config(threshold_kind=kind)
 
         monkeypatch.delenv(FORCE_SERIAL_ENV, raising=False)
         with Birch(config) as pooled:
@@ -89,7 +90,7 @@ class TestCrossJobsParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_quality_parity_across_jobs(self, grid_points, backend):
         results = [
-            Birch(_config(cf_backend=backend)).fit(grid_points, n_jobs=j)
+            Birch(_config()).fit(grid_points, n_jobs=j)
             for j in JOBS
         ]
         reference = results[0]
@@ -110,7 +111,7 @@ class TestCrossJobsParity:
         # ledger must balance exactly — every noise point either
         # clustered or still held as an outlier.
         result = Birch(
-            _config(cf_backend=backend, disk_bytes=64 * 1024)
+            _config(disk_bytes=64 * 1024)
         ).fit(outlier_points, n_jobs=jobs)
         assert result.conservation_ok
         ledger = result.accounting()

@@ -16,18 +16,17 @@ from repro.core.serialization import save_result
 from repro.datagen.presets import ds1, ds2
 from repro.errors import ArchiveError, NotFittedError
 from repro.serve import FrozenModel, compile_model
-from tests.legacy_formats import v1_checkpoint_bytes
+from tests.legacy_formats import classic_npz_copy, v1_checkpoint_bytes
 
 pytestmark = pytest.mark.serve
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _config(backend: str, **overrides) -> BirchConfig:
+def _config(**overrides) -> BirchConfig:
     defaults = dict(
         n_clusters=8,
         memory_bytes=256 * 1024,
-        cf_backend=backend,
         initial_threshold=1.0,
         phase4_passes=0,
     )
@@ -35,8 +34,8 @@ def _config(backend: str, **overrides) -> BirchConfig:
     return BirchConfig(**defaults)
 
 
-def _fitted(points: np.ndarray, backend: str, **overrides) -> Birch:
-    estimator = Birch(_config(backend, **overrides))
+def _fitted(points: np.ndarray, **overrides) -> Birch:
+    estimator = Birch(_config(**overrides))
     estimator.fit(points)
     return estimator
 
@@ -52,13 +51,18 @@ def small_fit(rng):
 
 class TestParityWithEstimator:
     @pytest.mark.parametrize("preset", [ds1, ds2])
+    # "classic": compiled from the .npz result archive a classic fit wrote.
     @pytest.mark.parametrize("backend", ["classic", "stable"])
-    def test_preset_parity(self, preset, backend):
+    def test_preset_parity(self, preset, backend, tmp_path):
         dataset = preset(scale=0.02)
         estimator = _fitted(
-            dataset.points, backend, n_clusters=100, memory_bytes=4 << 20
+            dataset.points, n_clusters=100, memory_bytes=4 << 20
         )
         frozen = FrozenModel.from_estimator(estimator)
+        if backend == "classic":
+            save_result(tmp_path / "result", estimator.result)
+            classic_npz_copy(tmp_path / "result", tmp_path / "classic.npz")
+            frozen = compile_model(tmp_path / "classic.npz")
         queries = dataset.points[::3]
         expected = estimator.predict(queries)
         assert np.array_equal(frozen.predict(queries), expected)
@@ -67,7 +71,7 @@ class TestParityWithEstimator:
         estimator.close()
 
     def test_save_load_round_trip(self, small_fit, tmp_path):
-        estimator = _fitted(small_fit, "stable")
+        estimator = _fitted(small_fit)
         frozen = FrozenModel.from_estimator(estimator)
         digest = frozen.save(tmp_path / "m.frz")
         loaded = FrozenModel.load(tmp_path / "m.frz")
@@ -79,7 +83,7 @@ class TestParityWithEstimator:
         estimator.close()
 
     def test_loaded_arrays_are_read_only_views(self, small_fit, tmp_path):
-        estimator = _fitted(small_fit, "stable")
+        estimator = _fitted(small_fit)
         FrozenModel.from_estimator(estimator).save(tmp_path / "m.frz")
         estimator.close()
         loaded = FrozenModel.load(tmp_path / "m.frz")
@@ -91,7 +95,7 @@ class TestParityWithEstimator:
             assert arr.base is not None
 
     def test_transform_and_score(self, small_fit):
-        estimator = _fitted(small_fit, "stable")
+        estimator = _fitted(small_fit)
         frozen = FrozenModel.from_estimator(estimator)
         queries = small_fit[:50]
         distances = frozen.transform(queries)
@@ -105,14 +109,14 @@ class TestParityWithEstimator:
 
     def test_unfitted_estimator_raises(self):
         with pytest.raises(NotFittedError):
-            FrozenModel.from_estimator(Birch(_config("stable")))
+            FrozenModel.from_estimator(Birch(_config()))
 
 
 class TestCompileSources:
     def test_compile_from_checkpoint_matches_finalize(
         self, small_fit, tmp_path
     ):
-        estimator = Birch(_config("stable"))
+        estimator = Birch(_config())
         estimator.partial_fit(small_fit)
         ckpt = tmp_path / "fit.ckpt"
         estimator.checkpoint(ckpt)
@@ -132,7 +136,7 @@ class TestCompileSources:
     def test_compile_from_v1_checkpoint(self, small_fit, tmp_path):
         # Forge a genuine version-1 archive (no evolve payload) from a
         # v2 snapshot, same as the checkpoint compatibility tests.
-        estimator = Birch(_config("stable"))
+        estimator = Birch(_config())
         estimator.partial_fit(small_fit)
         ckpt = tmp_path / "v1.ckpt"
         estimator.checkpoint(ckpt)
@@ -148,7 +152,7 @@ class TestCompileSources:
         estimator.close()
 
     def test_compile_from_result_archive(self, small_fit, tmp_path):
-        estimator = _fitted(small_fit, "classic")
+        estimator = _fitted(small_fit)
         archive = tmp_path / "result.npz"
         save_result(archive, estimator.result)
         model = compile_model(archive)
@@ -161,7 +165,7 @@ class TestCompileSources:
     def test_compile_of_frozen_artifact_is_rejected(
         self, small_fit, tmp_path
     ):
-        estimator = _fitted(small_fit, "stable")
+        estimator = _fitted(small_fit)
         frz = tmp_path / "m.frz"
         FrozenModel.from_estimator(estimator).save(frz)
         estimator.close()
@@ -180,7 +184,6 @@ class TestEvolvedModels:
         config = BirchConfig(
             n_clusters=4,
             memory_bytes=256 * 1024,
-            cf_backend="stable",
             initial_threshold=1.0,
             phase4_passes=0,
             decay_half_life=3.0,
@@ -213,7 +216,7 @@ class TestEvolvedModels:
 
 class TestMultiProcessSharing:
     def test_two_processes_serve_one_artifact(self, small_fit, tmp_path):
-        estimator = _fitted(small_fit, "stable")
+        estimator = _fitted(small_fit)
         frozen = FrozenModel.from_estimator(estimator)
         path = tmp_path / "shared.frz"
         frozen.save(path)

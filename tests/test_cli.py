@@ -432,7 +432,7 @@ class TestInspect:
         assert code == 0
         out = capsys.readouterr().out
         assert "tree archive" in out
-        assert "cf backend" in out
+        assert "threshold T =" in out
 
     def test_inspect_missing_file_exits_4(self, tmp_path, capsys):
         from repro.cli import EXIT_ARCHIVE

@@ -40,6 +40,7 @@ from repro.serve import FrozenModel
 from tests.legacy_formats import (
     birchckp_bytes,
     checkpoint_state,
+    classic_npz_copy,
     npz_copy,
     v1_checkpoint_bytes,
     write_birchfrz_v1,
@@ -66,13 +67,11 @@ LOADERS = {
 }
 
 
-def _fit(backend: str) -> Birch:
+def _fit() -> Birch:
     rng = np.random.default_rng(7)
     centers = ((0, 0), (8, 0), (0, 8), (8, 8))
     points = np.concatenate([rng.normal(c, 0.5, size=(60, 2)) for c in centers])
-    est = Birch(
-        BirchConfig(n_clusters=4, memory_bytes=8 * 1024, cf_backend=backend)
-    )
+    est = Birch(BirchConfig(n_clusters=4, memory_bytes=8 * 1024))
     est.fit(points)
     return est
 
@@ -81,7 +80,7 @@ def _fit(backend: str) -> Birch:
 def inputs(tmp_path_factory) -> dict[str, tuple[Path, str]]:
     """``name -> (path, kind)`` for every sealed kind and legacy input."""
     root = tmp_path_factory.mktemp("archives")
-    stable, classic = _fit("stable"), _fit("classic")
+    stable = _fit()
     files = {name: root / name for name in SEALED + LEGACY}
     stable.checkpoint(files["checkpoint"])
     save_result(files["result"], stable.result)
@@ -92,9 +91,7 @@ def inputs(tmp_path_factory) -> dict[str, tuple[Path, str]]:
     files["birchckp-v1"].write_bytes(v1_checkpoint_bytes(files["checkpoint"]))
     meta, arrays = checkpoint_state(files["checkpoint"])
     files["birchckp-v2"].write_bytes(birchckp_bytes(meta, arrays, 2))
-    classic_result = root / "classic-result"
-    save_result(classic_result, classic.result)
-    npz_copy(classic_result, files["npz-result-v1"])
+    classic_npz_copy(files["result"], files["npz-result-v1"])
     npz_copy(files["result"], files["npz-result-v2"])
     npz_copy(files["tree"], files["npz-tree"])
     npz_copy(files["cfs"], files["npz-cfs"])
