@@ -754,8 +754,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
     kind = container.sniff(args.archive)
     if kind == "frozen-model":
-        header = container.read_header(args.archive)
-        meta = header.metadata
+        # A verified read, so a damaged payload exits 5 like the header.
+        archive = container.read(args.archive, kind, mmap=True)
+        meta = archive.metadata
         source = meta.get("source", {})
         print(
             f"frozen model {args.archive}: "
@@ -763,8 +764,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"d={meta.get('dimensions', '?')}"
         )
         print(
-            f"format v{header.version}, "
-            f"payload sha256 {header.payload_sha256[:16]}…"
+            f"format v{archive.version}, "
+            f"payload sha256 {archive.payload_sha256[:16]}…"
         )
         origin = source.get("kind", "unknown")
         digest = source.get("sha256")

@@ -22,7 +22,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -58,6 +58,10 @@ from repro.parallel.shm import SharedBlock, inline_slice
 __all__ = ["Birch", "BirchResult", "PhaseTimings"]
 
 _MAX_CONDENSE_ROUNDS = 64
+
+#: Rows screened and fed per deadline check when Phase 1 runs under a
+#: time budget (:meth:`Birch._scan`).
+_SCAN_CHUNK = 1024
 
 _NO_DATA_MESSAGE = "no data inserted yet; call fit or partial_fit first"
 _NOT_FITTED_MESSAGE = "not fitted yet; call fit or finalize first"
@@ -515,7 +519,7 @@ class Birch:
         # of the batch, where bucket, tree and clock agree.
         self._mid_epoch_batch = self._evolve_active()
         try:
-            self._partial_fit_clean(clean, weight_arr)
+            self._feed(clean, weight_arr)
         finally:
             self._mid_epoch_batch = False
         if evicted:
@@ -526,21 +530,33 @@ class Birch:
         self._maybe_checkpoint()
         return self
 
-    def _partial_fit_clean(
-        self, points: np.ndarray, weight_arr: Optional[np.ndarray]
-    ) -> "Birch":
-        """Phase 1 insertion of an already-screened float64 batch."""
+    def _feed(
+        self,
+        points: np.ndarray,
+        weight_arr: Optional[np.ndarray],
+        n_jobs: int = 1,
+    ) -> None:
+        """Phase 1 insertion of an already-screened float64 batch.
+
+        An unweighted batch with ``n_jobs > 1`` is built in shards
+        (:meth:`_sharded_phase1`); everything else goes through
+        :meth:`_ingest`.  This is the one place ingest time is measured:
+        the batch's wall time minus the rebuilds it triggered.
+        """
         if points.shape[0] == 0:
-            return self  # the whole batch was rejected (with accounting)
-        if self._tree is None:
-            self._initialise(points.shape[1])
-        assert self._tree is not None and self._budget is not None
-        self._reopen_scan()
+            return  # the whole batch was rejected (with accounting)
+        sharded = n_jobs > 1 and weight_arr is None
+        if not sharded:
+            if self._tree is None:
+                self._initialise(points.shape[1])
+            self._reopen_scan()
         start = time.perf_counter()
         rebuilds_before = self._rebuild_seconds
         try:
-            self._ingest(points, weight_arr)
-            return self
+            if sharded:
+                self._sharded_phase1(points, n_jobs)
+            else:
+                self._ingest(points, weight_arr)
         finally:
             elapsed = time.perf_counter() - start
             self._ingest_seconds += max(
@@ -623,15 +639,9 @@ class Birch:
         ``map`` preserves task order — the worker *process* count never
         influences any result, only wall-clock.
         """
-        start = time.perf_counter()
-        rebuilds_before = self._rebuild_seconds
         try:
             self._sharded_phase1_inner(points, n_jobs)
         finally:
-            elapsed = time.perf_counter() - start
-            self._ingest_seconds += max(
-                0.0, elapsed - (self._rebuild_seconds - rebuilds_before)
-            )
             # Bank the failure-ladder incidents whether the build
             # completed or raised — a typed failure must still report
             # what the supervisor saw (BirchResult.parallel_incidents /
@@ -1567,144 +1577,165 @@ class Birch:
             )
         self._reset()
         timings = PhaseTimings()
-        rec = self._recorder
-        if rec.enabled:
-            rec.event(
-                "run.start",
-                mode="fit",
-                n_jobs=jobs,
-            )
+        if self._recorder.enabled:
+            self._recorder.event("run.start", mode="fit", n_jobs=jobs)
+        with self._phase(timings, "phase1"):
+            clean, outliers, _ = self._scan(points, n_jobs=jobs)
+        with self._phase(timings, "phase2"):
+            self._phase2_condense()
+        with self._phase(timings, "phase3"):
+            global_result = self._phase3_cluster()
+        refinement = self._phase4_refine(timings, clean, global_result.centroids)
+        return self._package_result(
+            timings, global_result, outliers, refinement, mode="fit"
+        )
 
+    @contextmanager
+    def _phase(self, timings: PhaseTimings, name: str) -> Iterator[dict]:
+        """Time one phase: the one place phase seconds are measured.
+
+        Adds the block's wall time to ``timings.<name>`` (adds, so a
+        ``finalize`` can carry the stream's earlier Phase 1 time and an
+        ``improve`` the earlier Phase 4 time) and, when the block
+        completes, emits a ``phase`` event whose extra fields the block
+        may put in the yielded dict.  Phase 1 also records its
+        ingest/rebuild split.  The time is recorded even when the block
+        raises, so a supervised run can say how long a failed phase ran.
+        """
+        fields: dict[str, object] = {}
         start = time.perf_counter()
-        clean, weight_arr = self._screen_batch(points, None)
-        if clean.shape[0] == 0:
+        try:
+            yield fields
+        finally:
+            seconds = getattr(timings, name) + (time.perf_counter() - start)
+            setattr(timings, name, seconds)
+            if name == "phase1":
+                timings.phase1_ingest = self._ingest_seconds
+                timings.phase1_rebuilds = self._rebuild_seconds
+        if self._recorder.enabled:
+            if name == "phase1":
+                fields.update(
+                    ingest_seconds=timings.phase1_ingest,
+                    rebuild_seconds=timings.phase1_rebuilds,
+                    points_seen=self._points_seen,
+                )
+            self._recorder.event("phase", name=name, seconds=seconds, **fields)
+
+    def _scan(
+        self,
+        points: object,
+        *,
+        n_jobs: int = 1,
+        deadline: Optional[float] = None,
+    ) -> tuple[np.ndarray, list[StableCF], int]:
+        """Phase 1 over a whole dataset: screen, feed, record, resolve.
+
+        Returns the accepted rows (Phase 4 scans them again), the true
+        outliers left at the end of the scan, and the raw rows the
+        ``deadline`` (a ``time.monotonic()`` instant) kept from being
+        fed.  Without a deadline the batch is screened and fed at once,
+        in shards when ``n_jobs > 1``.  With one, it is screened and fed
+        ``_SCAN_CHUNK`` rows at a time on this process, and the clock is
+        checked between chunks; the first chunk is always fed, so even
+        an expired deadline yields a (tiny) result.  Unfed rows never
+        enter the conservation ledger.
+        """
+        if deadline is None:
+            clean, weight_arr = self._screen_batch(points, None)
+            self._feed(clean, weight_arr, n_jobs)
+            parts = [clean]
+            rows_not_fed = 0
+        else:
+            n_rows = len(points)  # type: ignore[arg-type]
+            parts = []
+            scanned = 0
+            while scanned < n_rows:
+                if scanned and time.monotonic() > deadline:
+                    break
+                chunk = points[scanned : scanned + _SCAN_CHUNK]  # type: ignore[index]
+                clean, weight_arr = self._screen_batch(chunk, None)
+                self._feed(clean, weight_arr)
+                parts.append(clean)
+                scanned += len(chunk)
+            rows_not_fed = n_rows - scanned
+        parts = [part for part in parts if part.shape[0]]
+        if not parts:
             raise NotFittedError(
-                "validation rejected every input row; nothing to cluster "
+                "validation rejected every scanned row; nothing to cluster "
                 f"(rejections by reason: {self._validator.stats.points_by_reason})"
             )
-        if jobs > 1 and weight_arr is None:
-            self._sharded_phase1(clean, jobs)
-        else:
-            self._partial_fit_clean(clean, weight_arr)
+        clean = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self.stats.record_scan(clean.shape[0])
-        outliers = self._finish_phase1()
-        timings.phase1 = time.perf_counter() - start
-        timings.phase1_ingest = self._ingest_seconds
-        timings.phase1_rebuilds = self._rebuild_seconds
-        if rec.enabled:
-            rec.event(
-                "phase",
-                name="phase1",
-                seconds=timings.phase1,
-                ingest_seconds=timings.phase1_ingest,
-                rebuild_seconds=timings.phase1_rebuilds,
-                points_seen=self._points_seen,
-            )
-
-        start = time.perf_counter()
-        self._phase2_condense()
-        timings.phase2 = time.perf_counter() - start
-        if rec.enabled:
-            rec.event("phase", name="phase2", seconds=timings.phase2)
-
-        start = time.perf_counter()
-        global_result = self._phase3_cluster()
-        timings.phase3 = time.perf_counter() - start
-        if rec.enabled:
-            rec.event("phase", name="phase3", seconds=timings.phase3)
-
-        start = time.perf_counter()
-        refinement, labels, centroids, clusters = self._phase4_refine(
-            clean, global_result
-        )
-        timings.phase4 = time.perf_counter() - start
-        if rec.enabled:
-            rec.event(
-                "phase",
-                name="phase4",
-                seconds=timings.phase4,
-                **(
-                    refinement.layer_seconds
-                    if refinement is not None
-                    else dict.fromkeys(PHASE4_LAYERS, 0.0)
-                ),
-            )
-            rec.event("run.end", mode="fit", total_seconds=timings.total)
-
-        self._result = self._package_result(
-            timings=timings,
-            global_result=global_result,
-            outliers=outliers,
-            refinement=refinement,
-            labels=labels,
-            centroids=centroids,
-            clusters=clusters,
-        )
-        return self._result
+        return clean, self._finish_phase1(), rows_not_fed
 
     def _phase4_refine(
         self,
+        timings: PhaseTimings,
         points: np.ndarray,
-        global_result: GlobalClustering,
-        deadline: Optional[float] = None,
+        centroids: np.ndarray,
+        *,
+        passes: Optional[int] = None,
         max_passes: Optional[int] = None,
-    ) -> tuple[
-        Optional[RefinementResult],
-        Optional[np.ndarray],
-        np.ndarray,
-        list[StableCF],
-    ]:
-        """Run Phase 4 (if configured); returns (refinement, labels,
-        centroids, clusters) with Phase 3 values passed through when
-        refinement is off."""
-        clusters = global_result.clusters
-        centroids = global_result.centroids
-        passes = self.config.phase4_passes
-        if max_passes is not None:
-            passes = min(passes, max_passes)
-        if passes <= 0:
-            return None, None, centroids, clusters
-        refinement = refine(
-            points,
-            centroids,
-            passes=passes,
-            discard_outliers=self.config.phase4_discard_outliers,
-            outlier_factor=self.config.phase4_outlier_factor,
-            stats=self.stats,
-            deadline=deadline,
-        )
-        return (
-            refinement,
-            refinement.labels,
-            refinement.centroids,
-            list(refinement.clusters),
-        )
+        deadline: Optional[float] = None,
+    ) -> Optional[RefinementResult]:
+        """Phase 4 under the phase timer, seeded from ``centroids``.
+
+        ``passes=None`` runs the configured refinement:
+        ``config.phase4_passes`` capped by ``max_passes``, returning
+        ``None`` (Phase 4 off) when that is 0.  ``improve`` passes its
+        own count, and there 0 is a pure labelling scan.
+        """
+        if passes is None:
+            passes = self.config.phase4_passes
+            if max_passes is not None:
+                passes = min(passes, max_passes)
+            if passes <= 0:
+                passes = None
+        with self._phase(timings, "phase4") as fields:
+            refinement = None
+            if passes is not None:
+                refinement = refine(
+                    points,
+                    centroids,
+                    passes=passes,
+                    discard_outliers=self.config.phase4_discard_outliers,
+                    outlier_factor=self.config.phase4_outlier_factor,
+                    stats=self.stats,
+                    deadline=deadline,
+                )
+            fields.update(
+                refinement.layer_seconds
+                if refinement is not None
+                else dict.fromkeys(PHASE4_LAYERS, 0.0)
+            )
+        return refinement
 
     def _package_result(
         self,
-        *,
         timings: PhaseTimings,
         global_result: GlobalClustering,
         outliers: list[StableCF],
         refinement: Optional[RefinementResult],
-        labels: Optional[np.ndarray],
-        centroids: np.ndarray,
-        clusters: list[StableCF],
+        *,
+        mode: str,
     ) -> BirchResult:
-        """Assemble a :class:`BirchResult` from finished phase outputs."""
+        """Close the run ``mode`` and store its :class:`BirchResult`.
+
+        The final clusters are Phase 4's when it ran, else Phase 3's.
+        """
         assert self._tree is not None
-        tree_stats = self._tree.tree_stats()
-        telemetry = None
         if self._recorder.enabled:
-            self._recorder.gauge("tree.threshold", self._tree.threshold)
-            self._recorder.gauge("tree.nodes", tree_stats.node_count)
-            telemetry = self._recorder.snapshot()
-            self._recorder.flush()
-        return BirchResult(
-            telemetry=telemetry,
-            centroids=centroids,
-            clusters=clusters,
-            labels=labels,
+            self._recorder.event(
+                "run.end", mode=mode, total_seconds=timings.total
+            )
+        tree_stats = self._tree.tree_stats()
+        final = global_result if refinement is None else refinement
+        self._result = BirchResult(
+            telemetry=self._freeze_telemetry(tree_stats.node_count),
+            centroids=final.centroids,
+            clusters=list(final.clusters),
+            labels=None if refinement is None else refinement.labels,
+            refinement=refinement,
             subclusters=self._tree.leaf_entries(),
             entry_labels=global_result.labels,
             outliers=outliers,
@@ -1720,65 +1751,43 @@ class Birch:
             },
             final_threshold=self._tree.threshold,
             rebuilds=self.stats.tree_rebuilds,
-            refinement=refinement,
             **self._robustness_accounting(),
         )
+        return self._result
+
+    def _freeze_telemetry(self, node_count: int) -> Optional[TelemetrySnapshot]:
+        """Final tree gauges, then a frozen snapshot; sinks are flushed."""
+        if not self._recorder.enabled:
+            return None
+        assert self._tree is not None
+        self._recorder.gauge("tree.threshold", self._tree.threshold)
+        self._recorder.gauge("tree.nodes", node_count)
+        snapshot = self._recorder.snapshot()
+        self._recorder.flush()
+        return snapshot
 
     def finalize(self) -> BirchResult:
         """Phases 2-3 after incremental loading (no Phase 4 data scan).
 
         For streaming use: after any number of ``partial_fit`` calls,
         produce clusters from the tree alone.  Phase 4 needs the raw
-        data, so it is skipped here.
+        data, so it is skipped here.  The result's ``phase1`` time is
+        the stream's ingest and rebuild time plus the end of the scan.
         """
         if self._tree is None:
             raise NotFittedError(_NO_DATA_MESSAGE)
-        timings = PhaseTimings()
-        timings.phase1_ingest = self._ingest_seconds
-        timings.phase1_rebuilds = self._rebuild_seconds
-
-        start = time.perf_counter()
-        outliers = self._finish_phase1()
-        self._phase2_condense()
-        timings.phase2 = time.perf_counter() - start
-
-        start = time.perf_counter()
-        global_result = self._phase3_cluster()
-        timings.phase3 = time.perf_counter() - start
-
-        tree_stats = self._tree.tree_stats()
-        telemetry = None
-        if self._recorder.enabled:
-            self._recorder.event(
-                "run.end", mode="finalize", total_seconds=timings.total
-            )
-            self._recorder.gauge("tree.threshold", self._tree.threshold)
-            self._recorder.gauge("tree.nodes", tree_stats.node_count)
-            telemetry = self._recorder.snapshot()
-            self._recorder.flush()
-        self._result = BirchResult(
-            telemetry=telemetry,
-            centroids=global_result.centroids,
-            clusters=global_result.clusters,
-            labels=None,
-            subclusters=self._tree.leaf_entries(),
-            entry_labels=global_result.labels,
-            outliers=outliers,
-            timings=timings,
-            io=self.stats.summary(),
-            tree_stats={
-                "height": tree_stats.height,
-                "node_count": tree_stats.node_count,
-                "leaf_count": tree_stats.leaf_count,
-                "leaf_entry_count": tree_stats.leaf_entry_count,
-                "points": tree_stats.points,
-                "avg_entries_per_leaf": tree_stats.average_entries_per_leaf,
-            },
-            final_threshold=self._tree.threshold,
-            rebuilds=self.stats.tree_rebuilds,
-            **self._robustness_accounting(),
+        timings = PhaseTimings(
+            phase1=self._ingest_seconds + self._rebuild_seconds
         )
-        return self._result
+        with self._phase(timings, "phase1"):
+            outliers = self._finish_phase1()
+        with self._phase(timings, "phase2"):
+            self._phase2_condense()
+        with self._phase(timings, "phase3"):
+            global_result = self._phase3_cluster()
+        return self._package_result(
+            timings, global_result, outliers, None, mode="finalize"
+        )
 
     def improve(self, points: np.ndarray, passes: int = 1) -> BirchResult:
         """Spend more time to improve the last result (extra Phase 4).
@@ -1801,52 +1810,21 @@ class Birch:
         if self._result is None:
             raise NotFittedError(_NOT_FITTED_MESSAGE)
         points = self._screen_rescan(points)
-        start = time.perf_counter()
-        refinement = refine(
-            points,
-            self._result.centroids,
-            passes=passes,
-            discard_outliers=self.config.phase4_discard_outliers,
-            outlier_factor=self.config.phase4_outlier_factor,
-            stats=self.stats,
-        )
-        elapsed = time.perf_counter() - start
         old = self._result
-        timings = PhaseTimings(
-            phase1=old.timings.phase1,
-            phase2=old.timings.phase2,
-            phase3=old.timings.phase3,
-            phase4=old.timings.phase4 + elapsed,
-            phase1_ingest=old.timings.phase1_ingest,
-            phase1_rebuilds=old.timings.phase1_rebuilds,
+        timings = replace(old.timings)
+        refinement = self._phase4_refine(
+            timings, points, old.centroids, passes=passes
         )
-        self._result = BirchResult(
+        assert refinement is not None
+        self._result = replace(
+            old,
             centroids=refinement.centroids,
             clusters=list(refinement.clusters),
             labels=refinement.labels,
-            subclusters=old.subclusters,
-            entry_labels=old.entry_labels,
-            outliers=old.outliers,
+            refinement=refinement,
             timings=timings,
             io=self.stats.summary(),
-            tree_stats=old.tree_stats,
-            final_threshold=old.final_threshold,
-            rebuilds=old.rebuilds,
-            refinement=refinement,
-            dropped_outlier_entries=old.dropped_outlier_entries,
-            dropped_outlier_points=old.dropped_outlier_points,
-            outlier_disk_degraded=old.outlier_disk_degraded,
-            points_fed=old.points_fed,
-            quarantined_points=old.quarantined_points,
-            quarantined_by_reason=dict(old.quarantined_by_reason),
-            invalid_dropped_points=old.invalid_dropped_points,
-            invalid_by_reason=dict(old.invalid_by_reason),
-            watchdog=old.watchdog,
-            memory_degraded=old.memory_degraded,
-            parallel_incidents=list(old.parallel_incidents),
-            forgotten_points=old.forgotten_points,
-            decayed_mass=old.decayed_mass,
-            drift=old.drift,
+            telemetry=self._freeze_telemetry(int(old.tree_stats["node_count"])),
         )
         return self._result
 

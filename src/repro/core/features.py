@@ -269,6 +269,15 @@ class CF:
         return f"CF(n={self.n}, ls={ls_repr}, ss={self.ss:.3f})"
 
 
+def _require_stable(other: object) -> None:
+    """Refuse to mix a reference :class:`CF` into :class:`StableCF` algebra."""
+    if not isinstance(other, StableCF):
+        raise TypeError(
+            f"expected StableCF, got {type(other).__name__}; convert "
+            "with .to_stable() before mixing the two classes"
+        )
+
+
 class StableCF:
     """A numerically stable Clustering Feature: ``(n, mean, SSD)``.
 
@@ -529,20 +538,20 @@ class StableCF:
         Counts compare approximately too: decayed mass is fractional,
         and ``g * sum(n_i)`` vs ``sum(g * n_i)`` differ in the last
         ulp.  Integral counts still compare exactly under any sane
-        tolerance (distinct integers are never within ``1e-9``).
+        tolerance (distinct integers are never within ``1e-9``).  CFs of
+        different dimensions are never close; a reference
+        :class:`CF` raises ``TypeError``, as in :meth:`merge`.
         """
+        _require_stable(other)
         return (
-            math.isclose(self.n, other.n, rel_tol=rtol, abs_tol=atol)
+            self.dimensions == other.dimensions
+            and math.isclose(self.n, other.n, rel_tol=rtol, abs_tol=atol)
             and np.allclose(self.mean, other.mean, rtol=rtol, atol=atol)
             and math.isclose(self.ssd, other.ssd, rel_tol=rtol, abs_tol=atol)
         )
 
     def _check_compatible(self, other: "StableCF") -> None:
-        if not isinstance(other, StableCF):
-            raise TypeError(
-                f"expected StableCF, got {type(other).__name__}; convert "
-                "with .to_stable() before mixing the two classes"
-            )
+        _require_stable(other)
         if self.dimensions != other.dimensions:
             raise ValueError(
                 f"dimension mismatch: {self.dimensions} vs {other.dimensions}"

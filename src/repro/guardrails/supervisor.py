@@ -1,10 +1,11 @@
 """Supervised execution of the four-phase pipeline (graceful degradation).
 
 :func:`run_supervised` is the robustness counterpart of
-:meth:`repro.core.birch.Birch.fit`: the same phases in the same order —
-byte-identical output on clean data when no budget trips — but each
-phase runs under an optional wall-clock deadline and iteration budget,
-and a budget violation *degrades* the run instead of aborting it:
+:meth:`repro.core.birch.Birch.fit`: the estimator's own Phase 1 scan,
+phase timer and result builder, in the same order — byte-identical
+output on clean data when no budget trips — but each phase runs under
+an optional wall-clock deadline and iteration budget, and a budget
+violation *degrades* the run instead of aborting it:
 
 * **Phase 1** (scan): with a deadline, the batch is fed in chunks and
   the scan stops at the deadline; rows never fed are reported (they are
@@ -40,12 +41,7 @@ import numpy as np
 from repro.core.birch import Birch, BirchResult, PhaseTimings
 from repro.core.config import BirchConfig
 from repro.core.global_clustering import CFKMeans
-from repro.errors import (
-    NotFittedError,
-    PhaseError,
-    PhaseTimeoutError,
-    ReproError,
-)
+from repro.errors import PhaseError, PhaseTimeoutError, ReproError
 from repro.observe import TelemetrySnapshot
 from repro.pagestore.faults import FaultInjector
 from repro.parallel.chaos import ChaosInjector
@@ -63,9 +59,6 @@ __all__ = [
 PHASE_STATUSES = ("ok", "fallback", "degraded", "failed")
 
 _SEVERITY = {status: i for i, status in enumerate(PHASE_STATUSES)}
-
-#: Rows fed per deadline check when Phase 1 runs under a time budget.
-_SCAN_CHUNK = 1024
 
 
 @dataclass
@@ -332,11 +325,10 @@ def run_supervised(
     timings = PhaseTimings()
     rec = birch._recorder
 
-    def note_phase(
-        outcome: PhaseOutcome, budget: Optional[float] = None
-    ) -> None:
+    def note_phase(outcome: PhaseOutcome, budget: Optional[float]) -> None:
         # One supervisor.phase event per attempted phase, budget included
         # so the journal shows how much of it the phase consumed.
+        outcome.seconds = getattr(timings, outcome.phase)
         if rec.enabled:
             rec.event(
                 "supervisor.phase",
@@ -346,71 +338,39 @@ def run_supervised(
                 budget=budget,
             )
 
+    def fail(
+        outcome: PhaseOutcome, budget: Optional[float], error: str
+    ) -> SupervisedRun:
+        outcome.status = "failed"
+        outcome.error = error
+        note_phase(outcome, budget)
+        _fill_accounting(report, birch)
+        birch.close()
+        return SupervisedRun(report=report, result=None)
+
     if rec.enabled:
-        rec.event(
-            "run.start",
-            mode="supervised",
-            n_jobs=config.n_jobs,
-        )
+        rec.event("run.start", mode="supervised", n_jobs=config.n_jobs)
 
     # ---- Phase 1: screened scan under an optional deadline -------------
     outcome = PhaseOutcome(phase="phase1")
     report.phases.append(outcome)
-    start = time.perf_counter()
-    deadline = _deadline(budgets.phase1_seconds)
-    clean_parts: list[np.ndarray] = []
-    scanned_rows = 0
     try:
-        if deadline is None:
-            clean, weight_arr = birch._screen_batch(points, None)
-            if clean.shape[0]:
-                if config.n_jobs > 1 and weight_arr is None:
-                    # No deadline to interleave with the scan, so the
-                    # supervised path can use the sharded parallel build
-                    # (deadline-chunked scans stay single-process: the
-                    # chunking IS the supervision there).
-                    birch._sharded_phase1(clean, config.n_jobs)
-                else:
-                    birch._partial_fit_clean(clean, weight_arr)
-                clean_parts.append(clean)
-        else:
-            n_rows = len(points)
-            while scanned_rows < n_rows:
-                # The first chunk is always fed: even an already-expired
-                # deadline yields a (tiny) result rather than a failure.
-                if scanned_rows and time.monotonic() > deadline:
-                    report.rows_not_fed = n_rows - scanned_rows
-                    outcome.degrade(
-                        "degraded",
-                        f"scan deadline hit: {report.rows_not_fed} of "
-                        f"{n_rows} rows not fed",
-                    )
-                    break
-                chunk = points[scanned_rows : scanned_rows + _SCAN_CHUNK]
-                clean, weight_arr = birch._screen_batch(chunk, None)
-                if clean.shape[0]:
-                    birch._partial_fit_clean(clean, weight_arr)
-                    clean_parts.append(clean)
-                scanned_rows += len(chunk)
-        total_clean = sum(part.shape[0] for part in clean_parts)
-        if total_clean == 0:
-            raise NotFittedError(
-                "validation rejected every scanned row; nothing to cluster "
-                f"(rejections by reason: "
-                f"{birch._validator.stats.points_by_reason})"
+        with birch._phase(timings, "phase1"):
+            clean, outliers, report.rows_not_fed = birch._scan(
+                points,
+                n_jobs=config.n_jobs,
+                deadline=_deadline(budgets.phase1_seconds),
             )
-        birch.stats.record_scan(total_clean)
-        outliers = birch._finish_phase1()
     except (ReproError, ValueError) as exc:
-        outcome.status = "failed"
-        outcome.error = str(exc)
-        outcome.seconds = time.perf_counter() - start
         _note_parallel_incidents(outcome, birch)
-        note_phase(outcome, budgets.phase1_seconds)
-        _fill_accounting(report, birch)
-        birch.close()
-        return SupervisedRun(report=report, result=None)
+        return fail(outcome, budgets.phase1_seconds, str(exc))
     _note_parallel_incidents(outcome, birch)
+    if report.rows_not_fed:
+        outcome.degrade(
+            "degraded",
+            f"scan deadline hit: {report.rows_not_fed} of "
+            f"{len(points)} rows not fed",
+        )
     validator_stats = birch._validator.stats
     if validator_stats.total_points:
         outcome.degrade(
@@ -428,30 +388,26 @@ def run_supervised(
             f"ineffective rebuilds; degraded mode {wd.mode!r} "
             f"({wd.coarsen_rebuilds} forced coarsen rebuild(s))",
         )
-    outcome.seconds = timings.phase1 = time.perf_counter() - start
-    timings.phase1_ingest = birch._ingest_seconds
-    timings.phase1_rebuilds = birch._rebuild_seconds
     note_phase(outcome, budgets.phase1_seconds)
 
     # ---- Phase 2: condense (budget trips degrade, never abort) ---------
     outcome = PhaseOutcome(phase="phase2")
     report.phases.append(outcome)
-    start = time.perf_counter()
-    try:
-        birch._phase2_condense()
-    except PhaseError as exc:
-        outcome.degrade(
-            "degraded",
-            f"condense gave up before meeting the Phase 3 input budget: {exc}",
-        )
-    outcome.seconds = timings.phase2 = time.perf_counter() - start
+    with birch._phase(timings, "phase2"):
+        try:
+            birch._phase2_condense()
+        except PhaseError as exc:
+            outcome.degrade(
+                "degraded",
+                f"condense gave up before meeting the Phase 3 input budget: {exc}",
+            )
     if (
         budgets.phase2_seconds is not None
-        and outcome.seconds > budgets.phase2_seconds
+        and timings.phase2 > budgets.phase2_seconds
     ):
         outcome.degrade(
             "degraded",
-            f"condense took {outcome.seconds:.3f}s "
+            f"condense took {timings.phase2:.3f}s "
             f"(budget {budgets.phase2_seconds:.3f}s)",
         )
     note_phase(outcome, budgets.phase2_seconds)
@@ -459,62 +415,42 @@ def run_supervised(
     # ---- Phase 3: global clustering with CF-k-means fallback -----------
     outcome = PhaseOutcome(phase="phase3")
     report.phases.append(outcome)
-    start = time.perf_counter()
     try:
-        global_result = birch._phase3_cluster(
-            deadline=_deadline(budgets.phase3_seconds)
-        )
-    except (PhaseTimeoutError, FloatingPointError, ZeroDivisionError,
-            np.linalg.LinAlgError) as exc:
-        outcome.status = "fallback"
-        outcome.error = str(exc)
-        outcome.notes.append(
-            f"{config.phase3_algorithm!r} did not finish "
-            f"({type(exc).__name__}); fell back to CF-k-means"
-        )
-        try:
-            global_result = CFKMeans(
-                n_clusters=config.n_clusters, seed=config.random_seed
-            ).fit(birch.tree.leaf_entries())
-        except (ReproError, ValueError) as fallback_exc:
-            outcome.status = "failed"
-            outcome.error = f"{exc}; fallback also failed: {fallback_exc}"
-            outcome.seconds = timings.phase3 = time.perf_counter() - start
-            note_phase(outcome, budgets.phase3_seconds)
-            _fill_accounting(report, birch)
-            birch.close()
-            return SupervisedRun(report=report, result=None)
+        with birch._phase(timings, "phase3"):
+            try:
+                global_result = birch._phase3_cluster(
+                    deadline=_deadline(budgets.phase3_seconds)
+                )
+            except (PhaseTimeoutError, FloatingPointError, ZeroDivisionError,
+                    np.linalg.LinAlgError) as exc:
+                outcome.status = "fallback"
+                outcome.error = str(exc)
+                outcome.notes.append(
+                    f"{config.phase3_algorithm!r} did not finish "
+                    f"({type(exc).__name__}); fell back to CF-k-means"
+                )
+                global_result = CFKMeans(
+                    n_clusters=config.n_clusters, seed=config.random_seed
+                ).fit(birch.tree.leaf_entries())
     except (ReproError, ValueError) as exc:
-        outcome.status = "failed"
-        outcome.error = str(exc)
-        outcome.seconds = timings.phase3 = time.perf_counter() - start
-        note_phase(outcome, budgets.phase3_seconds)
-        _fill_accounting(report, birch)
-        birch.close()
-        return SupervisedRun(report=report, result=None)
-    outcome.seconds = timings.phase3 = time.perf_counter() - start
+        error = (
+            str(exc)
+            if outcome.error is None
+            else f"{outcome.error}; fallback also failed: {exc}"
+        )
+        return fail(outcome, budgets.phase3_seconds, error)
     note_phase(outcome, budgets.phase3_seconds)
 
     # ---- Phase 4: capped refinement (non-convergence is reported) ------
     outcome = PhaseOutcome(phase="phase4")
     report.phases.append(outcome)
-    start = time.perf_counter()
-    scan_points = (
-        clean_parts[0]
-        if len(clean_parts) == 1
-        else (
-            np.concatenate(clean_parts)
-            if clean_parts
-            else np.empty((0, birch.tree.layout.dimensions))
-        )
-    )
-    refinement, labels, centroids, clusters = birch._phase4_refine(
-        scan_points,
-        global_result,
-        deadline=_deadline(budgets.phase4_seconds),
+    refinement = birch._phase4_refine(
+        timings,
+        clean,
+        global_result.centroids,
         max_passes=budgets.phase4_max_passes,
+        deadline=_deadline(budgets.phase4_seconds),
     )
-    outcome.seconds = timings.phase4 = time.perf_counter() - start
     if refinement is not None:
         if refinement.deadline_hit:
             outcome.degrade(
@@ -528,19 +464,10 @@ def run_supervised(
                 f"{refinement.passes_run} pass(es) (reported, not raised)"
             )
     note_phase(outcome, budgets.phase4_seconds)
-    if rec.enabled:
-        rec.event("run.end", mode="supervised", total_seconds=timings.total)
 
     result = birch._package_result(
-        timings=timings,
-        global_result=global_result,
-        outliers=outliers,
-        refinement=refinement,
-        labels=labels,
-        centroids=centroids,
-        clusters=clusters,
+        timings, global_result, outliers, refinement, mode="supervised"
     )
-    birch._result = result
     _fill_accounting(report, birch, result)
     birch.close()
     return SupervisedRun(report=report, result=result)
@@ -596,14 +523,9 @@ def _fill_accounting(
         report.memory_degraded = result.memory_degraded
         report.conservation_ok = result.conservation_ok
     else:
-        stats = birch._validator.stats
-        stored = (
-            birch._quarantine.stored_points
-            if birch._quarantine is not None
-            else 0
-        )
-        report.quarantined_points = stored
-        report.invalid_dropped_points = stats.total_points - stored
-        report.memory_degraded = (
-            birch._watchdog.degraded if birch._watchdog is not None else False
-        )
+        # A failed run has no result: read the same figures a result
+        # would have been built from.
+        fields = birch._robustness_accounting()
+        report.quarantined_points = fields.get("quarantined_points", 0)  # type: ignore[assignment]
+        report.invalid_dropped_points = fields["invalid_dropped_points"]  # type: ignore[assignment]
+        report.memory_degraded = fields.get("memory_degraded", False)  # type: ignore[assignment]

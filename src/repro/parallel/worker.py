@@ -82,7 +82,7 @@ def build_shard(task: dict[str, object]) -> dict[str, object]:
     rows, close = open_shard(task["shard"])  # type: ignore[arg-type]
     try:
         worker = Birch(config)
-        worker._partial_fit_clean(rows, None)
+        worker._feed(rows, None)
         tree = worker._tree
         assert tree is not None, "non-empty shard left no tree"
         outliers: list[object] = []

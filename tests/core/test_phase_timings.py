@@ -1,8 +1,13 @@
-"""JSON round-trip tests for the per-phase timing record."""
+"""The per-phase timing record: JSON round trip, and what each driver puts in it."""
 
 import json
 
-from repro.core.birch import PhaseTimings
+import numpy as np
+import pytest
+
+from repro.core.birch import Birch, PhaseTimings
+from repro.core.config import BirchConfig
+from repro.guardrails.supervisor import run_supervised
 
 
 class TestPhaseTimings:
@@ -57,3 +62,45 @@ class TestPhaseTimings:
         )
         assert timings.total == 4.0
         assert timings.phases_1_3 == 3.0
+
+
+def _fit(config, points):
+    return Birch(config).fit(points)
+
+
+def _finalize(config, points):
+    estimator = Birch(config)
+    for lo in range(0, points.shape[0], 500):
+        estimator.partial_fit(points[lo : lo + 500])
+    return estimator.finalize()
+
+
+def _improve(config, points):
+    estimator = Birch(config)
+    estimator.fit(points)
+    return estimator.improve(points, 1)
+
+
+def _supervised(config, points):
+    return run_supervised(points, config).result
+
+
+class TestDriverTimings:
+    @pytest.mark.parametrize(
+        "driver", [_fit, _finalize, _improve, _supervised],
+        ids=["fit", "finalize", "improve", "run_supervised"],
+    )
+    def test_phase1_split_and_totals_are_consistent(self, driver):
+        rng = np.random.default_rng(3)
+        centres = rng.uniform(-20.0, 20.0, size=(12, 2))
+        points = np.concatenate(
+            [rng.normal(c, 0.5, size=(125, 2)) for c in centres]
+        )[rng.permutation(1500)]
+        # A small memory budget, so the scan rebuilds the tree.
+        config = BirchConfig(n_clusters=12, memory_bytes=8 * 1024)
+        result = driver(config, points)
+        t = result.timings
+        assert result.rebuilds > 0
+        assert t.phase1_ingest > 0.0 and t.phase1_rebuilds > 0.0
+        assert t.phase1_ingest + t.phase1_rebuilds <= t.phase1
+        assert t.total >= t.phases_1_3

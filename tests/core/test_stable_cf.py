@@ -230,6 +230,19 @@ class TestBackendConversion:
         with pytest.raises(TypeError, match="to_stable"):
             stable.merge(classic)
 
+    def test_allclose_refuses_reference_cf(self):
+        points = [[0.0, 1.0], [2.0, 3.0]]
+        with pytest.raises(TypeError, match="to_stable"):
+            StableCF.from_points(points).allclose(CF.from_points(points))
+
+    def test_allclose_false_across_dimensions(self):
+        one_d = StableCF(2.0, np.zeros(1), 1.0)
+        assert not StableCF(2.0, np.zeros(2), 1.0).allclose(one_d)
+        assert not StableCF(2.0, np.zeros(3), 1.0).allclose(one_d)
+        assert StableCF(2.0, np.zeros(2), 1.0).allclose(
+            StableCF(2.0, np.zeros(2), 1.0)
+        )
+
     def test_distance_accepts_mixed_pair(self):
         a = CF.from_points([[0.0, 0.0], [1.0, 0.0]])
         b = StableCF.from_points([[5.0, 0.0], [6.0, 0.0]])

@@ -97,6 +97,34 @@ class TestResultTelemetry:
             k: phase4[k] for k in PHASE4_LAYERS
         }
 
+    def test_improve_keeps_telemetry(self, points):
+        estimator = Birch(_config(observe=ObserveConfig()))
+        fitted = estimator.fit(points)
+        improved = estimator.improve(points, 1)
+        assert improved.telemetry is not None
+        # A fresh snapshot: the extra scan and its phase4 event are in it.
+        assert improved.telemetry.counter("io.data_scans") == \
+            improved.io["data_scans"] > fitted.io["data_scans"]
+        phases = improved.telemetry.events_named("phase")
+        assert [e["name"] for e in phases][-2:] == ["phase4", "phase4"]
+        assert phases[-1]["seconds"] == improved.timings.phase4
+
+    def test_every_driver_emits_phase_events(self, points):
+        estimator = Birch(_config(observe=ObserveConfig()))
+        estimator.partial_fit(points)
+        streamed = estimator.finalize()
+        supervised = run_supervised(points, _config(observe=ObserveConfig()))
+        for result, names in (
+            (streamed, ["phase1", "phase2", "phase3"]),
+            (supervised.result, ["phase1", "phase2", "phase3", "phase4"]),
+        ):
+            events = result.telemetry.events_named("phase")
+            assert [e["name"] for e in events] == names
+            assert [e["seconds"] for e in events] == [
+                getattr(result.timings, name) for name in names
+            ]
+            assert events[0]["ingest_seconds"] == result.timings.phase1_ingest
+
     def test_sharded_fit_merges_worker_counters(self, points):
         serial = Birch(_config(observe=ObserveConfig())).fit(points)
         sharded = Birch(_config(n_jobs=2, observe=ObserveConfig())).fit(points)

@@ -497,3 +497,28 @@ class TestInspect:
         capsys.readouterr()
         assert main(["inspect", str(archive)]) == EXIT_CHECKSUM
         assert "integrity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["sealed", "birchfrz-v1"])
+    def test_inspect_flipped_model_payload_byte_exits_5(
+        self, csv_points, tmp_path, capsys, fmt
+    ):
+        from repro.cli import EXIT_CHECKSUM
+        from repro.core import container
+        from tests.legacy_formats import write_birchfrz_v1
+
+        result = tmp_path / "out.bin"
+        model = tmp_path / "model.frz"
+        main(["cluster", str(csv_points), "-k", "3", "--save-result", str(result)])
+        main(["serve", "compile", str(result), str(model)])
+        if fmt == "birchfrz-v1":
+            sealed = container.read(model, "frozen-model")
+            write_birchfrz_v1(model, dict(sealed.arrays), sealed.metadata)
+        capsys.readouterr()
+        assert main(["inspect", str(model)]) == 0
+        payload_start = container.read_header(model).payload_start
+        raw = bytearray(model.read_bytes())
+        raw[payload_start] ^= 0x01
+        model.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["inspect", str(model)]) == EXIT_CHECKSUM
+        assert "payload sha256" in capsys.readouterr().err
