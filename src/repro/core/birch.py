@@ -339,6 +339,8 @@ class Birch:
         self._points_fed = 0
         self._ingest_seconds = 0.0
         self._rebuild_seconds = 0.0
+        # (start, rebuild seconds at start) of the batch _feed is in.
+        self._feed_clock: Optional[tuple[float, float]] = None
         self._rebuild_timer_depth = 0
         self._pool: Optional[SharedPool] = None
         self._parallel_incidents: list[dict] = []
@@ -550,18 +552,26 @@ class Birch:
             if self._tree is None:
                 self._initialise(points.shape[1])
             self._reopen_scan()
-        start = time.perf_counter()
-        rebuilds_before = self._rebuild_seconds
+        self._feed_clock = (time.perf_counter(), self._rebuild_seconds)
         try:
             if sharded:
                 self._sharded_phase1(points, n_jobs)
             else:
                 self._ingest(points, weight_arr)
         finally:
-            elapsed = time.perf_counter() - start
-            self._ingest_seconds += max(
-                0.0, elapsed - (self._rebuild_seconds - rebuilds_before)
-            )
+            self._ingest_seconds = self._ingest_time()
+            self._feed_clock = None
+
+    def _ingest_time(self) -> float:
+        """Ingest seconds so far, the batch :meth:`_feed` is in included
+        (a checkpoint written mid-batch carries its part)."""
+        if self._feed_clock is None:
+            return self._ingest_seconds
+        start, rebuilds_before = self._feed_clock
+        elapsed = time.perf_counter() - start
+        return self._ingest_seconds + max(
+            0.0, elapsed - (self._rebuild_seconds - rebuilds_before)
+        )
 
     def _ingest(
         self, points: np.ndarray, weight_arr: Optional[np.ndarray]

@@ -18,6 +18,8 @@ Everything insertion order and rebuild history have baked into the run:
 * the current threshold, rebuild count and per-rebuild history;
 * the threshold policy's regression observations;
 * the outlier disk contents and the outlier handler's counters;
+* the Phase 1 ingest and rebuild seconds so far, so a resumed stream's
+  timings cover the whole scan;
 * the full :class:`~repro.pagestore.IOStats` ledger;
 * the :class:`~repro.core.config.BirchConfig` itself, so ``resume``
   needs nothing but the file.
@@ -188,6 +190,11 @@ def _snapshot(birch: "Birch") -> tuple[dict, dict]:
     arrays = {
         f"tree_{key}": value for key, value in tree.export_structure().items()
     }
+    # An array, not metadata: a fixed width keeps the file's size
+    # independent of the values.
+    arrays["phase1_seconds"] = np.array(
+        [birch._ingest_time(), birch._rebuild_seconds], dtype=np.float64
+    )
     if buckets is not None:
         for key, value in buckets.to_arrays(birch._dimensions).items():
             arrays[f"evolve_{key}"] = value
@@ -289,6 +296,10 @@ def _restore_birch(
         (int(n), float(t)) for n, t in meta["rebuild_history"]
     ]
     birch.stats.load_state(meta["io"])
+    # Older checkpoints carry no Phase 1 seconds; those resume at zero.
+    if "phase1_seconds" in archive:
+        ingest, rebuild = archive["phase1_seconds"].tolist()
+        birch._ingest_seconds, birch._rebuild_seconds = ingest, rebuild
     if birch._outlier_handler is not None and meta["outliers"] is not None:
         rows = tuple(archive[f"outlier_{key}"] for key in ("ns", "vec", "sq"))
         if legacy:

@@ -36,7 +36,6 @@ from repro.core.distances import (
     stable_cf_batch_distances,
     stable_distances_core,
     stable_gathered_cf_distances,
-    stable_merged_radius_core,
     stable_paired_cf_merged_stat,
 )
 from repro.core.features import CF, StableCF, as_stable, cf_row, point_rows
@@ -72,6 +71,44 @@ _SCALAR_MIN_RUN = 16
 _SCALAR_MAX_RUN = 1024
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _entry_groups(cols: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The entries a visit's argmin columns touch (ascending), and the
+    bounds of each one's rows in the columns' stable argsort."""
+    counts = np.bincount(cols)
+    touched = counts.nonzero()[0]
+    return touched, [0, *counts[touched].cumsum().tolist()]
+
+
+def _pack_rows(ns: np.ndarray, vecs: np.ndarray, sqs: np.ndarray) -> np.ndarray:
+    """``(n, mean, SSD)`` rows as one array, each ``[n, *mean, SSD]``.
+    A single coordinate gets a ``0.0`` pad, so the d <= 2 replay always
+    unpacks two; the pad adds ``0.0 * 0.0`` to a square, no float moves."""
+    pad = [np.zeros_like(vecs)] if vecs.shape[1] == 1 else []
+    return np.concatenate([ns[:, None], vecs, *pad, sqs[:, None]], axis=1)
+
+
+def _merged_stat(
+    entry_n: float,
+    mean: np.ndarray,
+    entry_sq: float,
+    n: float,
+    vec: np.ndarray,
+    sq: float,
+    radius: bool,
+) -> tuple[float, float]:
+    """Merged diameter (or radius) and count of an entry and a raw row:
+    the one-row kernels' IEEE operations, in order, on Python floats."""
+    diff = mean - vec
+    delta2 = float(np.einsum("j,j->", diff, diff))
+    n_merged = entry_n + n
+    ssd_merged = entry_sq + sq + entry_n * n / n_merged * delta2
+    if radius:
+        return math.sqrt(max(ssd_merged, 0.0) / n_merged), n_merged
+    denom = n_merged - 1.0
+    d2 = 2.0 * ssd_merged / denom if denom > 0 else 0.0
+    return math.sqrt(max(d2, 0.0)), n_merged
 
 
 class ThresholdKind(enum.Enum):
@@ -525,14 +562,16 @@ class CFTree:
            scalar, and re-evaluate every routing argmin and leaf
            threshold test against the state each row would actually
            have seen (the entry's state after the rows ordered before
-           it).  Nodes are validated top-down, so the first row to fail
-           a check is known early; rows at or past it can never commit
-           and are left out of every later replay.  Row ``start``
-           always sees static state, so its routing is confirmed by
-           construction and progress is guaranteed.
+           it).  A visited node costs one Python pass over its rows,
+           one gather and one kernel call, however many entries the
+           window touched.  Nodes are validated top-down, so the first
+           row to fail a check is known early; rows at or past it can
+           never commit and are left out of every later replay.  Row
+           ``start`` always sees static state, so its routing is
+           confirmed by construction and progress is guaranteed.
         3. **Commit** the longest prefix of rows whose decisions all
            match the sequential semantics, with one batched write per
-           touched entry.
+           array of each visited node.
 
         Returns ``(absorbed, flipped)``: the number of rows absorbed,
         and whether the first unconfirmed row failed a routing argmin
@@ -550,9 +589,10 @@ class CFTree:
 
         # -- 1. speculative routing --------------------------------------
         # visits: (node, row indices routed here (ascending), their
-        # argmin columns, those rows' (n, vector, scalar) gathered once
-        # for routing and validation), every node after its ancestors.
-        visits: list[tuple[CFNode, np.ndarray, np.ndarray, tuple]] = []
+        # argmin columns, those rows' (n, vector, scalar) gathered once,
+        # the distance matrix, and a stable argsort of the columns, which
+        # groups the rows by entry), every node after its ancestors.
+        visits: list[tuple] = []
         pending: list[tuple[CFNode, np.ndarray]] = [(self.root, np.arange(w))]
         while pending:
             node, idx = pending.pop()
@@ -565,13 +605,15 @@ class CFTree:
                 node._sq[:k],
                 self.metric,
             )
-            cols = np.argmin(mat, axis=1)
-            visits.append((node, idx, cols, probes))
+            cols = mat.argmin(axis=1)
+            order = cols.argsort(kind="stable")
+            visits.append((node, idx, cols, probes, mat, order))
             if not node.is_leaf:
                 assert node.children is not None
-                for c in np.unique(cols):
-                    child_idx = idx[cols == c]
-                    pending.append((node.children[int(c)], child_idx))
+                touched, bounds = _entry_groups(cols)
+                routed = idx[order]
+                for c, lo, hi in zip(touched.tolist(), bounds, bounds[1:]):
+                    pending.append((node.children[c], routed[lo:hi]))
 
         # -- 2. exact sequential validation ------------------------------
         # Every row's argmins and leaf threshold test are re-evaluated
@@ -581,125 +623,111 @@ class CFTree:
         # ``cut`` (the first row known to fail) only moves down, and a
         # row's checks run top-down along its path, so the first check
         # it fails is the deciding one.
+        packed = _pack_rows(p_ns, rows, p_sq)
         cut = w
         flipped = False
-        writes: list[tuple[CFNode, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for node, idx, cols, (q_ns, q_vec, q_sq) in visits:
+        writes: list[tuple] = []
+        for node, idx, cols, (q_ns, q_vec, q_sq), mat, order in visits:
             if idx[-1] >= cut:
-                live = int(np.searchsorted(idx, cut))
+                live = int(idx.searchsorted(cut))
                 if live == 0:
                     continue
-                idx = idx[:live]
-                cols = cols[:live]
+                idx, cols, mat = idx[:live], cols[:live], mat[:live]
                 q_ns, q_vec, q_sq = q_ns[:live], q_vec[:live], q_sq[:live]
+                order = order[order < live]
             wn = idx.shape[0]
-            k = node.size
-            # Per-row entry snapshots, seeded with the static states and
-            # overwritten per touched column with each row's view of
-            # that entry's exact history.
-            g_ns = np.empty((wn, k), dtype=np.float64)
-            g_vec = np.empty((wn, k, d), dtype=np.float64)
-            g_sq = np.empty((wn, k), dtype=np.float64)
-            g_ns[:] = node._ns[:k]
-            g_vec[:] = node._vec[:k]
-            g_sq[:] = node._sq[:k]
-            for c in np.unique(cols):
-                c = int(c)
-                assigned = idx[cols == c]
-                m = assigned.shape[0]
-                a_ns = p_ns[assigned]
-                # Entry state history: h_*[t] is entry c after absorbing
-                # the first t rows assigned to it.  The counts are the
-                # running sum n0 + n1 + ... added left to right, as
-                # repeated add_row does.
-                h_ns = np.add.accumulate(np.concatenate((node._ns[c : c + 1], a_ns)))
-                h_vec = np.empty((m + 1, d), dtype=np.float64)
-                h_sq = np.empty(m + 1, dtype=np.float64)
-                h_vec[0] = node._vec[c]
-                h_sq[0] = node._sq[c]
-                # Chan recurrence, bitwise equal to the scalar add_row
-                # update: the precomputed coefficients are the same
-                # elementwise IEEE operations it performs, ``n / n_new``
-                # and ``n_old * n / n_new``, and each step adds the
-                # row's own SSD before the between-means term.
-                inv = a_ns / h_ns[1:]
-                coef = h_ns[:m] * a_ns / h_ns[1:]
+            if self.recorder.enabled:
+                level = "leaf" if node.is_leaf else "nonleaf"
+                self.recorder.count(f"bulk.replayed_{level}_rows", wn)
+            touched, bounds = _entry_groups(cols)
+            # One pass folds every touched entry's exact state history
+            # into one flat list of packed rows: entry g's state after
+            # its first t rows is row base[g] + t.  Counts and coefficients
+            # are add_row's IEEE operations, ``n_old + n``, ``n / n_new``
+            # and ``n_old * n / n_new``, and each step adds the row's own
+            # SSD before the between-means term.
+            mine = packed[idx[order]]
+            mine_l = mine.tolist()
+            entries = _pack_rows(
+                node._ns[touched], node._vec[touched], node._sq[touched]
+            ).tolist()
+            hist: list = []
+            for entry, lo, hi in zip(entries, bounds, bounds[1:]):
+                hist += entry
+                n_old, sq = entry[0], entry[-1]
                 if d <= 2:
-                    # Pure-float inner loop.  Safe only for d <= 2: the
-                    # scalar path's einsum dot reduces one or two
-                    # products, and a two-term IEEE sum is
-                    # order-independent, so plain Python floats
-                    # reproduce it bitwise.  (For d >= 3 einsum uses
-                    # SIMD partial sums with a different reduction
-                    # order.)
-                    xs = rows[assigned].tolist()
-                    ssds = p_sq[assigned].tolist()
-                    inv_l = inv.tolist()
-                    coef_l = coef.tolist()
-                    mean = node._vec[c].tolist()
-                    sq = float(node._sq[c])
-                    for t in range(m):
-                        x = xs[t]
-                        iv = inv_l[t]
-                        dd = 0.0
-                        for j in range(d):
-                            dj = x[j] - mean[j]
-                            mean[j] += iv * dj
-                            dd += dj * dj
-                        sq += ssds[t] + coef_l[t] * dd
-                        h_vec[t + 1] = mean
-                        h_sq[t + 1] = sq
-                else:
-                    assigned_rows = rows[assigned]
-                    assigned_sq = p_sq[assigned]
-                    for t in range(m):
-                        delta = assigned_rows[t] - h_vec[t]
-                        h_vec[t + 1] = h_vec[t] + inv[t] * delta
-                        h_sq[t + 1] = h_sq[t] + (
-                            assigned_sq[t]
-                            + coef[t] * float(np.einsum("j,j->", delta, delta))
-                        )
-                # State index each visiting row would have seen: the
-                # number of assigned rows ordered strictly before it.
-                t_of = np.searchsorted(assigned, idx)
-                g_ns[:, c] = h_ns[t_of]
-                g_vec[:, c] = h_vec[t_of]
-                g_sq[:, c] = h_sq[t_of]
-                writes.append((node, c, assigned, h_ns, h_vec, h_sq))
-            dists = stable_gathered_cf_distances(
+                    # Pure floats match add_row bitwise for d <= 2 only:
+                    # its einsum sums one or two products, alike in any
+                    # order; for d >= 3 its SIMD partial sums reorder.
+                    m0, m1 = entry[1], entry[2]
+                    for n, x0, x1, s in mine_l[lo:hi]:
+                        n_new = n_old + n
+                        iv = n / n_new
+                        d0 = x0 - m0
+                        d1 = x1 - m1
+                        m0 += iv * d0
+                        m1 += iv * d1
+                        sq += s + n_old * n / n_new * (d0 * d0 + d1 * d1)
+                        n_old = n_new
+                        hist += (n_new, m0, m1, sq)
+                    continue
+                vec = np.array(entry[1:-1])
+                for (n, *_, s), x in zip(mine_l[lo:hi], mine[lo:hi, 1:-1]):
+                    n_new = n_old + n
+                    delta = x - vec
+                    vec = vec + (n / n_new) * delta
+                    sq += s + n_old * n / n_new * float(
+                        np.einsum("j,j->", delta, delta)
+                    )
+                    n_old = n_new
+                    hist += (n_new, *vec.tolist(), sq)
+            states = np.array(hist).reshape(-1, packed.shape[1])
+            # Row r sees entry g after the group's rows before r, which
+            # a cumsum over the rows x touched one-hot matrix counts.
+            group = touched.searchsorted(cols)
+            onehot = group[:, None] == np.arange(touched.shape[0])
+            seen = onehot.cumsum(axis=0)
+            base = np.arange(touched.shape[0]) + bounds[:-1]
+            view = states[seen - onehot + base]
+            # Untouched columns keep their static states, whose
+            # distances are the routing matrix's, bitwise.
+            g_ns, g_vec, g_sq = view[..., 0], view[..., 1 : d + 1], view[..., -1]
+            mat[:, touched] = stable_gathered_cf_distances(
                 q_ns, q_vec, q_sq, g_ns, g_vec, g_sq, self.metric
             )
-            route_bad = np.argmin(dists, axis=1) != cols
+            route_bad = mat.argmin(axis=1) != cols
             bad = route_bad
             if node.is_leaf:
                 # Threshold fit for every row against its own target
                 # entry's pre-absorb state; the slack terms mirror
                 # _fits_threshold exactly.
-                rn = np.arange(wn)
-                own_ns = g_ns[rn, cols]
-                own_vec = g_vec[rn, cols]
-                own_sq = g_sq[rn, cols]
+                own = view[np.arange(wn), group]
+                own_ns = own[:, 0]
+                own_vec = np.ascontiguousarray(own[:, 1 : d + 1])
                 value = stable_paired_cf_merged_stat(
-                    q_ns, q_vec, q_sq, own_ns, own_vec, own_sq, stat_kind
+                    q_ns, q_vec, q_sq, own_ns, own_vec, own[:, -1], stat_kind
                 )
                 n_merged = own_ns + q_ns
                 mean_sq = np.einsum("rj,rj->r", own_vec, own_vec)
                 slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
                 bad = route_bad | ~(value * value <= threshold_sq + slack_sq)
             if bad.any():
-                j = int(np.argmax(bad))
+                j = int(bad.argmax())
                 cut = int(idx[j])
                 flipped = bool(route_bad[j])
+            writes.append((node, idx, touched, base, seen, states))
 
         if cut == 0:
             return 0, False
 
         # -- 3. commit the confirmed prefix ------------------------------
-        for node, c, assigned, h_ns, h_vec, h_sq in writes:
-            t = int(np.searchsorted(assigned, cut))
-            node._ns[c] = h_ns[t]
-            node._vec[c] = h_vec[t]
-            node._sq[c] = h_sq[t]
+        for node, idx, touched, base, seen, states in writes:
+            live = int(idx.searchsorted(cut))
+            if live:
+                final = states[base + seen[live - 1]]
+                node._ns[touched] = final[:, 0]
+                node._vec[touched] = final[:, 1 : d + 1]
+                node._sq[touched] = final[:, -1]
         self._add_points(p_ns[:cut])
         return cut, flipped
 
@@ -1047,21 +1075,17 @@ class CFTree:
         point).  That last term is what lets near-duplicates far from
         the origin keep merging at T = 0: their true merged diameter is
         zero but the computed one is a rounding residue of the means.
+
+        The statistic is :func:`_merged_stat`, on Python floats.
         """
-        end = index + 1
-        ns = leaf._ns[index:end]
-        vecs = leaf._vec[index:end]
-        sqs = leaf._sq[index:end]
-        if self.threshold_kind is ThresholdKind.DIAMETER:
-            value = stable_distances_core(
-                n, vec, sq, ns, vecs, sqs, Metric.D3_AVG_INTRACLUSTER
-            )[0]
-        else:
-            value = stable_merged_radius_core(n, vec, sq, ns, vecs, sqs)[0]
-        n_merged = float(ns[0]) + n
-        mean_sq = float(np.einsum("j,j->", vecs[0], vecs[0]))
+        mean = leaf._vec[index]
+        radius = self.threshold_kind is ThresholdKind.RADIUS
+        value, n_merged = _merged_stat(
+            leaf._ns[index].item(), mean, leaf._sq[index].item(), n, vec, sq, radius
+        )
+        mean_sq = float(np.einsum("j,j->", mean, mean))
         slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
-        return bool(value * value <= self.threshold**2 + slack_sq)
+        return value * value <= self.threshold**2 + slack_sq
 
     def _split_node(
         self,

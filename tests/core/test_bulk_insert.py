@@ -17,11 +17,14 @@ from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.distances import (
     Metric,
+    stable_cf_batch_distances,
+    stable_distances_core,
     stable_distances_to_set,
     stable_gathered_cf_distances,
+    stable_merged_radius_core,
 )
 from repro.core.features import StableCF
-from repro.core.tree import CFTree, ThresholdKind
+from repro.core.tree import CFTree, ThresholdKind, _merged_stat
 from repro.datagen.presets import ds1, ds1o
 from repro.observe import ObserveConfig
 from repro.observe.recorder import Recorder
@@ -138,6 +141,49 @@ class TestBulkByteIdentity:
             while took < block.shape[0]:
                 took += bulk.bulk_insert(block[took:])
         assert_identical_trees(scalar, bulk)
+
+    @pytest.mark.parametrize(
+        "d, kind, seed",
+        [
+            (1, ThresholdKind.DIAMETER, 4),
+            (1, ThresholdKind.RADIUS, 4),
+            (2, ThresholdKind.DIAMETER, 4),
+            (2, ThresholdKind.RADIUS, 4),
+            (3, ThresholdKind.DIAMETER, 5),
+            (3, ThresholdKind.RADIUS, 4),
+        ],
+    )
+    def test_bulk_equals_per_row_on_edge_shapes(self, d, kind, seed):
+        """Fractional rows cycling over eight clusters into small pages
+        (B = 3 or 4).  Each case reaches a cut inside a nonleaf visit
+        that touched at least three children, and a leaf visit that
+        touched every entry of its leaf; d = 1 runs the padded
+        two-coordinate replay, d = 3 the einsum one."""
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-10.0, 10.0, size=(8, d))
+        points = centers[np.arange(600) % 8] + rng.normal(0.0, 0.6, size=(600, d))
+        ns = rng.uniform(0.25, 3.0, 600)
+        sqs = rng.uniform(0.0, 0.3, 600)
+        rec = Recorder()
+        per_row = make_tree(
+            dimensions=d, threshold=0.6, page_size=160, threshold_kind=kind
+        )
+        bulk = make_tree(
+            dimensions=d,
+            threshold=0.6,
+            page_size=160,
+            threshold_kind=kind,
+            recorder=rec,
+        )
+        for n, vec, sq in zip(ns, points, sqs):
+            per_row.insert_cf(StableCF(float(n), vec.copy(), float(sq)))
+        consumed = 0
+        while consumed < points.shape[0]:
+            consumed += bulk.bulk_insert(
+                points[consumed:], ns[consumed:], sqs[consumed:]
+            )
+        assert_identical_trees(per_row, bulk)
+        assert rec.counters["bulk.replayed_nonleaf_rows"] > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_routing_flip_resumes_on_bulk_path(self, backend):
@@ -293,6 +339,70 @@ class TestGatheredKernels:
                 probe, ns[r], means[r], ssds[r], metric
             )
             assert np.array_equal(got[r], expect)
+
+
+@pytest.mark.numerics
+class TestRoutingKernelProperty:
+    """What validation relies on to gather only the touched columns:
+    an entry's column of the routing matrix equals, bitwise, the
+    gathered kernel on its static state broadcast per row, for any
+    subset of columns."""
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("d", (2, 3, 8))
+    def test_batch_columns_equal_gathered_on_static_states(self, metric, d):
+        rng = np.random.default_rng(100 + d)
+        m, k = 23, 7
+        offset = 1e6 * rng.standard_normal(d)
+        p_means = offset + rng.normal(size=(m, d))
+        unit = np.arange(m) < m // 2
+        p_ns = np.where(unit, 1.0, rng.uniform(0.3, 9.0, size=m))
+        p_ssds = np.where(unit, 0.0, rng.uniform(0.0, 4.0, size=m))
+        ns = rng.uniform(0.5, 20.0, size=k)
+        means = offset + rng.normal(size=(k, d))
+        ssds = rng.uniform(0.0, 5.0, size=k)
+        batch = stable_cf_batch_distances(
+            p_ns, p_means, p_ssds, ns, means, ssds, metric
+        )
+        for cols in [[c] for c in range(k)] + [[0, 2, 5], list(range(k))]:
+            gathered = stable_gathered_cf_distances(
+                p_ns,
+                p_means,
+                p_ssds,
+                np.repeat(ns[None, cols], m, axis=0),
+                np.repeat(means[None, cols], m, axis=0),
+                np.repeat(ssds[None, cols], m, axis=0),
+                metric,
+            )
+            assert np.array_equal(gathered, batch[:, cols]), cols
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", (1, 2, 3, 8))
+    def test_scalar_threshold_statistic_equals_kernel(self, kind, d):
+        """``_fits_threshold`` computes the merged statistic on Python
+        floats; it must be the one-row kernel's value, bitwise."""
+        rng = np.random.default_rng(7 + d)
+        radius = kind is ThresholdKind.RADIUS
+        for trial in range(200):
+            scale = 10.0 ** rng.integers(-3, 8)
+            mean = scale * rng.normal(size=d)
+            vec = mean + rng.choice([1e-9, 1e-3, 1.0]) * rng.normal(size=d)
+            entry_n = float(rng.choice([1.0, 2.0, rng.uniform(0.1, 50.0)]))
+            n = float(rng.choice([1.0, rng.uniform(0.05, 5.0)]))
+            entry_sq = float(rng.uniform(0.0, 10.0)) if trial % 3 else 0.0
+            sq = float(rng.uniform(0.0, 3.0)) if trial % 2 else 0.0
+            one = (np.array([entry_n]), mean[None, :], np.array([entry_sq]))
+            if radius:
+                expect = stable_merged_radius_core(n, vec, sq, *one)[0]
+            else:
+                expect = stable_distances_core(
+                    n, vec, sq, *one, Metric.D3_AVG_INTRACLUSTER
+                )[0]
+            value, n_merged = _merged_stat(
+                entry_n, mean, entry_sq, n, vec, sq, radius
+            )
+            assert value == expect
+            assert n_merged == entry_n + n
 
 
 class TestInsertPointsErgonomics:

@@ -16,6 +16,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.config import BirchConfig
+from repro.datagen.presets import ds1o
 from repro.errors import (
     ArchiveError,
     ChecksumMismatchError,
@@ -147,6 +148,42 @@ class TestKillResumeEquivalence:
         est = Birch(_config())
         with pytest.raises(NotFittedError):
             est.checkpoint(tmp_path / "nothing.ckpt")
+
+
+class TestResumedTimings:
+    """A resumed stream's Phase 1 time covers the scan before the
+    checkpoint too."""
+
+    def test_resumed_ingest_includes_time_before_checkpoint(
+        self, tmp_path: Path
+    ) -> None:
+        points = ds1o(scale=0.03, seed=2).points
+        ckpt = tmp_path / "ds1o.ckpt"
+        streamer = Birch(
+            BirchConfig(
+                n_clusters=100,
+                checkpoint_every_points=2_000,
+                checkpoint_path=str(ckpt),
+            )
+        )
+        # One batch that "dies" past the checkpoint: the checkpoint is
+        # written mid-batch and carries that batch's ingest so far.
+        streamer.partial_fit(points[:2_500])
+        ingest, rebuilds = checkpoint_state(ckpt)[1]["phase1_seconds"].tolist()
+        assert ingest > 0.0
+        assert rebuilds <= streamer._rebuild_seconds
+
+        resumed = Birch.resume(ckpt)
+        assert resumed.points_seen == 2_000
+        assert (resumed._ingest_seconds, resumed._rebuild_seconds) == (
+            ingest,
+            rebuilds,
+        )
+        resumed.partial_fit(points[2_000:])
+        timings = resumed.finalize().timings
+        assert timings.phase1_ingest >= ingest
+        assert timings.phase1_rebuilds >= rebuilds
+        assert timings.phase1 >= ingest + rebuilds
 
 
 class TestAutomaticCheckpoints:
@@ -333,6 +370,8 @@ class TestEvolveArchiveCompat:
         assert resumed.points_forgotten == 0
         assert resumed.tree.decay_clock == 0
         assert resumed._epoch_buckets is None
+        # It carries no Phase 1 seconds; the resumed stream starts at 0.
+        assert (resumed._ingest_seconds, resumed._rebuild_seconds) == (0.0, 0.0)
         # The tree itself is intact.
         assert resumed.points_seen == 400
         resumed.tree.check_invariants()

@@ -51,11 +51,16 @@ def birchckp_bytes(meta: dict, arrays: dict, version: int) -> bytes:
 
 
 def v1_checkpoint_bytes(path: Path) -> bytes:
-    """The version-1 form of a checkpoint: no evolve section or arrays."""
+    """The version-1 form of a checkpoint: no evolve section or arrays,
+    and no Phase 1 seconds."""
     meta, arrays = checkpoint_state(path)
     meta.pop("evolve", None)
     meta["format"] = 1
-    arrays = {k: v for k, v in arrays.items() if not k.startswith("evolve_")}
+    arrays = {
+        k: v
+        for k, v in arrays.items()
+        if not k.startswith("evolve_") and k != "phase1_seconds"
+    }
     return birchckp_bytes(meta, arrays, 1)
 
 
