@@ -76,8 +76,8 @@ def _bulk_traffic(
     c = rec.counters
     traffic = {
         key: int(c.get(f"bulk.{key}", 0))
-        for key in ("windows", "full_windows", "flips", "absorbed_rows",
-                    "fallback_rows", "scalar_runs")
+        for key in ("windows", "full_windows", "flips", "repairs", "appends",
+                    "absorbed_rows", "fallback_rows", "scalar_runs")
     }
     traffic["splits"] = tree.stats.splits
     traffic["rows_per_window"] = points.shape[0] / max(traffic["windows"], 1)

@@ -284,7 +284,8 @@ def stable_merged_radius_core(
 #
 # The vectorised Phase-1 fast path (CFTree.bulk_insert) routes a window
 # of CF rows of any weight with stable_cf_batch_distances below and
-# validates it with the gathered and paired kernels here, which see
+# validates it with the gathered kernel here (every level) and the
+# paired kernel (the d >= 3 leaf threshold test), which see
 # per-row entry states that evolve within the window.  Each reproduces,
 # element for element, the exact floating-point value the corresponding
 # per-probe core above computes — same elementwise operation order, same

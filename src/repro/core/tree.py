@@ -48,29 +48,83 @@ from repro.pagestore.page import PageLayout
 __all__ = ["CFTree", "ThresholdKind", "TreeStats"]
 
 #: Optimistic run-window bounds for :meth:`CFTree.bulk_insert`.  The
-#: window doubles while whole windows keep absorbing and shrinks toward
+#: window doubles while whole windows keep committing and shrinks toward
 #: the observed run length otherwise, bounding wasted vectorised work to
 #: a constant factor of the useful work on adversarial (shuffled) input.
+#: The upper bound also caps a window's temporary arrays, which grow
+#: with rows x touched entries at every nonleaf visit.
 _BULK_MIN_WINDOW = 16
-_BULK_MAX_WINDOW = 4096
+_BULK_MAX_WINDOW = 1024
 
 #: Per-window path chooser for :meth:`CFTree.bulk_insert`.  The tree
 #: keeps an exponential moving average (weight ``_CHOOSER_EMA_WEIGHT``,
 #: seeded at ``_CHOOSER_INITIAL_ESTIMATE``) of the rows each speculative
-#: window commits.  Below ``_CHOOSER_BREAK_EVEN`` rows a window costs
-#: more than inserting its rows one by one, so the next rows go through
+#: window commits per node visit (leaf sub-windows count as visits).  A
+#: window costs about a fixed amount per visit plus a little per row,
+#: against one :meth:`CFTree.insert_cf` pass per scalar row, so below
+#: ``_CHOOSER_BREAK_EVEN`` rows per visit the next rows go through
 #: :meth:`CFTree.insert_cf` as one scalar run, followed by one probe
 #: window.  The run length doubles from ``_SCALAR_MIN_RUN`` up to
-#: ``_SCALAR_MAX_RUN`` while probes keep committing fewer rows than the
-#: break-even, and resets once one commits at least that many.  Both
-#: paths build the same tree, so these constants change cost only.
+#: ``_SCALAR_MAX_RUN`` while probes keep committing fewer rows per
+#: visit than the break-even, and resets once one commits at least
+#: that many.  Both paths build the same tree, so these constants
+#: change cost only.
 _CHOOSER_EMA_WEIGHT = 0.25
 _CHOOSER_INITIAL_ESTIMATE = 16.0
-_CHOOSER_BREAK_EVEN = 6
+_CHOOSER_BREAK_EVEN = 2
 _SCALAR_MIN_RUN = 16
 _SCALAR_MAX_RUN = 1024
 
+#: Rows per leaf sub-window of :meth:`CFTree._resolve_leaf`.  On the
+#: d <= 2 path each sub-window costs one batch kernel call, and a row
+#: evaluates the entries changed earlier in its sub-window on Python
+#: floats, so the length trades one against the other.  For d >= 3 it
+#: caps a replayed sub-window, whose cost grows with rows x touched
+#: entries.
+_LEAF_CHUNK = 128
+
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _d0(e, n, x0, x1, s):
+    d0, d1 = e[1] - x0, e[2] - x1
+    return math.sqrt(d0 * d0 + d1 * d1)
+
+
+def _d1(e, n, x0, x1, s):
+    return abs(e[1] - x0) + abs(e[2] - x1)
+
+
+def _d2(e, n, x0, x1, s):
+    d0, d1 = e[1] - x0, e[2] - x1
+    return math.sqrt(e[3] / e[0] + s / n + (d0 * d0 + d1 * d1))
+
+
+def _d3(e, n, x0, x1, s):
+    d0, d1 = e[1] - x0, e[2] - x1
+    n_merged = e[0] + n
+    ssd = e[3] + s + e[0] * n / n_merged * (d0 * d0 + d1 * d1)
+    denom = n_merged - 1.0
+    return math.sqrt(max(2.0 * ssd / denom if denom > 0 else 0.0, 0.0))
+
+
+def _d4(e, n, x0, x1, s):
+    d0, d1 = e[1] - x0, e[2] - x1
+    return math.sqrt(e[0] * n / (e[0] + n) * (d0 * d0 + d1 * d1))
+
+
+#: D0-D4 from a packed entry state ``[n, m0, m1, SSD]`` to a row
+#: ``(n, x0, x1, SSD)`` (d = 1 padded with a zero), on Python floats.
+#: Each is the one-row kernel's IEEE operations in order, so for
+#: d <= 2 (where einsum sums at most two products, alike in any order)
+#: it equals ``stable_distances_core`` bitwise.
+_ROW_DISTANCE = {
+    Metric.D0_EUCLIDEAN: _d0,
+    Metric.D1_MANHATTAN: _d1,
+    Metric.D2_AVG_INTERCLUSTER: _d2,
+    Metric.D3_AVG_INTRACLUSTER: _d3,
+    Metric.D4_VARIANCE_INCREASE: _d4,
+}
 
 
 def _entry_groups(cols: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -87,6 +141,33 @@ def _pack_rows(ns: np.ndarray, vecs: np.ndarray, sqs: np.ndarray) -> np.ndarray:
     unpacks two; the pad adds ``0.0 * 0.0`` to a square, no float moves."""
     pad = [np.zeros_like(vecs)] if vecs.shape[1] == 1 else []
     return np.concatenate([ns[:, None], vecs, *pad, sqs[:, None]], axis=1)
+
+
+def _within_threshold(value, n_merged, mean_sq, threshold_sq):
+    """``value² <= T²`` up to the rounding slack, on floats or arrays alike.
+
+    The slack is ``64·eps·(value² + eps·n·|mean|²)``: a relative term
+    for the statistic plus the absolute error inherited from rounding
+    the entry's mean.  The scalar and the bulk threshold tests both call
+    this, so they cannot drift apart.
+    """
+    value_sq = value * value
+    return value_sq <= threshold_sq + 64.0 * _EPS * (
+        value_sq + _EPS * n_merged * mean_sq
+    )
+
+
+def _trim(visit: tuple, cut: int) -> Optional[tuple]:
+    """A routed visit without its rows at or past ``cut`` (None if none
+    is left)."""
+    node, idx, cols, probes, mat, order = visit
+    if idx[-1] < cut:
+        return visit
+    live = int(idx.searchsorted(cut))
+    if live == 0:
+        return None
+    probes = tuple(p[:live] for p in probes)
+    return node, idx[:live], cols[:live], probes, mat[:live], order[order < live]
 
 
 def _merged_stat(
@@ -396,25 +477,29 @@ class CFTree:
 
         * **Speculative windows** (:meth:`_bulk_run`) descend once per
           *node group* instead of once per row and commit the longest
-          prefix of rows whose speculative routing and threshold tests
-          survive exact replay.  A first deviating row whose argmin
-          flipped by in-window evolution starts the next window; a row
-          whose confirmed routing fails its threshold test (it needs a
-          new entry, maybe a split) is inserted as a scalar run of
-          length 1.
+          prefix of rows whose speculative routing survives exact
+          replay.  At the leaf a window handles two of Section 4.3's
+          three outcomes itself: it absorbs a row into its closest
+          entry (re-routing a row whose closest entry changed inside
+          the window) or appends it as a new entry when the leaf has
+          room.  A window ends early only at a row whose argmin flipped
+          at a nonleaf (it starts the next window) or that needs a new
+          entry in a full leaf (it is inserted as a scalar run of
+          length 1, which splits).
         * **Scalar runs** (:meth:`_insert_rows`) insert rows one by one
           through :meth:`insert_cf`'s pass, which handles appends,
           splits and merging refinement verbatim.
 
-        The tree keeps a moving average of the rows each window commits.
-        While it stays below ``_CHOOSER_BREAK_EVEN`` (shuffled input at
-        a small threshold, where a window commits a few rows and wastes
-        the rest), the next rows go in as one scalar run, then one
-        window probes the bulk path again; the run length doubles while
-        probes keep failing.  The chooser reads counts only, so a
-        traced run repeats its counters exactly, and its state lives on
-        this tree (a resume starts afresh; a rebuilt tree keeps what
-        the reinsertion of the old entries left).
+        The tree keeps a moving average of the rows each window commits
+        per node visit (leaf sub-windows count as visits).  While it
+        stays below ``_CHOOSER_BREAK_EVEN`` (shuffled input at a small
+        threshold, where a window commits a few rows over many nodes),
+        the next rows go in as one scalar run, then one window probes
+        the bulk path again; the run length doubles while probes keep
+        failing.  The chooser reads counts only, so a traced run
+        repeats its counters exactly, and its state lives on this tree
+        (a resume starts afresh; a rebuilt tree keeps what the
+        reinsertion of the old entries left).
 
         Parameters
         ----------
@@ -433,8 +518,9 @@ class CFTree:
             commits never change the node count, and neither does a
             scalar insertion that absorbs or appends, so no other
             insertion can flip the budget's over/under state.  If the
-            budget is over on entry, insert through windows only and
-            return after the first row that needs a new entry.
+            budget is over on entry, insert through windows that append
+            nothing and return after the first row that needs a new
+            entry.
 
         Returns
         -------
@@ -491,12 +577,15 @@ class CFTree:
                     break
                 continue
             w = min(window, limit - i)
-            absorbed, flipped = self._bulk_run(ns, vecs, sqs, i, w, stat_kind)
-            i += absorbed
-            self._committed_ema += _CHOOSER_EMA_WEIGHT * (
-                absorbed - self._committed_ema
+            absorbed, flipped, visits = self._bulk_run(
+                ns, vecs, sqs, i, w, stat_kind, not over
             )
-            if absorbed >= _CHOOSER_BREAK_EVEN:
+            i += absorbed
+            rate = absorbed / visits
+            self._committed_ema += _CHOOSER_EMA_WEIGHT * (
+                rate - self._committed_ema
+            )
+            if rate >= _CHOOSER_BREAK_EVEN:
                 self._scalar_run_len = _SCALAR_MIN_RUN
             elif self._probe_due:
                 self._scalar_run_len = min(
@@ -505,8 +594,8 @@ class CFTree:
             self._probe_due = False
             if rec.enabled:
                 # Per-window accounting (never per row): window count,
-                # absorbed prefix length, whether the whole window
-                # committed and whether a routing flip cut it — enough
+                # committed prefix length, whether the whole window
+                # committed and whether a nonleaf flip cut it — enough
                 # to derive the fallback rate and the speculative-commit
                 # prefix distribution offline.
                 rec.count("bulk.windows")
@@ -517,8 +606,8 @@ class CFTree:
                     rec.count("bulk.flips")
             if absorbed == w:
                 window = min(_BULK_MAX_WINDOW, 2 * w)
-                continue  # the whole window absorbed; widen and go on
-            # A partial absorb predicts the next commit length; sizing
+                continue  # the whole window committed; widen and go on
+            # A partial commit predicts the next commit length; sizing
             # the window just above it bounds the work wasted on rows
             # past the commit point that must be re-validated.
             window = min(
@@ -527,8 +616,9 @@ class CFTree:
             )
             if flipped:
                 continue  # row i routes against committed state next
-            # Row i's confirmed routing fails its threshold test: insert
-            # it exactly as the sequential loop would.
+            # Row i needs a new entry in a full leaf (or, over budget,
+            # any new entry): insert it exactly as the sequential loop
+            # would.
             i += self._insert_rows(ns, vecs, sqs, i, 1, stop_on_alloc)
             if rec.enabled:
                 rec.count("bulk.fallback_rows")
@@ -544,48 +634,56 @@ class CFTree:
         start: int,
         w: int,
         stat_kind: str,
-    ) -> tuple[int, bool]:
-        """Absorb the longest confirmable prefix of a window of rows.
+        appends: bool,
+    ) -> tuple[int, bool, int]:
+        """Commit the longest confirmable prefix of a window of rows.
 
         :meth:`bulk_insert` calls this only when its chooser picks the
         bulk path (the window is worth speculating on, or it probes
-        after a scalar run); the rows a window commits feed the
-        chooser's estimate.  Speculate-validate-commit over rows
-        ``start .. start+w-1``:
+        after a scalar run); the rows a window commits per node visit
+        feed the chooser's estimate.  Speculate-validate-commit over
+        rows ``start .. start+w-1``:
 
         1. **Route** the window down the tree using the entries' current
            (static) states — one batch distance kernel per visited
            node, rows partitioned by argmin child.
-        2. **Replay** each touched entry's exact state history over the
-           rows routed to it, bitwise equal to the sequential
-           ``CFNode.add_row`` fold with each row's own count and
-           scalar, and re-evaluate every routing argmin and leaf
-           threshold test against the state each row would actually
-           have seen (the entry's state after the rows ordered before
-           it).  A visited node costs one Python pass over its rows,
+        2. **Replay** the nonleaf visits: each touched entry's exact
+           state history over the rows routed to it, bitwise equal to
+           the sequential ``CFNode.add_row`` fold with each row's own
+           count and scalar, and every routing argmin
+           re-evaluated against the state each row would actually have
+           seen.  A visited node costs one Python pass over its rows,
            one gather and one kernel call, however many entries the
-           window touched.  Nodes are validated top-down, so the first
-           row to fail a check is known early; rows at or past it can
-           never commit and are left out of every later replay.  Row
-           ``start`` always sees static state, so its routing is
+           window touched.  An ancestor folds a row whether its leaf
+           absorbs or appends it, so these checks do not depend on the
+           leaves.  The first row whose argmin flipped ends the window,
+           and rows at or past it are left out of every later visit.
+           Row ``start`` always sees static state, so its routing is
            confirmed by construction and progress is guaranteed.
-        3. **Commit** the longest prefix of rows whose decisions all
-           match the sequential semantics, with one batched write per
-           array of each visited node.
+        3. **Resolve** each leaf visit's rows in order
+           (:meth:`_resolve_leaf`): a row whose closest entry changed
+           inside the window is re-routed to it, a threshold miss in a
+           leaf with room appends a new entry, and only a miss in a
+           full leaf ends the window (at the first such row of any
+           leaf).
+        4. **Commit** the rows before the window's end, with one batched
+           write per array of each nonleaf visit and one row write per
+           changed or appended leaf entry.
 
-        Returns ``(absorbed, flipped)``: the number of rows absorbed,
-        and whether the first unconfirmed row failed a routing argmin
-        (it may then start the next window) rather than the threshold
-        test of its confirmed leaf entry (it needs the scalar path).
-        ``absorbed`` is 0 only when row ``start`` fails its own
-        threshold test, and then ``flipped`` is False.
+        With ``appends`` False (the caller is over its memory budget) a
+        threshold miss ends the window wherever the leaf has room.
+
+        Returns ``(committed, flipped, visits)``: the number of rows
+        committed, whether the first uncommitted row flipped at a
+        nonleaf (it may then start the next window) rather than needing
+        a new entry (it needs the scalar path), and the node visits
+        made, leaf sub-windows included.  ``committed`` is 0 only when
+        row ``start`` needs a new entry, and then ``flipped`` is False.
         """
         if self.root.size == 0:
-            return 0, False
+            return 0, False, 1
         stop = start + w
         p_ns, rows, p_sq = ns[start:stop], vecs[start:stop], sqs[start:stop]
-        d = self.layout.dimensions
-        threshold_sq = self.threshold**2
 
         # -- 1. speculative routing --------------------------------------
         # visits: (node, row indices routed here (ascending), their
@@ -615,121 +713,363 @@ class CFTree:
                 for c, lo, hi in zip(touched.tolist(), bounds, bounds[1:]):
                     pending.append((node.children[c], routed[lo:hi]))
 
-        # -- 2. exact sequential validation ------------------------------
-        # Every row's argmins and leaf threshold test are re-evaluated
-        # against exactly evolved states.  Prefix states are exact for
-        # any row all of whose predecessors are confirmed, which is all
-        # that matters: commit stops at the first unconfirmed row, so
-        # ``cut`` (the first row known to fail) only moves down, and a
-        # row's checks run top-down along its path, so the first check
-        # it fails is the deciding one.
+        # -- 2./3. exact sequential validation ---------------------------
+        # Prefix states are exact for any row all of whose predecessors
+        # are confirmed, which is all that matters: commit stops at the
+        # first unconfirmed row, so ``cut`` (the first row known to
+        # fail) only moves down.  The nonleaf checks run first; then
+        # each leaf's rows are all confirmed at every ancestor.
         packed = _pack_rows(p_ns, rows, p_sq)
         cut = w
         flipped = False
+        n_visits = len(visits)
+        replayed = {"nonleaf": 0, "leaf": 0}
         writes: list[tuple] = []
-        for node, idx, cols, (q_ns, q_vec, q_sq), mat, order in visits:
-            if idx[-1] >= cut:
-                live = int(idx.searchsorted(cut))
-                if live == 0:
-                    continue
-                idx, cols, mat = idx[:live], cols[:live], mat[:live]
-                q_ns, q_vec, q_sq = q_ns[:live], q_vec[:live], q_sq[:live]
-                order = order[order < live]
-            wn = idx.shape[0]
-            if self.recorder.enabled:
-                level = "leaf" if node.is_leaf else "nonleaf"
-                self.recorder.count(f"bulk.replayed_{level}_rows", wn)
-            touched, bounds = _entry_groups(cols)
-            # One pass folds every touched entry's exact state history
-            # into one flat list of packed rows: entry g's state after
-            # its first t rows is row base[g] + t.  Counts and coefficients
-            # are add_row's IEEE operations, ``n_old + n``, ``n / n_new``
-            # and ``n_old * n / n_new``, and each step adds the row's own
-            # SSD before the between-means term.
-            mine = packed[idx[order]]
-            mine_l = mine.tolist()
-            entries = _pack_rows(
-                node._ns[touched], node._vec[touched], node._sq[touched]
-            ).tolist()
-            hist: list = []
-            for entry, lo, hi in zip(entries, bounds, bounds[1:]):
-                hist += entry
-                n_old, sq = entry[0], entry[-1]
-                if d <= 2:
-                    # Pure floats match add_row bitwise for d <= 2 only:
-                    # its einsum sums one or two products, alike in any
-                    # order; for d >= 3 its SIMD partial sums reorder.
-                    m0, m1 = entry[1], entry[2]
-                    for n, x0, x1, s in mine_l[lo:hi]:
-                        n_new = n_old + n
-                        iv = n / n_new
-                        d0 = x0 - m0
-                        d1 = x1 - m1
-                        m0 += iv * d0
-                        m1 += iv * d1
-                        sq += s + n_old * n / n_new * (d0 * d0 + d1 * d1)
-                        n_old = n_new
-                        hist += (n_new, m0, m1, sq)
-                    continue
-                vec = np.array(entry[1:-1])
-                for (n, *_, s), x in zip(mine_l[lo:hi], mine[lo:hi, 1:-1]):
-                    n_new = n_old + n
-                    delta = x - vec
-                    vec = vec + (n / n_new) * delta
-                    sq += s + n_old * n / n_new * float(
-                        np.einsum("j,j->", delta, delta)
-                    )
-                    n_old = n_new
-                    hist += (n_new, *vec.tolist(), sq)
-            states = np.array(hist).reshape(-1, packed.shape[1])
-            # Row r sees entry g after the group's rows before r, which
-            # a cumsum over the rows x touched one-hot matrix counts.
-            group = touched.searchsorted(cols)
-            onehot = group[:, None] == np.arange(touched.shape[0])
-            seen = onehot.cumsum(axis=0)
-            base = np.arange(touched.shape[0]) + bounds[:-1]
-            view = states[seen - onehot + base]
-            # Untouched columns keep their static states, whose
-            # distances are the routing matrix's, bitwise.
-            g_ns, g_vec, g_sq = view[..., 0], view[..., 1 : d + 1], view[..., -1]
-            mat[:, touched] = stable_gathered_cf_distances(
-                q_ns, q_vec, q_sq, g_ns, g_vec, g_sq, self.metric
-            )
+        d = self.layout.dimensions
+        for visit in [v for v in visits if not v[0].is_leaf]:
+            visit = _trim(visit, cut)
+            if visit is None:
+                continue
+            node, idx, cols, _, mat, _ = visit
+            replayed["nonleaf"] += idx.shape[0]
+            touched, base, seen, states, _ = self._replay(packed, visit)
             route_bad = mat.argmin(axis=1) != cols
-            bad = route_bad
-            if node.is_leaf:
-                # Threshold fit for every row against its own target
-                # entry's pre-absorb state; the slack terms mirror
-                # _fits_threshold exactly.
-                own = view[np.arange(wn), group]
-                own_ns = own[:, 0]
-                own_vec = np.ascontiguousarray(own[:, 1 : d + 1])
-                value = stable_paired_cf_merged_stat(
-                    q_ns, q_vec, q_sq, own_ns, own_vec, own[:, -1], stat_kind
-                )
-                n_merged = own_ns + q_ns
-                mean_sq = np.einsum("rj,rj->r", own_vec, own_vec)
-                slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
-                bad = route_bad | ~(value * value <= threshold_sq + slack_sq)
-            if bad.any():
-                j = int(bad.argmax())
-                cut = int(idx[j])
-                flipped = bool(route_bad[j])
+            if route_bad.any():
+                cut = int(idx[int(route_bad.argmax())])
+                flipped = True
             writes.append((node, idx, touched, base, seen, states))
+        leaves: list[tuple] = []
+        for visit in [v for v in visits if v[0].is_leaf]:
+            visit = _trim(visit, cut)
+            if visit is None:
+                continue
+            miss, final, counts, subs, rows = self._resolve_leaf(
+                packed, visit, stat_kind, appends
+            )
+            n_visits += subs - 1
+            replayed["leaf"] += rows
+            if miss is not None and miss < cut:
+                cut, flipped = miss, False
+            leaves.append((visit, miss, final, counts))
 
-        if cut == 0:
-            return 0, False
+        # -- 4. commit the confirmed prefix ------------------------------
+        events = [0, 0]  # rows repaired, rows appended
+        if cut:
+            for node, idx, touched, base, seen, states in writes:
+                live = int(idx.searchsorted(cut))
+                if live:
+                    final = states[base + seen[live - 1]]
+                    node._ns[touched] = final[:, 0]
+                    node._vec[touched] = final[:, 1 : d + 1]
+                    node._sq[touched] = final[:, -1]
+            for visit, miss, final, counts in leaves:
+                if visit[1][-1] >= cut and miss != cut:
+                    # Another leaf's split ended the window before this
+                    # leaf's last row: resolve the rows before it again.
+                    visit = _trim(visit, cut)
+                    if visit is None:
+                        continue
+                    _, final, counts, _, _ = self._resolve_leaf(
+                        packed, visit, stat_kind, appends
+                    )
+                leaf = visit[0]
+                # Appended entries follow the leaf's own, in order.
+                for c in sorted(final):
+                    state = final[c]
+                    if c < leaf.size:
+                        leaf.set_row(c, state[0], state[1 : d + 1], state[-1])
+                    else:
+                        leaf.append_row(state[0], state[1 : d + 1], state[-1])
+                events[0] += counts[0]
+                events[1] += counts[1]
+            self._add_points(p_ns[:cut])
+        if self.recorder.enabled:
+            for level, count in replayed.items():
+                self.recorder.count(f"bulk.replayed_{level}_rows", count)
+            if events[0]:
+                self.recorder.count("bulk.repairs", events[0])
+            if events[1]:
+                self.recorder.count("bulk.appends", events[1])
+        return cut, flipped, n_visits
 
-        # -- 3. commit the confirmed prefix ------------------------------
-        for node, idx, touched, base, seen, states in writes:
-            live = int(idx.searchsorted(cut))
-            if live:
-                final = states[base + seen[live - 1]]
-                node._ns[touched] = final[:, 0]
-                node._vec[touched] = final[:, 1 : d + 1]
-                node._sq[touched] = final[:, -1]
-        self._add_points(p_ns[:cut])
-        return cut, flipped
+    def _replay(self, packed: np.ndarray, visit: tuple) -> tuple:
+        """Replay a visit's rows against the exact states of the entries
+        they touch.
+
+        Folds every touched entry's state history over the rows routed
+        to it, bitwise equal to the sequential ``CFNode.add_row`` fold,
+        and re-evaluates each row's distances to the touched entries
+        against the states the row would see, in place in the visit's
+        distance matrix.  Returns ``(touched, base, seen, states, own)``:
+        entry ``touched[g]`` after its first ``t`` rows is
+        ``states[base[g] + t]``, ``seen[r, g]`` counts its rows up to
+        and including row ``r``, and ``own[r]`` is the state row ``r``
+        sees of the entry it was routed to.
+        """
+        node, idx, cols, probes, mat, order = visit
+        d = self.layout.dimensions
+        touched, bounds = _entry_groups(cols)
+        # One pass folds every touched entry's exact state history
+        # into one flat list of packed rows: entry g's state after
+        # its first t rows is row base[g] + t.  Counts and coefficients
+        # are add_row's IEEE operations, ``n_old + n``, ``n / n_new``
+        # and ``n_old * n / n_new``, and each step adds the row's own
+        # SSD before the between-means term.
+        mine = packed[idx[order]]
+        mine_l = mine.tolist()
+        entries = _pack_rows(
+            node._ns[touched], node._vec[touched], node._sq[touched]
+        ).tolist()
+        hist: list = []
+        for entry, lo, hi in zip(entries, bounds, bounds[1:]):
+            hist += entry
+            n_old, sq = entry[0], entry[-1]
+            if d <= 2:
+                # Pure floats match add_row bitwise for d <= 2 only:
+                # its einsum sums one or two products, alike in any
+                # order; for d >= 3 its SIMD partial sums reorder.
+                m0, m1 = entry[1], entry[2]
+                for n, x0, x1, s in mine_l[lo:hi]:
+                    n_new = n_old + n
+                    iv = n / n_new
+                    d0 = x0 - m0
+                    d1 = x1 - m1
+                    m0 += iv * d0
+                    m1 += iv * d1
+                    sq += s + n_old * n / n_new * (d0 * d0 + d1 * d1)
+                    n_old = n_new
+                    hist += (n_new, m0, m1, sq)
+                continue
+            vec = np.array(entry[1:-1])
+            for (n, *_, s), x in zip(mine_l[lo:hi], mine[lo:hi, 1:-1]):
+                n_new = n_old + n
+                delta = x - vec
+                vec = vec + (n / n_new) * delta
+                sq += s + n_old * n / n_new * float(
+                    np.einsum("j,j->", delta, delta)
+                )
+                n_old = n_new
+                hist += (n_new, *vec.tolist(), sq)
+        states = np.array(hist).reshape(-1, packed.shape[1])
+        # Row r sees entry g after the group's rows before r, which
+        # a cumsum over the rows x touched one-hot matrix counts.
+        group = touched.searchsorted(cols)
+        onehot = group[:, None] == np.arange(touched.shape[0])
+        seen = onehot.cumsum(axis=0)
+        base = np.arange(touched.shape[0]) + bounds[:-1]
+        view = states[seen - onehot + base]
+        # Untouched columns keep their static states, whose
+        # distances are the routing matrix's, bitwise.
+        g_ns, g_vec, g_sq = view[..., 0], view[..., 1 : d + 1], view[..., -1]
+        mat[:, touched] = stable_gathered_cf_distances(
+            *probes, g_ns, g_vec, g_sq, self.metric
+        )
+        return touched, base, seen, states, view[np.arange(idx.shape[0]), group]
+
+    def _resolve_leaf(
+        self, packed: np.ndarray, visit: tuple, stat_kind: str, appends: bool
+    ) -> tuple[Optional[int], dict[int, list], tuple[int, int], int, int]:
+        """Resolve a leaf visit's rows in order, exactly as insert_cf would.
+
+        Every earlier row of the window is settled when a row's turn
+        comes (the nonleaf checks ran first, and only this visit's rows
+        reach this leaf), so each row takes Section 4.3's leaf step
+        against the leaf's exact state: it goes to its closest entry,
+        which absorbs it if the threshold test passes (a **repair** when
+        that is not the window's routing column for the row, i.e. its
+        argmin flipped inside the window, toward a drifted entry or one
+        appended earlier in the window); otherwise it is **appended** as
+        entry ``size`` if the leaf has room (and ``appends`` is True),
+        and otherwise it ends the window there (a split, left to the
+        scalar path).
+
+        For d <= 2 the rows go in leaf sub-windows of ``_LEAF_CHUNK``
+        rows, each routed once against the exact states at its start (a
+        batch kernel call; the first is the routing step's).  Inside a
+        sub-window an entry no row has changed yet keeps that distance,
+        so a row evaluates only the entries changed before it, on
+        Python floats (:data:`_ROW_DISTANCE`, the one-row kernels'
+        operations), plus the nearest unchanged one; no row is resolved
+        twice.  Python floats cannot stand in for d >= 3 (einsum's
+        partial sums reorder there), so wider rows go through
+        :meth:`_resolve_leaf_rows`, which replays sub-windows as the
+        nonleaf levels do.  That path builds the same tree for d <= 2
+        too, but ingests ordered DS1 more slowly than the float path
+        (see docs/performance.md).
+
+        Nothing is written to the tree.  Returns the window row that
+        ends the window (None if none does), the final ``[n, *mean,
+        SSD]`` state of every changed or appended entry (the mean
+        padded to two coordinates when d = 1), the rows repaired and
+        appended, the number of sub-windows and the rows resolved or
+        replayed (each row once for d <= 2).
+        """
+        leaf, idx, cols, probes, mat, _ = visit
+        d = self.layout.dimensions
+        if d > 2:
+            return self._resolve_leaf_rows(packed, visit, stat_kind, appends)
+        distance = _ROW_DISTANCE[self.metric]
+        radius = stat_kind == "radius"
+        threshold_sq = self.threshold**2
+        capacity = leaf.capacity
+        k = leaf.size
+        ents = _pack_rows(leaf._ns[:k], leaf._vec[:k], leaf._sq[:k]).tolist()
+        rows_idx = idx.tolist()
+        cols_l = cols.tolist()
+        wn = len(rows_idx)
+        touched: set[int] = set()
+        repairs = subs = 0
+        miss, resolved = None, wn
+        for lo in range(0, wn, _LEAF_CHUNK):
+            hi = min(wn, lo + _LEAF_CHUNK)
+            if subs:
+                states = np.array(ents)
+                part = stable_cf_batch_distances(
+                    *(p[lo:hi] for p in probes),
+                    states[:, 0],
+                    np.ascontiguousarray(states[:, 1 : d + 1]),
+                    states[:, -1],
+                    self.metric,
+                )
+            else:
+                part = mat[:hi]
+            subs += 1
+            ranked = part.argsort(axis=1, kind="stable").tolist()
+            static = part.tolist()
+            changed: set[int] = set()
+            for t, (n, x0, x1, s) in enumerate(packed[idx[lo:hi]].tolist()):
+                # The closest entry, lowest index on ties (as argmin).
+                best = -1
+                routed = ranked[t]
+                for c in routed:
+                    if c not in changed:
+                        best, best_v = c, static[t][c]
+                        break
+                for c in changed:
+                    v = distance(ents[c], n, x0, x1, s)
+                    if best < 0 or v < best_v or (v == best_v and c < best):
+                        best, best_v = c, v
+                # _fits_threshold's test on Python floats (_merged_stat).
+                en, m0, m1, es = ents[best]
+                d0 = x0 - m0
+                d1 = x1 - m1
+                delta2 = d0 * d0 + d1 * d1
+                n_new = en + n
+                between = en * n / n_new * delta2
+                ssd = es + s + between
+                if radius:
+                    value = math.sqrt(max(ssd, 0.0) / n_new)
+                else:
+                    denom = n_new - 1.0
+                    value = math.sqrt(max(2.0 * ssd / denom if denom > 0 else 0.0, 0.0))
+                if _within_threshold(value, n_new, m0 * m0 + m1 * m1, threshold_sq):
+                    # add_row's update, as the nonleaf replay folds it.
+                    iv = n / n_new
+                    ents[best] = [n_new, m0 + iv * d0, m1 + iv * d1, es + (s + between)]
+                    repairs += best != cols_l[lo + t]
+                elif appends and len(ents) < capacity:
+                    best = len(ents)
+                    ents.append([n, x0, x1, s])
+                else:
+                    miss, resolved = rows_idx[lo + t], lo + t + 1
+                    break
+                changed.add(best)
+            touched |= changed
+            if miss is not None:
+                break
+        final = {c: ents[c] for c in touched}
+        return miss, final, (repairs, len(ents) - k), subs, resolved
+
+    def _resolve_leaf_rows(
+        self, packed: np.ndarray, visit: tuple, stat_kind: str, appends: bool
+    ) -> tuple[Optional[int], dict[int, list], tuple[int, int], int, int]:
+        """:meth:`_resolve_leaf` for d >= 3, in vectorised sub-windows.
+
+        Each sub-window is replayed at once (:meth:`_replay`, the
+        nonleaf check plus the threshold test of every row against its
+        routed entry's state before it), which confirms its rows up to
+        the first one whose argmin flipped or that missed the threshold.
+        That row takes insert_cf's own leaf step on a copy of the leaf,
+        and the next sub-window starts after it, routed against the
+        copy's exact states (the first reuses the routing step's
+        distances).  A sub-window holds at most ``_LEAF_CHUNK`` rows,
+        because a replay costs rows x touched entries x d; within that
+        cap it is sized as :meth:`bulk_insert` sizes windows: doubled
+        after a sub-window that confirmed whole, else just above the
+        rows the last one confirmed.
+        """
+        leaf, idx, cols, probes, mat, _ = visit
+        d = self.layout.dimensions
+        q_ns, q_vec, q_sq = probes
+        wn = idx.shape[0]
+        work = CFNode(leaf.layout, is_leaf=True)
+        k = work.size = leaf.size
+        work._ns[:k], work._vec[:k], work._sq[:k] = (
+            leaf._ns[:k], leaf._vec[:k], leaf._sq[:k]
+        )
+        changed: set[int] = set()
+        repairs = subs = pos = replayed = 0
+        size = _LEAF_CHUNK
+        miss = None
+        while pos < wn:
+            hi = min(wn, pos + size)
+            replayed += hi - pos
+            part = tuple(p[pos:hi] for p in probes)
+            if pos:
+                m = work.size
+                s_mat = stable_cf_batch_distances(
+                    *part, work._ns[:m], work._vec[:m], work._sq[:m], self.metric
+                )
+                s_cols = s_mat.argmin(axis=1)
+            else:
+                s_mat, s_cols = mat[:hi], cols[:hi]
+            sub = (
+                work, idx[pos:hi], s_cols, part, s_mat, s_cols.argsort(kind="stable")
+            )
+            subs += 1
+            touched, base, seen, states, own = self._replay(packed, sub)
+            s_ns, s_vec, s_sq = part
+            own_vec = np.ascontiguousarray(own[:, 1 : d + 1])
+            value = stable_paired_cf_merged_stat(
+                s_ns, s_vec, s_sq, own[:, 0], own_vec, own[:, -1], stat_kind
+            )
+            ok = (s_mat.argmin(axis=1) == s_cols) & _within_threshold(
+                value,
+                own[:, 0] + s_ns,
+                np.einsum("rj,rj->r", own_vec, own_vec),
+                self.threshold**2,
+            )
+            f = hi - pos if ok.all() else int(ok.argmin())
+            if f:
+                done = seen[f - 1]
+                state = states[base + done]
+                work._ns[touched] = state[:, 0]
+                work._vec[touched] = state[:, 1 : d + 1]
+                work._sq[touched] = state[:, -1]
+                changed.update(touched[done > 0].tolist())
+                repairs += int((s_cols[:f] != cols[pos : pos + f]).sum())
+            if f == hi - pos:
+                pos, size = hi, min(_LEAF_CHUNK, 2 * f)
+                continue
+            pos += f
+            size = min(_LEAF_CHUNK, max(_BULK_MIN_WINDOW, f + f // 2 + 1))
+            n, vec, s = q_ns[pos].item(), q_vec[pos], q_sq[pos].item()
+            best, _ = self._closest(work, n, vec, s)
+            if self._fits_threshold(work, best, n, vec, s):
+                self._absorb(work, best, n, vec, s)
+                repairs += best != cols[pos]
+            elif appends and work.size < work.capacity:
+                best = work.append_row(n, vec, s)
+            else:
+                miss = int(idx[pos])
+                break
+            changed.add(best)
+            pos += 1
+        final = {
+            c: [work._ns[c].item(), *work._vec[c].tolist(), work._sq[c].item()]
+            for c in changed
+        }
+        return miss, final, (repairs, work.size - k), subs, replayed
 
     def insert_cf(self, cf: CF | StableCF) -> None:
         """Insert a subcluster CF (a point, an old leaf entry, an outlier).
@@ -1076,7 +1416,8 @@ class CFTree:
         the origin keep merging at T = 0: their true merged diameter is
         zero but the computed one is a rounding residue of the means.
 
-        The statistic is :func:`_merged_stat`, on Python floats.
+        The statistic is :func:`_merged_stat`, on Python floats, and the
+        test is :func:`_within_threshold`, as on the bulk path.
         """
         mean = leaf._vec[index]
         radius = self.threshold_kind is ThresholdKind.RADIUS
@@ -1084,8 +1425,7 @@ class CFTree:
             leaf._ns[index].item(), mean, leaf._sq[index].item(), n, vec, sq, radius
         )
         mean_sq = float(np.einsum("j,j->", mean, mean))
-        slack_sq = 64.0 * _EPS * (value * value + _EPS * n_merged * mean_sq)
-        return value * value <= self.threshold**2 + slack_sq
+        return _within_threshold(value, n_merged, mean_sq, self.threshold**2)
 
     def _split_node(
         self,

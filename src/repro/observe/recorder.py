@@ -98,7 +98,9 @@ class TelemetrySnapshot:
             lines.append(
                 f"  bulk: {int(windows)} window(s), "
                 f"{int(absorbed)} row(s) absorbed, "
-                f"{int(c.get('bulk.flips', 0))} routing flip(s), "
+                f"{int(c.get('bulk.flips', 0))} nonleaf flip(s), "
+                f"{int(c.get('bulk.repairs', 0))} repair(s), "
+                f"{int(c.get('bulk.appends', 0))} append(s), "
                 f"{int(c.get('bulk.scalar_runs', 0))} scalar run(s), "
                 f"fallback rate {rate:.2%}"
             )

@@ -13,6 +13,7 @@ than byte identity) and the ``insert_points`` ergonomics.
 import numpy as np
 import pytest
 
+import repro.core.tree as tree_module
 from repro.core.birch import Birch
 from repro.core.config import BirchConfig
 from repro.core.distances import (
@@ -24,7 +25,7 @@ from repro.core.distances import (
     stable_merged_radius_core,
 )
 from repro.core.features import StableCF
-from repro.core.tree import CFTree, ThresholdKind, _merged_stat
+from repro.core.tree import _ROW_DISTANCE, CFTree, ThresholdKind, _merged_stat
 from repro.datagen.presets import ds1, ds1o
 from repro.observe import ObserveConfig
 from repro.observe.recorder import Recorder
@@ -191,8 +192,8 @@ class TestBulkByteIdentity:
         left one just short of the bisector, then land just past it.
         Against static states the later rows route right, but the left
         entry has drifted toward them, so their argmin flips inside the
-        window.  The flipped row must start the next window, not fall
-        back to the scalar path."""
+        window.  The flipped rows are repaired inside the one window:
+        no window is cut, and none falls back to the scalar path."""
         seeds = np.array([[0.0, 0.0], [2.0, 0.0]])
         stream = np.array([[0.9, 0.0]] * 5 + [[1.05, 0.0]] * 10)
         scalar = make_tree(threshold=1.9)
@@ -204,7 +205,10 @@ class TestBulkByteIdentity:
         scalar.insert_points(stream)
         assert bulk.bulk_insert(stream) == stream.shape[0]
         assert_identical_trees(scalar, bulk)
-        assert rec.counters.get("bulk.flips", 0) == 1
+        assert rec.counters["bulk.windows"] == 1
+        # Each row past the bisector was routed right and re-routed left.
+        assert rec.counters.get("bulk.repairs", 0) == 10
+        assert rec.counters.get("bulk.flips", 0) == 0
         assert rec.counters.get("bulk.fallback_rows", 0) == 0
         assert rec.counters["bulk.absorbed_rows"] == stream.shape[0]
         # Every row landed in the left entry, the flipped ones included.
@@ -314,6 +318,272 @@ class TestPathChooser:
         assert_identical_trees(reference, tree)
 
 
+def ordered_cluster_rows(rng: np.random.Generator, d: int, n: int = 360):
+    """Fractional rows of twelve clusters, one cluster after another, so
+    new clusters start inside windows: appends and re-routed rows
+    cascade there."""
+    centers = rng.uniform(-10.0, 10.0, size=(12, d))
+    labels = np.repeat(np.arange(12), n // 12)
+    points = centers[labels] + rng.normal(0.0, 0.5 / np.sqrt(d), size=(n, d))
+    ns = rng.uniform(0.25, 3.0, n)
+    sqs = rng.uniform(0.0, 0.3, n)
+    return ns, points, sqs
+
+
+def leaf_page(d: int) -> int:
+    """A page of four or five leaf entries, so leaves fill up and a row
+    that needs a new entry in a full leaf lands inside a window."""
+    return 160 if d <= 3 else 48 * (d + 2)
+
+
+def spy_windows(tree: CFTree) -> list[tuple[int, int, bool]]:
+    """Log each window's (rows committed, rows offered, nonleaf flip)."""
+    log: list[tuple[int, int, bool]] = []
+    run = tree._bulk_run
+
+    def logged(ns, vecs, sqs, start, w, *rest):
+        out = run(ns, vecs, sqs, start, w, *rest)
+        log.append((out[0], w, out[1]))
+        return out
+
+    tree._bulk_run = logged
+    return log
+
+
+class TestLeafRepairsAndAppends:
+    """Windows re-route leaf flips and append new entries themselves;
+    only a row that needs a new entry in a full leaf (a split) leaves a
+    window.  Every case must still build the per-row ``insert_cf``
+    loop's tree byte for byte, with windows forced on."""
+
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("d", (1, 2, 3, 8))
+    def test_ordered_clusters_match_per_row_insert_cf(
+        self, d, kind, metric, monkeypatch
+    ):
+        monkeypatch.setattr(tree_module, "_CHOOSER_BREAK_EVEN", 0)
+        rng = np.random.default_rng(17 * d + 3)
+        ns, points, sqs = ordered_cluster_rows(rng, d)
+
+        def make(recorder=None):
+            tree = make_tree(
+                dimensions=d,
+                threshold=0.6,
+                page_size=leaf_page(d),
+                threshold_kind=kind,
+                recorder=recorder,
+            )
+            tree.metric = metric
+            return tree
+
+        per_row = make()
+        split_rows = 0
+        for n, vec, sq in zip(ns, points, sqs):
+            splits = per_row.stats.splits
+            per_row.insert_cf(StableCF(float(n), vec.copy(), float(sq)))
+            split_rows += per_row.stats.splits > splits
+        repairs, mid_window_splits = 0, 0
+        for chunk in CHUNKS:
+            rec = Recorder()
+            bulk = make(rec)
+            log = spy_windows(bulk)
+            for lo in range(0, points.shape[0], chunk):
+                hi = min(lo + chunk, points.shape[0])
+                took = lo
+                while took < hi:
+                    took += bulk.bulk_insert(
+                        points[took:hi], ns[took:hi], sqs[took:hi]
+                    )
+            assert_identical_trees(per_row, bulk)
+            c = rec.counters
+            assert c["bulk.absorbed_rows"] + c["bulk.fallback_rows"] == len(ns)
+            # Only the rows that split (and the first row, into the
+            # empty tree) left the windows.
+            assert c["bulk.fallback_rows"] == split_rows + 1
+            assert c.get("bulk.appends", 0) > 0
+            repairs += c.get("bulk.repairs", 0)
+            # Windows that committed rows before a split cut them.
+            mid_window_splits += sum(
+                0 < got < w and not flip for got, w, flip in log
+            )
+        assert repairs > 0
+        assert mid_window_splits > 0
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("d", (1, 2, 3, 8))
+    def test_shuffled_stream_at_zero_threshold(self, d, kind, monkeypatch):
+        """At T = 0 only exact repeats absorb: every other row is an
+        append or a split."""
+        monkeypatch.setattr(tree_module, "_CHOOSER_BREAK_EVEN", 0)
+        points = shuffled_repeat_stream(np.random.default_rng(40 + d), d)[:900]
+        scalar = make_tree(
+            dimensions=d, threshold=0.0, page_size=leaf_page(d), threshold_kind=kind
+        )
+        split_rows = 0
+        for point in points:
+            splits = scalar.stats.splits
+            scalar.insert_points(point)
+            split_rows += scalar.stats.splits > splits
+        for chunk in CHUNKS:
+            rec = Recorder()
+            bulk = make_tree(
+                dimensions=d,
+                threshold=0.0,
+                page_size=leaf_page(d),
+                threshold_kind=kind,
+                recorder=rec,
+            )
+            for lo in range(0, points.shape[0], chunk):
+                block = points[lo : lo + chunk]
+                took = 0
+                while took < block.shape[0]:
+                    took += bulk.bulk_insert(block[took:])
+            assert_identical_trees(scalar, bulk)
+            c = rec.counters
+            assert c.get("bulk.appends", 0) > 0
+            assert c["bulk.fallback_rows"] == split_rows + 1
+
+    def test_over_budget_window_returns_after_first_new_entry(self):
+        """Over budget, a window appends nothing: it stops at the first
+        row that needs a new entry, which the scalar path inserts before
+        the call returns.  Under budget the same row is appended inside
+        the window and the call goes on."""
+        layout = PageLayout(page_size=256, dimensions=2)
+        base = clustered_points(np.random.default_rng(3), 120, 2)
+
+        def build(budget=None, recorder=None):
+            tree = CFTree(
+                layout,
+                threshold=0.5,
+                budget=budget,
+                stats=IOStats(),
+                recorder=recorder,
+            )
+            tree.insert_points(base)
+            return tree
+
+        probe = build()
+        new_entry = next(
+            leaf.entry_cf(0).centroid + 0.6
+            for leaf in probe.leaves()
+            if not leaf.is_full
+        )
+        stream = np.concatenate([base[:20], new_entry[None, :], base[20:40]])
+
+        rec = Recorder()
+        under = build(recorder=rec)
+        assert under.bulk_insert(stream, stop_on_alloc=True) == stream.shape[0]
+        reference = build()
+        reference.insert_points(stream)
+        assert_identical_trees(reference, under)
+        assert rec.counters["bulk.appends"] == 1
+        assert rec.counters.get("bulk.fallback_rows", 0) == 0
+
+        rec = Recorder()
+        budget = MemoryBudget(64 * 256, layout)
+        over = build(budget, recorder=rec)
+        budget.limit_bytes = (over.node_count - 1) * 256
+        assert budget.over_budget
+        assert over.bulk_insert(stream, stop_on_alloc=True) == 21
+        reference = build()
+        reference.insert_points(stream[:21])
+        assert_identical_trees(reference, over)
+        assert rec.counters.get("bulk.appends", 0) == 0
+        assert rec.counters["bulk.fallback_rows"] == 1
+        assert rec.counters["bulk.absorbed_rows"] == 20
+
+    @pytest.mark.parametrize("chunk", (7, 128))
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_repairs_resolve_each_leaf_row_once(self, d, chunk, monkeypatch):
+        """A window whose k last rows are all re-routed does leaf work
+        that grows with the rows, not with k times the rows: for d <= 2
+        each row is resolved once, for d >= 3 at most the rows after
+        the first re-routed one are replayed once more.  Each re-routed row
+        counts as one repair whatever d and the leaf sub-window
+        length."""
+        monkeypatch.setattr(tree_module, "_LEAF_CHUNK", chunk)
+        for k in (8, 32, 64):
+            monkeypatch.setattr(tree_module, "_BULK_MIN_WINDOW", 2 * k)
+            seeds = np.zeros((2, d))
+            seeds[1, 0] = 2.0
+            stream = np.zeros((2 * k, d))
+            stream[:k, 0] = 0.9
+            stream[k:, 0] = 1.05
+            rec = Recorder()
+            bulk = make_tree(dimensions=d, threshold=1.9, recorder=rec)
+            scalar = make_tree(dimensions=d, threshold=1.9)
+            for tree in (scalar, bulk):
+                tree.insert_points(seeds)
+            scalar.insert_points(stream)
+            assert bulk.bulk_insert(stream) == 2 * k
+            assert_identical_trees(scalar, bulk)
+            c = rec.counters
+            assert c["bulk.windows"] == 1
+            assert c.get("bulk.flips", 0) == 0
+            assert c.get("bulk.fallback_rows", 0) == 0
+            assert c["bulk.repairs"] == k
+            replayed = c["bulk.replayed_leaf_rows"]
+            if d <= 2:
+                assert replayed == 2 * k
+            else:
+                assert 2 * k <= replayed < 3 * k
+
+
+class TestThresholdSlack:
+    """Both threshold tests, ``insert_cf``'s and a window's, allow the
+    rounding slack ``64·eps·(v² + eps·n·|mean|²)`` and not a bit more:
+    a merge whose ``v² − T²`` lies just past the slack (within four
+    times it) must become a new entry on both paths, and one within the
+    slack must merge on both."""
+
+    @staticmethod
+    def boundary_rows(mean: np.ndarray, threshold: float, radius: bool):
+        """One-ulp steps away from a lone point at ``mean``: the first
+        row whose merged ``v² − T²`` lies in ``(0, slack]`` and the first
+        in ``(slack, 4·slack]``."""
+        eps = float(np.finfo(np.float64).eps)
+        mean_sq = float(np.einsum("j,j->", mean, mean))
+        x = mean.copy()
+        x[0] += (2.0 if radius else 1.0) * threshold
+        inside = outside = None
+        for _ in range(100_000):
+            value, n = _merged_stat(1.0, mean, 0.0, 1.0, x, 0.0, radius)
+            gap = value * value - threshold**2
+            slack = 64.0 * eps * (value * value + eps * n * mean_sq)
+            if 0.0 < gap <= slack and inside is None:
+                inside = x.copy()
+            if slack < gap <= 4.0 * slack:
+                outside = x.copy()
+                break
+            x[0] = np.nextafter(x[0], np.inf)
+        assert inside is not None and outside is not None
+        return inside, outside
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize(
+        "offset, threshold",
+        [(0.0, 1.0), (1e8, 1e-6)],
+        ids=["relative-slack", "mean-rounding-slack"],
+    )
+    def test_boundary_rows_on_both_paths(self, kind, d, offset, threshold):
+        mean = np.full(d, offset) + np.arange(d) * 0.25
+        radius = kind is ThresholdKind.RADIUS
+        inside, outside = self.boundary_rows(mean, threshold, radius)
+        for row, entries in ((inside, 1), (outside, 2)):
+            for path in ("insert_cf", "window"):
+                tree = make_tree(
+                    dimensions=d, threshold=threshold, threshold_kind=kind
+                )
+                tree.insert_points(mean)
+                if path == "insert_cf":
+                    tree.insert_points(row)
+                else:
+                    assert tree.bulk_insert(row) == 1
+                assert len(tree.leaf_entries()) == entries, (path, entries)
+
+
 class TestGatheredKernels:
     """The validation kernels must be bitwise equal to the scalar ones,
     for unit points and for probes of any weight."""
@@ -403,6 +673,30 @@ class TestRoutingKernelProperty:
             )
             assert value == expect
             assert n_merged == entry_n + n
+
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_row_distance_equals_kernel(self, metric, d):
+        """The d <= 2 leaf step evaluates changed entries on Python
+        floats; each must be the one-row kernel's value, bitwise."""
+        rng = np.random.default_rng(31 + d)
+        for trial in range(300):
+            scale = 10.0 ** rng.integers(-3, 8)
+            mean = scale * rng.normal(size=d)
+            vec = mean + rng.choice([1e-9, 1e-3, 1.0]) * rng.normal(size=d)
+            entry_n = float(rng.choice([1.0, 2.0, rng.uniform(0.1, 50.0)]))
+            n = float(rng.choice([1.0, rng.uniform(0.05, 5.0)]))
+            entry_sq = float(rng.uniform(0.0, 10.0)) if trial % 3 else 0.0
+            sq = float(rng.uniform(0.0, 3.0)) if trial % 2 else 0.0
+            expect = stable_distances_core(
+                n, vec, sq, np.array([entry_n]), mean[None, :],
+                np.array([entry_sq]), metric,
+            )[0]
+            pad = [0.0] * (2 - d)
+            entry = [entry_n, *mean.tolist(), *pad, entry_sq]
+            got = _ROW_DISTANCE[metric](entry, n, *vec.tolist(), *pad, sq)
+            assert got == expect
 
 
 class TestInsertPointsErgonomics:

@@ -20,8 +20,10 @@ CF rows of any weight — unit points, integer weights, fractional
 ``insert_cf`` loop over the same rows builds, byte for byte, however
 the rows are chunked and whether or not the caller caps or stops the
 calls.  With windows forced on, the rows the bulk path sends to the
-scalar path are exactly those the loop does not absorb, so a window
-threshold test stricter than ``insert_cf``'s is caught too.  At T = 0
+scalar path are exactly those the loop splits a leaf for, and the
+windows append exactly the other rows the loop does not absorb, so a
+window threshold test stricter or looser than ``insert_cf``'s is
+caught too.  At T = 0
 with rows one ulp apart far from the origin, the slack term for the
 rounding of the means is what decides absorption.
 """
@@ -231,15 +233,17 @@ def check_rows_against_sequential_insert_cf(
             tree.advance_decay_clock()
         return tree
 
-    not_absorbed = 0
+    not_absorbed = split_rows = 0
 
     def sequential(tree, lo, hi):
-        nonlocal not_absorbed
+        nonlocal not_absorbed, split_rows
         for t in range(lo, hi):
             cf = row_cf(ns[t], vecs[t], sqs[t])
             if not tree.try_absorb_cf(cf):
+                splits = tree.stats.splits
                 tree.insert_cf(cf)
                 not_absorbed += 1
+                split_rows += tree.stats.splits > splits
 
     oracle = feed(oracle_tree(kind, metric, dimensions, threshold), sequential)
     assert oracle.stats.splits > 0
@@ -273,8 +277,12 @@ def check_rows_against_sequential_insert_cf(
             )
             monkeypatch.undo()
             if insert is capped:
-                # Only rows the loop does not absorb leave the windows.
-                assert rec.counters.get("bulk.fallback_rows", 0) == not_absorbed
+                # Only the rows that split (and the first row, into the
+                # empty tree) leave the windows; the windows append the
+                # other rows the loop does not absorb.
+                c = rec.counters
+                assert c.get("bulk.fallback_rows", 0) == split_rows + 1
+                assert c.get("bulk.appends", 0) == not_absorbed - split_rows - 1
                 if chunk > 1:
                     assert rec.counters["bulk.absorbed_rows"] > 0
             got = tree.export_structure()

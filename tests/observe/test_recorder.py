@@ -224,6 +224,8 @@ class TestTelemetrySnapshot:
                 "bulk.windows": 10,
                 "bulk.absorbed_rows": 75,
                 "bulk.fallback_rows": 25,
+                "bulk.repairs": 6,
+                "bulk.appends": 4,
                 "io.page_reads": 4,
                 "io.rebuilds": 2,
                 "guardrails.rejected_points": 3,
@@ -233,6 +235,7 @@ class TestTelemetrySnapshot:
         text = "\n".join(snap.summary_lines())
         assert "10 window(s)" in text
         assert "25.00%" in text
+        assert "6 repair(s)" in text and "4 append(s)" in text
         assert "rebuilds: 2" in text
         assert "3 point(s) rejected" in text
         assert "watchdog: tripped" in text
