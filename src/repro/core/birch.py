@@ -955,9 +955,9 @@ class Birch:
             sink = handler.spill
             if self._watchdog.mode == "spill":
                 # Aggressive rule: anything below the mean goes to disk.
-                predicate = lambda cf, mean: mean > 1.0 and cf.n < mean
+                predicate = lambda ns, mean: (ns < mean) & (mean > 1.0)
             else:
-                predicate = handler.is_potential_outlier
+                predicate = handler.potential_outliers
         self._tree = self._rebuild_tree_preserving_decay(
             new_threshold, sink, predicate
         )
@@ -1025,7 +1025,7 @@ class Birch:
         if self._outlier_handler is not None:
             handler = self._outlier_handler
             sink = handler.spill
-            predicate = handler.is_potential_outlier
+            predicate = handler.potential_outliers
         self._tree = self._rebuild_tree_preserving_decay(
             new_threshold, sink, predicate
         )
@@ -1053,7 +1053,7 @@ class Birch:
         self,
         new_threshold: float,
         sink: Optional[Callable[[StableCF], bool]],
-        predicate: Optional[Callable[[StableCF, float], bool]],
+        predicate: Optional[Callable[[np.ndarray, float], np.ndarray]],
     ) -> CFTree:
         """Rebuild the tree, carrying the decay state across.
 
@@ -1218,7 +1218,7 @@ class Birch:
                 predicate = None
                 if self._outlier_handler is not None:
                     sink = self._outlier_handler.spill
-                    predicate = self._outlier_handler.is_potential_outlier
+                    predicate = self._outlier_handler.potential_outliers
                 self._tree = self._rebuild_tree_preserving_decay(
                     self._tree.threshold, sink, predicate
                 )
@@ -1347,7 +1347,7 @@ class Birch:
                 predicate = None
                 if self._outlier_handler is not None:
                     sink = self._outlier_handler.spill
-                    predicate = self._outlier_handler.is_potential_outlier
+                    predicate = self._outlier_handler.potential_outliers
                 self._tree = self._rebuild_tree_preserving_decay(
                     tree.threshold, sink, predicate
                 )

@@ -39,6 +39,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.core.features import StableCF
 from repro.core.tree import CFTree
 from repro.errors import PermanentIOError, TransientIOError
@@ -153,9 +155,13 @@ class OutlierHandler:
         only fires once the tree has formed real subclusters
         (``mean_entry_points > 1``).
         """
-        if mean_entry_points <= 1.0:
-            return False
-        return cf.n < self.fraction * mean_entry_points
+        return bool(self.potential_outliers(cf.n, mean_entry_points))
+
+    def potential_outliers(
+        self, ns: np.ndarray, mean_entry_points: float
+    ) -> np.ndarray:
+        """:meth:`is_potential_outlier` over an array of entry counts."""
+        return (ns < self.fraction * mean_entry_points) & (mean_entry_points > 1.0)
 
     # -- fault plumbing -----------------------------------------------------
 

@@ -46,7 +46,7 @@ def rebuild_tree(
     old: CFTree,
     new_threshold: float,
     outlier_sink: Optional[Callable[[StableCF], bool]] = None,
-    outlier_predicate: Optional[Callable[[StableCF, float], bool]] = None,
+    outlier_predicate: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
 ) -> CFTree:
     """Rebuild ``old`` into a new tree with ``new_threshold``.
 
@@ -63,9 +63,10 @@ def rebuild_tree(
         True if the sink accepted it (e.g. disk had room).  A rejected
         entry is reinserted into the new tree instead.
     outlier_predicate:
-        ``predicate(cf, mean_entry_points) -> bool`` deciding whether an
-        entry is a potential outlier ("far fewer data points than the
-        average" — Section 5.1.4).  Ignored if ``outlier_sink`` is None.
+        ``predicate(ns, mean_entry_points) -> mask`` deciding which of an
+        old leaf's entries, given their point counts, are potential
+        outliers ("far fewer data points than the average" — Section
+        5.1.4).  Ignored if ``outlier_sink`` is None.
 
     Returns
     -------
@@ -133,9 +134,10 @@ def rebuild_tree(
                 old._node_count -= 1
         keep = np.ones(size, dtype=bool)
         if divert:
-            for i in range(size):
-                cf = row_cf(ns[i], vecs[i], sqs[i])
-                if outlier_predicate(cf, mean_entry_points) and outlier_sink(cf):
+            # Only the flagged entries become CF objects for the sink.
+            flagged = outlier_predicate(ns, mean_entry_points).nonzero()[0]
+            for i in flagged.tolist():
+                if outlier_sink(row_cf(ns[i], vecs[i], sqs[i])):
                     keep[i] = False
                     n_diverted += 1
         # One old leaf's kept entries per call, in chain order: the same

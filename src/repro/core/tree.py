@@ -85,6 +85,10 @@ _LEAF_CHUNK = 128
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: What :meth:`CFTree._insert_row` did at the leaf, and its counters.
+_ABSORBED, _APPENDED, _SPLIT = range(3)
+_OUTCOME_COUNTERS = ("scalar.absorbs", "scalar.appends", "scalar.splits")
+
 
 def _d0(e, n, x0, x1, s):
     d0, d1 = e[1] - x0, e[2] - x1
@@ -155,6 +159,47 @@ def _within_threshold(value, n_merged, mean_sq, threshold_sq):
     return value_sq <= threshold_sq + 64.0 * _EPS * (
         value_sq + _EPS * n_merged * mean_sq
     )
+
+
+# The d <= 2 row step on Python floats, for a packed entry ``[n, m0, m1,
+# SSD]`` and a row ``(n, x0, x1, SSD)`` (d = 1 padded with zeros, as in
+# _pack_rows): the numpy path's IEEE operations in order, bitwise equal.
+
+
+def _row_fits(e, n, x0, x1, s, radius, threshold_sq):
+    """:func:`_merged_stat`, then :func:`_within_threshold`."""
+    en, m0, m1, es = e
+    d0, d1 = x0 - m0, x1 - m1
+    n_new = en + n
+    ssd = es + s + en * n / n_new * (d0 * d0 + d1 * d1)
+    if radius:
+        value = math.sqrt(max(ssd, 0.0) / n_new)
+    else:
+        denom = n_new - 1.0
+        value = math.sqrt(max(2.0 * ssd / denom if denom > 0 else 0.0, 0.0))
+    return _within_threshold(value, n_new, m0 * m0 + m1 * m1, threshold_sq)
+
+
+def _row_fold(e, n, x0, x1, s):
+    """Entry ``e`` with the row folded in: ``CFNode.add_row``'s Chan update."""
+    en, m0, m1, es = e
+    d0, d1 = x0 - m0, x1 - m1
+    n_new = en + n
+    iv = n / n_new
+    between = en * n / n_new * (d0 * d0 + d1 * d1)
+    return [n_new, m0 + iv * d0, m1 + iv * d1, es + (s + between)]
+
+
+def _entry(node: CFNode, index: int) -> list:
+    """Entry ``index`` of a d <= 2 node, packed as ``[n, m0, m1, SSD]``."""
+    vec = node._vec
+    m1 = vec.item(index, 1) if vec.shape[1] == 2 else 0.0
+    return [node._ns.item(index), vec.item(index, 0), m1, node._sq.item(index)]
+
+
+def _coords(vec: np.ndarray) -> tuple[float, float]:
+    """A d <= 2 row vector as ``(x0, x1)``."""
+    return vec.item(0), vec.item(1) if vec.shape[0] == 2 else 0.0
 
 
 def _trim(visit: tuple, cut: int) -> Optional[tuple]:
@@ -426,17 +471,21 @@ class CFTree:
         each row goes through :meth:`insert_cf`'s pass without a CF
         object.  With ``stop_on_alloc`` the run ends right after an
         insertion that allocated or freed a node.  Returns the number
-        of rows inserted.
+        of rows inserted, and counts their outcomes once (``scalar.*``).
         """
         stop = start + count
         nodes = self._node_count
         t = start
+        outcomes = [0, 0, 0]
         for n, sq in zip(ns[start:stop].tolist(), sqs[start:stop].tolist()):
-            self._insert_row(n, vecs[t], sq)
+            outcomes[self._insert_row(n, vecs[t], sq)] += 1
             t += 1
             if stop_on_alloc and self._node_count != nodes:
                 break
         self._add_points(ns[start:t])
+        if self.recorder.enabled:
+            for name, value in zip(_OUTCOME_COUNTERS, outcomes):
+                self.recorder.count(name, value)
         return t - start
 
     def _add_points(self, ns: np.ndarray) -> None:
@@ -949,23 +998,8 @@ class CFTree:
                     v = distance(ents[c], n, x0, x1, s)
                     if best < 0 or v < best_v or (v == best_v and c < best):
                         best, best_v = c, v
-                # _fits_threshold's test on Python floats (_merged_stat).
-                en, m0, m1, es = ents[best]
-                d0 = x0 - m0
-                d1 = x1 - m1
-                delta2 = d0 * d0 + d1 * d1
-                n_new = en + n
-                between = en * n / n_new * delta2
-                ssd = es + s + between
-                if radius:
-                    value = math.sqrt(max(ssd, 0.0) / n_new)
-                else:
-                    denom = n_new - 1.0
-                    value = math.sqrt(max(2.0 * ssd / denom if denom > 0 else 0.0, 0.0))
-                if _within_threshold(value, n_new, m0 * m0 + m1 * m1, threshold_sq):
-                    # add_row's update, as the nonleaf replay folds it.
-                    iv = n / n_new
-                    ents[best] = [n_new, m0 + iv * d0, m1 + iv * d1, es + (s + between)]
+                if _row_fits(ents[best], n, x0, x1, s, radius, threshold_sq):
+                    ents[best] = _row_fold(ents[best], n, x0, x1, s)
                     repairs += best != cols_l[lo + t]
                 elif appends and len(ents) < capacity:
                     best = len(ents)
@@ -1090,10 +1124,10 @@ class CFTree:
         self._insert_row(n, vec, sq)
         self._points += n
 
-    def _insert_row(self, n: float, vec: np.ndarray, sq: float) -> None:
+    def _insert_row(self, n: float, vec: np.ndarray, sq: float) -> int:
         """:meth:`insert_cf`'s pass on a raw ``(n, mean, SSD)`` row.
 
-        Leaves the point count to the caller.
+        Leaves the point count to the caller; returns the leaf's outcome.
         """
         leaf, path = self._descend_to_leaf(n, vec, sq)
         sibling: Optional[CFNode] = None
@@ -1103,11 +1137,12 @@ class CFTree:
                 self._absorb(leaf, index, n, vec, sq)
                 for node, child_index in path:
                     self._absorb(node, child_index, n, vec, sq)
-                return
+                return _ABSORBED
         if leaf.size < leaf.capacity:
             leaf.append_row(n, vec, sq)
         else:
             sibling = self._split_node(leaf, (n, vec, sq), None)
+        outcome = _APPENDED if sibling is None else _SPLIT
         for node, child_index in reversed(path):
             if sibling is None:
                 self._absorb(node, child_index, n, vec, sq)
@@ -1123,6 +1158,7 @@ class CFTree:
                 sibling = self._split_node(node, row, sibling)
         if sibling is not None:
             self._grow_root(sibling)
+        return outcome
 
     def try_absorb_cf(self, cf: CF | StableCF) -> bool:
         """Absorb ``cf`` only if it fits an existing leaf entry.
@@ -1388,8 +1424,17 @@ class CFTree:
     def _absorb(
         self, node: CFNode, index: int, n: float, vec: np.ndarray, sq: float
     ) -> None:
-        """Fold a raw row into entry ``index`` (unchecked ``add_to_entry``)."""
-        node.add_row(index, n, vec, sq)
+        """Fold a raw row into entry ``index`` (unchecked ``add_to_entry``);
+        for d <= 2 on Python floats (:func:`_row_fold`)."""
+        d = self.layout.dimensions
+        if d > 2:
+            node.add_row(index, n, vec, sq)
+            return
+        en, m0, m1, es = _row_fold(_entry(node, index), n, *_coords(vec), sq)
+        node._ns[index], node._sq[index] = en, es
+        node._vec[index, 0] = m0
+        if d == 2:
+            node._vec[index, 1] = m1
 
     def _descend_to_leaf(
         self, n: float, vec: np.ndarray, sq: float
@@ -1417,10 +1462,15 @@ class CFTree:
         zero but the computed one is a rounding residue of the means.
 
         The statistic is :func:`_merged_stat`, on Python floats, and the
-        test is :func:`_within_threshold`, as on the bulk path.
+        test is :func:`_within_threshold`, as on the bulk path (for d <= 2
+        both in :func:`_row_fits`, the window leaf step's test).
         """
-        mean = leaf._vec[index]
         radius = self.threshold_kind is ThresholdKind.RADIUS
+        if self.layout.dimensions <= 2:
+            return _row_fits(
+                _entry(leaf, index), n, *_coords(vec), sq, radius, self.threshold**2
+            )
+        mean = leaf._vec[index]
         value, n_merged = _merged_stat(
             leaf._ns[index].item(), mean, leaf._sq[index].item(), n, vec, sq, radius
         )

@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.features import CF
+
+EPS = float(np.finfo(np.float64).eps)
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -136,14 +138,28 @@ class TestDerivedStatistics:
         assert cf.radius == pytest.approx(expected, abs=1e-5, rel=1e-6)
 
     @given(pts=points_arrays(min_rows=2))
+    # 30 identical rows near 95.73: the classic diameter is a
+    # cancellation residue, 2.9e-6 at 95.73 and 1.3e-5 at 95.730459,
+    # which a fixed ``abs=1e-5`` failed.
+    @example(pts=np.full((30, 3), 95.73))
+    @example(pts=np.full((30, 3), 95.730459))
     @settings(max_examples=60, deadline=None)
     def test_diameter_matches_bruteforce(self, pts):
         cf = CF.from_points(pts)
-        n = pts.shape[0]
+        n, d = pts.shape
         diffs = pts[:, None, :] - pts[None, :, :]
         total = (diffs**2).sum()
         expected = math.sqrt(total / (n * (n - 1)))
-        assert cf.diameter == pytest.approx(expected, abs=1e-5, rel=1e-6)
+        # D^2 = 2 (n SS - |LS|^2) / (n (n - 1)) cancels.  Rounding SS
+        # (n d terms) and LS (n terms per coordinate), then |LS|^2 <= n SS,
+        # leaves an absolute error of at most about
+        # 2 (n d + 2 n + 2) eps SS / (n - 1) in D^2: n |mean|^2 eps at
+        # scale, and |D - D_true| <= sqrt(|D^2 - D_true^2|).
+        ss = float((pts**2).sum())
+        d2_error = 2.0 * (n * d + 2 * n + 2) * EPS * ss / (n - 1)
+        assert cf.diameter == pytest.approx(
+            expected, abs=math.sqrt(d2_error), rel=1e-6
+        )
 
     def test_singleton_diameter_is_zero(self):
         assert CF.from_point(np.array([1.0, 2.0])).diameter == 0.0

@@ -133,7 +133,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("dimensions", [2, 8])
+@pytest.mark.parametrize("dimensions", [1, 2, 8])
 @pytest.mark.parametrize(
     "kind, metric, decay",
     CASES,
@@ -147,8 +147,8 @@ def test_insertion_path_matches_public_api_oracle(
 ):
     config = BirchConfig(
         n_clusters=12,
-        memory_bytes=6 * 1024 if dimensions == 2 else 12 * 1024,
-        page_size=256 if dimensions == 2 else 512,
+        memory_bytes=6 * 1024 if dimensions <= 2 else 12 * 1024,
+        page_size=256 if dimensions <= 2 else 512,
         initial_threshold=0.0,
         outlier_handling=True,
         threshold_kind=kind,

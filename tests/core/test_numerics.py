@@ -17,10 +17,14 @@ import pytest
 
 from repro.core.distances import Metric, distance
 from repro.core.features import CF, StableCF
-from repro.core.tree import CFTree
+from repro.core.node import CFNode
+from repro.core.tree import CFTree, ThresholdKind, _merged_stat, _within_threshold
 from repro.pagestore.page import PageLayout
+from tests.core.test_insertion_oracle import cf_rows, ulp_rows
 
 pytestmark = pytest.mark.numerics
+
+EPS = float(np.finfo(np.float64).eps)
 
 ALL_METRICS = list(Metric)
 
@@ -219,3 +223,82 @@ class TestMixedMagnitudes:
         xs = sorted(float(c[0]) for c in result.centroids)
         assert xs[0] == pytest.approx(0.0, abs=1.0)
         assert xs[1] == pytest.approx(1e6, rel=1e-5)
+
+
+ROW_DRAWS = {"mixed": cf_rows, "ulp": ulp_rows}
+
+
+def float_step_tree(dimensions: int, kind: ThresholdKind) -> CFTree:
+    return CFTree(PageLayout(page_size=1024, dimensions=dimensions), threshold_kind=kind)
+
+
+def seeded_leaf(layout: PageLayout, ns, vecs, sqs, k: int) -> CFNode:
+    node = CFNode(layout, is_leaf=True)
+    for t in range(k):
+        node.append_row(ns[t].item(), vecs[t], sqs[t].item())
+    return node
+
+
+class TestFloatRowStep:
+    """For d <= 2, ``CFTree._absorb`` and ``CFTree._fits_threshold`` run
+    on Python floats.  They must equal the numpy reference bit for bit:
+    ``CFNode.add_row`` for the fold, and ``_merged_stat`` plus
+    ``_within_threshold`` for the test.  The rows are unit, integer and
+    fractional counts with and without spread (``cf_rows``), and repeats
+    one ulp apart at an offset of 1e4 (``ulp_rows``), where only the
+    slack for rounded means decides the threshold test.
+    """
+
+    @pytest.mark.parametrize("draw", sorted(ROW_DRAWS))
+    @pytest.mark.parametrize("dimensions", [1, 2])
+    def test_absorb_equals_add_row_bitwise(self, dimensions, draw):
+        ns, vecs, sqs = ROW_DRAWS[draw](dimensions, n=600, seed=11)
+        tree = float_step_tree(dimensions, ThresholdKind.DIAMETER)
+        k = 8
+        fast = seeded_leaf(tree.layout, ns, vecs, sqs, k)
+        ref = seeded_leaf(tree.layout, ns, vecs, sqs, k)
+        for t in range(k, ns.shape[0]):
+            i = t % k  # each entry folds about 75 rows in turn
+            n, vec, sq = ns[t].item(), vecs[t], sqs[t].item()
+            tree._absorb(fast, i, n, vec, sq)
+            ref.add_row(i, n, vec, sq)
+            for name in ("_ns", "_vec", "_sq"):
+                got, want = getattr(fast, name), getattr(ref, name)
+                assert got.tobytes() == want.tobytes(), (t, name)
+
+    @pytest.mark.parametrize("kind", list(ThresholdKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("draw", sorted(ROW_DRAWS))
+    @pytest.mark.parametrize("dimensions", [1, 2])
+    def test_fits_threshold_equals_merged_stat(self, dimensions, draw, kind):
+        ns, vecs, sqs = ROW_DRAWS[draw](dimensions, n=400, seed=12)
+        tree = float_step_tree(dimensions, kind)
+        radius = kind is ThresholdKind.RADIUS
+        k = 16
+        # Entries that have folded rows carry fractional means and SSD.
+        leaf = seeded_leaf(tree.layout, ns, vecs, sqs, k)
+        for t in range(k, 2 * k):
+            leaf.add_row(t % k, ns[t].item(), vecs[t], sqs[t].item())
+        outcomes = set()
+        for t in range(2 * k, ns.shape[0]):
+            n, vec, sq = ns[t].item(), vecs[t], sqs[t].item()
+            i = t % k
+            mean = leaf._vec[i]
+            value, n_merged = _merged_stat(
+                leaf._ns[i].item(), mean, leaf._sq[i].item(), n, vec, sq, radius
+            )
+            mean_sq = float(np.einsum("j,j->", mean, mean))
+            # Thresholds at the edge of the slack, one ulp either side.
+            edge = math.sqrt(max(value * value * (1.0 - 64.0 * EPS), 0.0))
+            for threshold in (
+                0.0,
+                value,
+                np.nextafter(value, 0.0),
+                edge,
+                np.nextafter(edge, 0.0),
+                np.nextafter(edge, np.inf),
+            ):
+                tree.threshold = float(threshold)
+                want = _within_threshold(value, n_merged, mean_sq, tree.threshold**2)
+                assert tree._fits_threshold(leaf, i, n, vec, sq) is want, (t, threshold)
+                outcomes.add(want)
+        assert outcomes == {True, False}

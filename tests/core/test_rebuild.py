@@ -124,8 +124,8 @@ class TestOutlierDiversion:
             spilled.append(cf)
             return True
 
-        def predicate(cf: CF, mean_points: float) -> bool:
-            return mean_points > 1.0 and cf.n < 0.25 * mean_points
+        def predicate(ns: np.ndarray, mean_points: float) -> np.ndarray:
+            return (ns < 0.25 * mean_points) & (mean_points > 1.0)
 
         rebuilt = rebuild_tree(tree, 2.0, outlier_sink=sink, outlier_predicate=predicate)
         total = rebuilt.summary_cf().n + sum(cf.n for cf in spilled)
@@ -141,7 +141,7 @@ class TestOutlierDiversion:
             tree,
             2.0,
             outlier_sink=lambda cf: False,  # disk always full
-            outlier_predicate=lambda cf, mean: cf.n < 0.25 * mean,
+            outlier_predicate=lambda ns, mean: ns < 0.25 * mean,
         )
         assert rebuilt.summary_cf().n == 104
 

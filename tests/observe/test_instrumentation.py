@@ -155,6 +155,36 @@ class TestResultTelemetry:
         )
 
 
+class TestScalarOutcomes:
+    """The scalar path counts what its rows did, once per run."""
+
+    @staticmethod
+    def _stream(observe):
+        from repro.datagen.presets import ds1o
+        from repro.workloads.base import base_birch_config
+
+        pts = ds1o(scale=0.03, seed=1).points  # M = 80 KB, T0 = 0
+        est = Birch(base_birch_config(observe=observe))
+        for lo in range(0, pts.shape[0], 500):
+            est.partial_fit(pts[lo : lo + 500])
+        tree = est._tree.export_structure()
+        return est.finalize(), tree
+
+    def test_outcomes_cover_every_scalar_row(self):
+        result, tree = self._stream(ObserveConfig())
+        c = result.telemetry.counters
+        outcomes = [c.get(f"scalar.{o}", 0) for o in ("absorbs", "appends", "splits")]
+        assert all(outcomes) and result.rebuilds > 0
+        assert sum(outcomes) == c.get("bulk.fallback_rows", 0) + c.get("scalar.rows", 0)
+
+        again, _ = self._stream(ObserveConfig())
+        assert again.telemetry.counters == c
+        off, off_tree = self._stream(None)
+        assert _fingerprint(off) == _fingerprint(result)
+        for name, array in tree.items():
+            assert off_tree[name].tobytes() == array.tobytes(), name
+
+
 class TestSinksWiring:
     def test_trace_journal_written(self, points, tmp_path):
         path = tmp_path / "trace.jsonl"
